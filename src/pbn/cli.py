@@ -307,6 +307,7 @@ def cmd_train(args):
     header = _header(args.seed, cfg)
 
     history_rows = []
+    aborted = None
     if args.pretrain:
         pre_cfg = TrainConfig(
             epochs=_as_int(cfg["pretrain_epochs"], "pretrain_epochs"),
@@ -320,9 +321,11 @@ def cmd_train(args):
         result = pretrain_discriminative(net, train_data, pre_cfg, val_data=val_data)
         net = result.network
         history_rows += [("pretrain", r) for r in result.history]
+        if result.aborted:
+            aborted = ("pretrain", len(result.history) + 1)
 
     epochs = _as_int(cfg["epochs"], "epochs")
-    if epochs > 0:
+    if epochs > 0 and aborted is None:
         pbn_cfg = TrainConfig(
             epochs=epochs,
             learning_rate=_as_float(cfg["learning_rate"], "learning_rate"),
@@ -334,6 +337,8 @@ def cmd_train(args):
         result = train(net, train_data, pbn_cfg, val_data=val_data)
         net = result.network
         history_rows += [("pbn", r) for r in result.history]
+        if result.aborted:
+            aborted = ("pbn", len(result.history) + 1)
 
     doc = network_to_dict(net)
     doc["meta"] = {
@@ -357,6 +362,14 @@ def cmd_train(args):
         for phase, r in history_rows
     ]
     _write_csv(out_history, header, ["phase", "epoch", "objective", "val_accuracy", "efficiency"], rows)
+    if aborted is not None:
+        phase, epoch = aborted
+        print(
+            f"error: {phase} phase aborted in epoch {epoch}: non-finite objective or gradient; "
+            f"saved the last good checkpoint to {args.out_model}",
+            file=sys.stderr,
+        )
+        return 2
     last = history_rows[-1][1]["objective"] if history_rows else float("nan")
     print(f"trained {len(history_rows)} epochs, final objective {last:.6g} -> {args.out_model}")
     return 0
@@ -683,7 +696,7 @@ def main(argv=None):
         parser.error("--threads must be >= 1")
     try:
         return args.fn(args)
-    except PbnError as exc:
+    except (PbnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,6 +47,16 @@ class LinearMap:
         """Dense n_out x n_in matrix A = W' with forward(x) = A @ x, bit for bit."""
         raise NotImplementedError
 
+    @functools.cached_property
+    def gram(self):
+        """The unit-weight GramFactor of S = W'W, built on first use and kept.
+
+        Like ``materialize()`` it depends on the parameters alone, and a
+        map's parameters never change (``with_params`` builds a new map
+        with empty caches), so a kept factor can never go stale.
+        """
+        return GramFactor(self)
+
     def with_params(self, params):
         raise NotImplementedError
 
@@ -221,10 +231,14 @@ class GramFactor:
     must be strictly positive and finite.  A failed factorization, or a
     pivot collapsing to zero relative to the trace, raises
     SingularityError carrying the provided label.
+
+    The unit-weight factor of a map is kept on the map (``LinearMap.gram``)
+    and so lives exactly as long as the map's parameters; a factor also
+    keeps W S^-1 once a caller has asked for it (``w_s_inv``).
     """
 
     def __init__(self, map_, weights=None, label="gram"):
-        a = map_.materialize()
+        self._a = a = map_.materialize()
         if weights is None:
             weights = np.ones(map_.n_in)
         w = np.asarray(weights, dtype=np.float64)
@@ -248,3 +262,10 @@ class GramFactor:
     def solve(self, b):
         """Solve S u = b for a vector or a stack of columns."""
         return cho_solve(self._factor, np.asarray(b, dtype=np.float64))
+
+    @functools.cached_property
+    def w_s_inv(self):
+        """W S^-1 (n_in x n_out, read-only), computed on first use and kept."""
+        p = self.solve(self._a).T
+        p.flags.writeable = False
+        return p

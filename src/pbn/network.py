@@ -29,7 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, DomainError, LikelihoodUndefinedError, ShapeMismatchError
+from .errors import (
+    ConfigError,
+    DomainError,
+    LikelihoodUndefinedError,
+    ReconstructionError,
+    ShapeMismatchError,
+    SingularityError,
+)
 from .linops import ConvMap, DenseMap
 from .priors import activation_prior, get_prior
 from .saddlepoint import log_feature_density, solve_saddle
@@ -280,7 +287,7 @@ class Network:
                 solutions.append(
                     solve_saddle(spec.map, spec.input_prior, z_tilde, label=f"layer {l}")
                 )
-            except Exception as exc:
+            except (DomainError, ReconstructionError, SingularityError) as exc:
                 raise LikelihoodUndefinedError(l, f"feature density unavailable ({exc})") from exc
         return InteriorTrace(xs, zs, solutions)
 

@@ -21,6 +21,13 @@ Targets outside the open image of the prior support have no saddle
 point; the iteration then fails to contract and surfaces as
 ReconstructionError, which callers count as an undefined likelihood
 rather than a crash.
+
+The unit Gram factor W'W that seeds every solve is a constant of the
+map, so it is built once per map and kept there (``LinearMap.gram``).
+Whenever the curvature weights k'' are exactly 1 (always, under the
+Gaussian prior) the curvature is that same factor, and the solution
+carries it instead of a rebuilt copy.  Maps are immutable and a
+parameter update builds new maps, so no solve can see a stale factor.
 """
 
 import math
@@ -53,9 +60,16 @@ class SaddleSolution:
     objective_path: list
 
 
+def _gram(map_, weights, label):
+    """Factor of W' diag(weights) W; unit weights reuse the map's kept factor."""
+    if np.all(weights == 1.0):
+        return map_.gram
+    return GramFactor(map_, weights, label=label)
+
+
 def _curvature(map_, prior, alpha, label, iterations=None, residual=None):
     try:
-        return GramFactor(map_, prior.activation_deriv(alpha), label=label)
+        return _gram(map_, prior.activation_deriv(alpha), label)
     except (DomainError, SingularityError) as exc:
         raise ReconstructionError(
             f"{label}: curvature failed: {exc}",
@@ -76,7 +90,7 @@ def _direction_factor(map_, prior, alpha, label, iterations, residual):
     """
     weights = prior.activation_deriv(alpha)
     try:
-        return GramFactor(map_, weights, label=label)
+        return _gram(map_, weights, label)
     except (DomainError, SingularityError):
         floor = float(np.max(weights)) * 1e-10
         if not (math.isfinite(floor) and floor > 0.0):
@@ -111,7 +125,7 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
         raise DomainError(f"{label}: target must be finite")
     scale = 1.0 + float(np.max(np.abs(z)))
     try:
-        h = GramFactor(map_, label=label).solve(z)
+        h = map_.gram.solve(z)
     except SingularityError as exc:
         raise ReconstructionError(f"{label}: map has a singular Gram matrix") from exc
 

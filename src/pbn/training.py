@@ -133,7 +133,7 @@ def gradient(net, x_raw, label=None, trace=None):
         a = spec.map.materialize()  # n_out x n_in
         k2 = prior.activation_deriv(sol.alpha)
         k3 = prior.cgf_third_deriv(sol.alpha)
-        p = sol.curvature.solve(a).T  # W S^-1, n_in x n_out
+        p = sol.curvature.w_s_inv  # n_in x n_out
         q = np.einsum("nm,nm->n", a.T, p)
         g_h = spec.map.forward(k3 * q)
         u = sol.curvature.solve(g_h)
@@ -333,6 +333,17 @@ def _all_finite(arrays):
     return all(np.all(np.isfinite(a)) for a in arrays)
 
 
+def _checkpoint(net):
+    """A copy of ``net`` with the same parameters and none of its caches.
+
+    Holding the network itself would keep its dense matrices and Gram
+    factors alive next to those of the network being trained.
+    """
+    return net.with_layer_params(
+        [spec.map.params for spec in net.layers], [spec.bias for spec in net.layers]
+    )
+
+
 def _run_epochs(net, data, config, val_data, batch_fn, val_fn):
     rng = np.random.default_rng(config.seed)
     opt = _make_optimizer(config)
@@ -372,11 +383,8 @@ def _run_epochs(net, data, config, val_data, batch_fn, val_fn):
                 efficiency=defined_sum / max(attempted_sum, 1),
             )
         )
-        if val_data is not None:
-            if val_acc >= best_acc:
-                best_acc, best_net = val_acc, net
-        else:
-            best_net = net
+        if val_data is None or val_acc >= best_acc:
+            best_acc, best_net = val_acc, _checkpoint(net)
     return TrainResult(network=best_net, history=history, aborted=aborted)
 
 

@@ -235,6 +235,34 @@ class TestTrain:
         ][1:]
         assert all(ln.split(",")[3] != "" for ln in body)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_saves_checkpoint_and_exits_2(self, tmp_path, toy_archive, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(
+            "arch=custom\ninput_shape=6\nlayers=dense:4:tg,dense:2:shift\nC=20\n"
+            "pretrain_epochs=4\npretrain_optimizer=sgd\npretrain_learning_rate=1e30\n"
+        )
+        model = str(tmp_path / "d.json")
+        rc, out, err = run(
+            capsys,
+            "train", "--features", toy_archive, "--config", str(cfg),
+            "--out-model", model, "--pretrain", "--seed", "2",
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: pretrain phase aborted in epoch ")
+        epoch = int(err.split("epoch ")[1].split(":")[0])
+        body = [
+            ln
+            for ln in open(str(tmp_path / "d_history.csv")).read().splitlines()
+            if not ln.startswith("#")
+        ][1:]
+        assert [ln.split(",")[:2] for ln in body] == [
+            ["pretrain", str(e)] for e in range(1, epoch)
+        ]
+        doc = json.loads(open(model).read())
+        assert all(np.all(np.isfinite(layer["map"]["weights"])) for layer in doc["layers"])
+
     def test_config_defaults_resolve(self):
         cfg = parse_config(None)
         assert cfg["arch"] == "wordpair"
@@ -539,6 +567,17 @@ class TestCombine:
             "--out", str(tmp_path / "o.csv"), "--val-ids", str(val),
         )
         assert rc == 2
+
+    def test_missing_input_file_exits_2(self, tmp_path, capsys):
+        external = self.external_table(tmp_path, [("s00", 0)])
+        rc, _, err = run(
+            capsys,
+            "combine", "--scores", str(tmp_path / "missing.csv"), "--external", external,
+            "--out", str(tmp_path / "o.csv"),
+        )
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "missing.csv" in err
 
 
 class TestParser:

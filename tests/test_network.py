@@ -5,10 +5,12 @@ import pytest
 from helpers import gaussian_chain_logpdf
 from numpy.testing import assert_allclose
 
+from pbn import network
 from pbn.errors import (
     ConfigError,
     DomainError,
     LikelihoodUndefinedError,
+    ReconstructionError,
     ShapeMismatchError,
     UnclassifiableError,
 )
@@ -249,6 +251,35 @@ class TestClassification:
         net = linear_chain(rng, (6, 3))
         with pytest.raises(ConfigError):
             net.classify(np.zeros(6))
+
+
+class TestInteriorTraceErrors:
+    """Only numerical failures of a solve make a sample undefined."""
+
+    def failing_solve(self, exc, layer):
+        real = network.solve_saddle
+
+        def solve(map_, prior, z_tilde, *, label):
+            if label == f"layer {layer}":
+                raise exc
+            return real(map_, prior, z_tilde, label=label)
+
+        return solve
+
+    def test_programming_error_propagates(self, monkeypatch):
+        net = small_shift_net(np.random.default_rng(10))
+        monkeypatch.setattr(network, "solve_saddle", self.failing_solve(TypeError("bug"), 1))
+        with pytest.raises(TypeError):
+            net.interior_trace(np.random.default_rng(11).standard_normal(8))
+
+    def test_solver_failure_is_undefined_at_its_layer(self, monkeypatch):
+        net = small_shift_net(np.random.default_rng(10))
+        failure = ReconstructionError("layer 2: saddle point not reached")
+        monkeypatch.setattr(network, "solve_saddle", self.failing_solve(failure, 2))
+        with pytest.raises(LikelihoodUndefinedError) as ei:
+            net.interior_trace(np.random.default_rng(11).standard_normal(8))
+        assert ei.value.layer == 2
+        assert ei.value.__cause__ is failure
 
 
 class TestValidation:
