@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, JoinError, LikelihoodUndefinedError, PbnError, ReconstructionError, UnclassifiableError
+from .errors import ConfigError, JoinError, LikelihoodUndefinedError, PbnError, ReconstructionError
 from .features import (
     extract_directory,
     read_archive,
@@ -263,13 +263,7 @@ def cmd_extract(args):
     if args.binary:
         write_archive_binary(args.out, data)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(header + "\n")
-        tmp = args.out + ".body"
-        write_archive_text(tmp, data)
-        with open(tmp) as src, open(args.out, "a") as dst:
-            dst.write(src.read())
-        os.remove(tmp)
+        write_archive_text(args.out, data, header=header)
     split_of = {}
     for name, idx in splits.items():
         for i in idx:
@@ -388,7 +382,7 @@ def cmd_eval(args):
             scores = net.class_scores(data.x[i])
             if int(np.argmax(scores)) == label:
                 correct += 1
-        except (LikelihoodUndefinedError, UnclassifiableError):
+        except LikelihoodUndefinedError:
             scores = np.full(net.n_classes, np.nan)
             undefined += 1
         try:
@@ -614,12 +608,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="determinism seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker count; 1 (the default and only supported value) is bit-reproducible",
-        )
 
     p = sub.add_parser("extract", help="WAV directory to feature archive + split manifest")
     p.add_argument("--wav-dir", required=True)
@@ -690,10 +678,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (PbnError, OSError) as exc:

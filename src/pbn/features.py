@@ -166,10 +166,13 @@ def _require_ids(data):
         raise IngestionError("archives need ids and labels")
 
 
-def write_archive_text(path, data):
+def write_archive_text(path, data, header=None):
+    """Write the text archive; ``header``, a ``#`` comment line, goes first."""
     _require_ids(data)
     cols = ",".join(f"x{i:03d}" for i in range(data.x.shape[1]))
     with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
         fh.write(f"id,label,{cols}\n")
         for i in range(len(data)):
             values = ",".join(f"{v:.17g}" for v in data.x[i])
@@ -230,9 +233,14 @@ def _read_archive_binary(path):
 
 
 def read_archive(path):
-    """Read either archive form, sniffing the binary magic."""
+    """Read either archive form, sniffing the binary magic.
+
+    A truncated or malformed archive raises IngestionError.
+    """
     with open(path, "rb") as fh:
         head = fh.read(len(_MAGIC))
-    if head == _MAGIC:
-        return _read_archive_binary(path)
-    return _read_archive_text(path)
+    reader = _read_archive_binary if head == _MAGIC else _read_archive_text
+    try:
+        return reader(path)
+    except (struct.error, ValueError) as exc:
+        raise IngestionError(f"{path}: malformed archive: {exc}") from exc

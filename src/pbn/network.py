@@ -39,7 +39,7 @@ from .errors import (
 )
 from .linops import ConvMap, DenseMap
 from .priors import activation_prior, get_prior
-from .saddlepoint import log_feature_density, solve_saddle
+from .saddlepoint import solve_saddle
 
 LOG_2PI = math.log(2.0 * math.pi)
 SIGMA_FLOOR = 1e-12
@@ -293,14 +293,11 @@ class Network:
 
     # -- likelihood ---------------------------------------------------------
     def _interior_terms(self, trace):
+        """The label-independent (log priors, -log p^, log jacobians) per layer."""
         log_priors, neg_log_features, log_jacobians = [], [], []
-        for l, spec in enumerate(self.layers, start=1):
-            x, z, sol = trace.xs[l - 1], trace.zs[l - 1], trace.solutions[l - 1]
+        for spec, x, z, sol in zip(self.layers, trace.xs, trace.zs, trace.solutions):
             log_priors.append(float(spec.input_prior.log_density(x)))
-            z_tilde = z - spec.bias
-            neg_log_features.append(
-                -log_feature_density(spec.map, spec.input_prior, z_tilde, sol)
-            )
+            neg_log_features.append(-sol.log_density)
             if spec.activation in INNER_ACTIVATIONS:
                 deriv = activation_prior(spec.activation).activation_deriv(z)
                 log_jacobians.append(float(np.sum(np.log(deriv))))
@@ -308,58 +305,54 @@ class Network:
                 log_jacobians.append(0.0)
         return log_priors, neg_log_features, log_jacobians
 
-    def _output_terms(self, z_last, label):
-        """(log N(x_out), shift log-jacobian) for one label hypothesis."""
+    def _likelihood_terms(self, interior, z_last, label):
+        """Complete the interior terms with the output terms of one label hypothesis."""
+        log_priors, neg_log_features, log_jacobians = interior
         if self.output_prior is None:
             if label is not None:
                 raise ConfigError("network has no output prior; drop the label")
             x_out = z_last
-            return (
-                float(-0.5 * x_out.size * LOG_2PI - 0.5 * np.dot(x_out, x_out)),
-                0.0,
-            )
-        if label is None:
-            raise ConfigError("network has an output prior; a label hypothesis is required")
-        cfg = self.output_prior
-        signal = label_signal(label, cfg.n_classes, cfg.level)
-        x_out = output_shift(z_last, signal, cfg.c, cfg.level)
-        jac = float(np.sum(np.log(output_shift_slope(z_last, cfg.c))))
-        log_out = float(-0.5 * x_out.size * LOG_2PI - 0.5 * np.dot(x_out, x_out))
-        return log_out, jac
+        else:
+            if label is None:
+                raise ConfigError("network has an output prior; a label hypothesis is required")
+            cfg = self.output_prior
+            signal = label_signal(label, cfg.n_classes, cfg.level)
+            x_out = output_shift(z_last, signal, cfg.c, cfg.level)
+            # An output prior comes with a shift on the last layer (see __init__).
+            shift_jac = float(np.sum(np.log(output_shift_slope(z_last, cfg.c))))
+            log_jacobians = log_jacobians[:-1] + [shift_jac]
+        return LikelihoodTerms(
+            log_priors=log_priors,
+            neg_log_features=neg_log_features,
+            log_jacobians=log_jacobians,
+            log_output_prior=float(-0.5 * x_out.size * LOG_2PI - 0.5 * np.dot(x_out, x_out)),
+            log_standardize=self.log_standardize,
+        )
 
     def log_likelihood(self, x_raw, label=None, trace=None):
         """Exact decomposed log-likelihood of one raw input under a label."""
         if trace is None:
             trace = self.interior_trace(x_raw)
-        log_priors, neg_log_features, log_jacobians = self._interior_terms(trace)
-        log_out, shift_jac = self._output_terms(trace.zs[-1], label)
-        if self.layers[-1].activation == "shift":
-            log_jacobians[-1] = shift_jac
-        return LikelihoodTerms(
-            log_priors=log_priors,
-            neg_log_features=neg_log_features,
-            log_jacobians=log_jacobians,
-            log_output_prior=log_out,
-            log_standardize=self.log_standardize,
-        )
+        return self._likelihood_terms(self._interior_terms(trace), trace.zs[-1], label)
 
     def class_scores(self, x_raw, trace=None):
         """Total log-likelihood under every label hypothesis.
 
         The interior is label-independent, so all hypotheses share one
-        trace and differ only in the output terms.
+        trace and one set of interior terms; ``class_scores(x)[y]`` is
+        exactly ``log_likelihood(x, label=y).total``.
         """
         if self.output_prior is None:
             raise ConfigError("classification needs an output prior")
         if trace is None:
             trace = self.interior_trace(x_raw)
         interior = self._interior_terms(trace)
-        base = sum(interior[0]) + sum(interior[1]) + sum(interior[2][:-1])
-        scores = np.empty(self.n_classes)
-        for y in range(self.n_classes):
-            log_out, shift_jac = self._output_terms(trace.zs[-1], y)
-            scores[y] = base + shift_jac + log_out + self.log_standardize
-        return scores
+        return np.array(
+            [
+                self._likelihood_terms(interior, trace.zs[-1], y).total
+                for y in range(self.n_classes)
+            ]
+        )
 
     def classify(self, x_raw):
         """Most likely label; ties resolve to the lowest index."""

@@ -1,7 +1,9 @@
 """Scalar maximum-entropy priors and their calculus.
 
-Each prior couples four scalar functions that the rest of the package
-builds on:
+Each prior couples four functions of a scalar that the rest of the
+package builds on.  They act elementwise on arrays of any shape, as does
+``activation_inverse``; a Python scalar becomes a 0-d array, so it needs
+no special case and gives a 0-d result:
 
 * ``cgf``              k(a)  = log E[exp(a*x)] under the prior,
 * ``activation``       k'(a), the mean of the exponentially tilted prior,
@@ -48,17 +50,6 @@ def _npdf(a):
     return np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
 
 
-def _elementwise(func):
-    """Lift an ndarray implementation to accept scalars transparently."""
-
-    def wrapped(self, a):
-        arr = np.atleast_1d(np.asarray(a, dtype=np.float64))
-        out = func(self, arr)
-        return float(out[0]) if np.ndim(a) == 0 else out
-
-    return wrapped
-
-
 def _bracketed_newton(f, fprime, y, lo, hi, *, max_iter=140, tol=1e-13):
     """Solve f(x) = y for increasing f with f(lo) < y < f(hi), elementwise.
 
@@ -94,7 +85,7 @@ class ScalarPrior:
     kind = ""
     activation_tag = ""
 
-    # -- scalar calculus ------------------------------------------------
+    # -- elementwise calculus -------------------------------------------
     def cgf(self, a):
         raise NotImplementedError
 
@@ -135,27 +126,27 @@ class GaussianPrior(ScalarPrior):
     kind = "gaussian"
     activation_tag = "linear"
 
-    @_elementwise
     def cgf(self, a):
+        a = np.asarray(a, dtype=np.float64)
         return 0.5 * a * a
 
-    @_elementwise
     def activation(self, a):
+        a = np.asarray(a, dtype=np.float64)
         return a.copy()
 
-    @_elementwise
     def activation_deriv(self, a):
+        a = np.asarray(a, dtype=np.float64)
         return np.ones_like(a)
 
-    @_elementwise
     def cgf_third_deriv(self, a):
+        a = np.asarray(a, dtype=np.float64)
         return np.zeros_like(a)
 
     def activation_inverse(self, y):
-        arr = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        if not np.all(np.isfinite(arr)):
+        y = np.asarray(y, dtype=np.float64)
+        if not np.all(np.isfinite(y)):
             raise DomainError("linear activation inverse requires finite values")
-        return float(arr[0]) if np.ndim(y) == 0 else arr.copy()
+        return y.copy()
 
     def log_density(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -197,8 +188,8 @@ class TruncatedGaussianPrior(ScalarPrior):
         out[pos] = _npdf(a[pos]) / special.ndtr(a[pos])
         return out
 
-    @_elementwise
     def cgf(self, a):
+        a = np.asarray(a, dtype=np.float64)
         out = np.empty_like(a)
         tail = a < -5.0
         # a^2/2 + log(2 Phi(a)) == log erfcx(-a/sqrt(2)) identically.
@@ -207,32 +198,27 @@ class TruncatedGaussianPrior(ScalarPrior):
         out[rest] = 0.5 * a[rest] * a[rest] + np.log(2.0 * special.ndtr(a[rest]))
         return out
 
-    @_elementwise
     def activation(self, a):
+        a = np.asarray(a, dtype=np.float64)
         return a + self._mills(a)
 
-    @_elementwise
     def activation_deriv(self, a):
+        a = np.asarray(a, dtype=np.float64)
         r = self._mills(a)
         return 1.0 - r * (a + r)
 
-    @_elementwise
     def cgf_third_deriv(self, a):
+        a = np.asarray(a, dtype=np.float64)
         r = self._mills(a)
         return r * ((a + r) * (a + 2.0 * r) - 1.0)
 
     def activation_inverse(self, y):
-        arr = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        y = np.asarray(y, dtype=np.float64)
+        if not np.all(np.isfinite(y)) or np.any(y <= 0.0):
             raise DomainError("tg activation inverse requires values in (0, inf)")
         # lambda(-1/y) < y < lambda(y + 1) holds for every y > 0 (Mills
         # ratio bound r(-t) < t + 1/t), so the bracket needs no search.
-        lo = -1.0 / arr
-        hi = arr + 1.0
-        act = lambda v: np.atleast_1d(self.activation(v))
-        der = lambda v: np.atleast_1d(self.activation_deriv(v))
-        out = _bracketed_newton(act, der, arr, lo, hi)
-        return float(out[0]) if np.ndim(y) == 0 else out
+        return _bracketed_newton(self.activation, self.activation_deriv, y, -1.0 / y, y + 1.0)
 
     def log_density(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -267,8 +253,8 @@ class UniformPrior(ScalarPrior):
     kind = "uniform"
     activation_tag = "ted"
 
-    @_elementwise
     def cgf(self, a):
+        a = np.asarray(a, dtype=np.float64)
         out = np.empty_like(a)
         small = np.abs(a) < 5e-3
         s = a[small]
@@ -281,8 +267,8 @@ class UniformPrior(ScalarPrior):
         out[neg] = np.log(-np.expm1(m)) - np.log(-m)
         return out
 
-    @_elementwise
     def activation(self, a):
+        a = np.asarray(a, dtype=np.float64)
         out = np.empty_like(a)
         small = np.abs(a) < 5e-3
         s = a[small]
@@ -295,8 +281,8 @@ class UniformPrior(ScalarPrior):
         out[neg] = np.exp(m) / np.expm1(m) - 1.0 / m
         return out
 
-    @_elementwise
     def activation_deriv(self, a):
+        a = np.asarray(a, dtype=np.float64)
         out = np.empty_like(a)
         small = np.abs(a) < 0.05
         s = a[small]
@@ -308,8 +294,8 @@ class UniformPrior(ScalarPrior):
             out[rest] = 1.0 / (r * r) - 1.0 / (4.0 * sh * sh)
         return out
 
-    @_elementwise
     def cgf_third_deriv(self, a):
+        a = np.asarray(a, dtype=np.float64)
         out = np.empty_like(a)
         small = np.abs(a) < 0.05
         s = a[small]
@@ -325,16 +311,13 @@ class UniformPrior(ScalarPrior):
         return out
 
     def activation_inverse(self, y):
-        arr = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        y = np.asarray(y, dtype=np.float64)
+        if not np.all(np.isfinite(y)) or np.any(y <= 0.0) or np.any(y >= 1.0):
             raise DomainError("ted activation inverse requires values in (0, 1)")
         # lambda(-1/y) < y and lambda(1/(1-y)) > y hold for all y in (0, 1).
-        lo = -1.0 / arr
-        hi = 1.0 / (1.0 - arr)
-        act = lambda v: np.atleast_1d(self.activation(v))
-        der = lambda v: np.atleast_1d(self.activation_deriv(v))
-        out = _bracketed_newton(act, der, arr, lo, hi)
-        return float(out[0]) if np.ndim(y) == 0 else out
+        return _bracketed_newton(
+            self.activation, self.activation_deriv, y, -1.0 / y, 1.0 / (1.0 - y)
+        )
 
     def log_density(self, x):
         if not self.in_support(x):

@@ -36,7 +36,7 @@ def invert_output_shift(x_out, signal, c, level):
     C/2 + 1 of x plus the label offset; Newton under that bracket
     converges for any C >= 0.
     """
-    x = np.atleast_1d(np.asarray(x_out, dtype=np.float64))
+    x = np.asarray(x_out, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise DomainError("shifted output must be finite")
     s = np.broadcast_to(np.asarray(signal, dtype=np.float64), x.shape)
@@ -45,8 +45,7 @@ def invert_output_shift(x_out, signal, c, level):
     hi = x + offset + 0.5 * c + 1.0
     f = lambda z: output_shift(z, s, c, level)
     fp = lambda z: output_shift_slope(z, c)
-    out = _bracketed_newton(f, fp, x, lo, hi)
-    return float(out[0]) if np.ndim(x_out) == 0 else out
+    return _bracketed_newton(f, fp, x, lo, hi)
 
 
 def backstep(spec, x_next, *, label="backstep"):

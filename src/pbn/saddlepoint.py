@@ -59,6 +59,15 @@ class SaddleSolution:
     iterations: int
     objective_path: list
 
+    @property
+    def log_density(self):
+        """log p^(z~); the final objective is already K(h^) - h^'z~."""
+        return (
+            self.objective_path[-1]
+            - 0.5 * self.curvature.logdet
+            - 0.5 * self.h_hat.size * LOG_2PI
+        )
+
 
 def _gram(map_, weights, label):
     """Factor of W' diag(weights) W; unit weights reuse the map's kept factor."""
@@ -178,22 +187,11 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
     )
 
 
-def log_feature_density(map_, prior, z_tilde, solution=None, *, label="saddle"):
+def log_feature_density(map_, prior, z_tilde, *, label="saddle"):
     """Second order approximate log density of the feature z = W'x at z~."""
-    if solution is None:
-        solution = solve_saddle(map_, prior, z_tilde, label=label)
-    z = np.asarray(z_tilde, dtype=np.float64)
-    k_total = float(np.sum(prior.cgf(solution.alpha)))
-    return (
-        k_total
-        - float(solution.h_hat @ z)
-        - 0.5 * solution.curvature.logdet
-        - 0.5 * map_.n_out * LOG_2PI
-    )
+    return solve_saddle(map_, prior, z_tilde, label=label).log_density
 
 
-def conditional_mean(map_, prior, z_tilde, solution=None, *, label="saddle"):
+def conditional_mean(map_, prior, z_tilde, *, label="saddle"):
     """Approximate E[x | W'x = z~], the activation at the saddle point."""
-    if solution is None:
-        solution = solve_saddle(map_, prior, z_tilde, label=label)
-    return solution.x_hat.copy()
+    return solve_saddle(map_, prior, z_tilde, label=label).x_hat

@@ -179,14 +179,21 @@ def _weight_norm(net):
     return float(sum(np.sum(spec.map.params**2) for spec in net.layers))
 
 
-def _pbn_batch(net, data, idx, l2, _rng):
+def _batch(net, data, idx, l2, sample_grad):
+    """Mean gradient and objective over the defined samples of one minibatch.
+
+    ``sample_grad(net, x_raw, label)`` returns one sample's (weight
+    grads, bias grads, objective); a sample that raises
+    LikelihoodUndefinedError is skipped.  Returns (weight grads, bias
+    grads, penalized objective, defined-sample count).
+    """
     grads_w = [np.zeros_like(spec.map.params) for spec in net.layers]
     grads_b = [np.zeros_like(spec.bias) for spec in net.layers]
     total, defined = 0.0, 0
     for i in idx:
         label = None if data.labels is None else int(data.labels[i])
         try:
-            gw, gb, ll = gradient(net, data.x[i], label=label)
+            gw, gb, ll = sample_grad(net, data.x[i], label)
         except LikelihoodUndefinedError:
             continue
         for l in range(net.depth):
@@ -200,7 +207,7 @@ def _pbn_batch(net, data, idx, l2, _rng):
         grads_w[l] = grads_w[l] / defined - 2.0 * l2 * spec.map.params
         grads_b[l] /= defined
     value = total / defined - l2 * _weight_norm(net)
-    return grads_w, grads_b, value, defined, len(idx)
+    return grads_w, grads_b, value, defined
 
 
 # ---------------------------------------------------------------------------
@@ -244,24 +251,6 @@ def _pretrain_sample(net, x_raw, label, rng, dropout):
         if masks[l - 1] is not None:
             bar_x = bar_x * masks[l - 1]
     return grads_w, grads_b, ll
-
-
-def _pretrain_batch(net, data, idx, l2, rng, dropout):
-    grads_w = [np.zeros_like(spec.map.params) for spec in net.layers]
-    grads_b = [np.zeros_like(spec.bias) for spec in net.layers]
-    total = 0.0
-    for i in idx:
-        gw, gb, ll = _pretrain_sample(net, data.x[i], int(data.labels[i]), rng, dropout)
-        for l in range(net.depth):
-            grads_w[l] += gw[l]
-            grads_b[l] += gb[l]
-        total += ll
-    n = len(idx)
-    for l, spec in enumerate(net.layers):
-        grads_w[l] = grads_w[l] / n - 2.0 * l2 * spec.map.params
-        grads_b[l] /= n
-    value = total / n - l2 * _weight_norm(net)
-    return grads_w, grads_b, value, n, n
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +333,8 @@ def _checkpoint(net):
     )
 
 
-def _run_epochs(net, data, config, val_data, batch_fn, val_fn):
-    rng = np.random.default_rng(config.seed)
+def _run_epochs(net, data, config, val_data, sample_grad, val_fn, rng):
+    """Minibatch ascent; ``rng`` shuffles every epoch (and drives any dropout)."""
     opt = _make_optimizer(config)
     history = []
     best_net, best_acc = net, -1.0
@@ -354,11 +343,10 @@ def _run_epochs(net, data, config, val_data, batch_fn, val_fn):
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(data))
         size = config.batch_size or len(data)
-        value_sum, weight_sum = 0.0, 0
-        defined_sum, attempted_sum = 0, 0
+        value_sum, defined_sum, attempted_sum = 0.0, 0, 0
         for start in range(0, len(order), size):
             idx = order[start : start + size]
-            grads_w, grads_b, value, defined, attempted = batch_fn(net, data, idx, rng)
+            grads_w, grads_b, value, defined = _batch(net, data, idx, config.l2, sample_grad)
             if not (np.isfinite(value) and _all_finite(grads_w) and _all_finite(grads_b)):
                 aborted = True
                 break
@@ -369,16 +357,15 @@ def _run_epochs(net, data, config, val_data, batch_fn, val_fn):
             updated = opt.step(params, flat)
             net = net.with_layer_params(updated[: net.depth], updated[net.depth :])
             value_sum += value * defined
-            weight_sum += defined
             defined_sum += defined
-            attempted_sum += attempted
+            attempted_sum += len(idx)
         if aborted:
             break
         val_acc = None if val_data is None else val_fn(net, val_data)
         history.append(
             dict(
                 epoch=epoch,
-                objective=value_sum / max(weight_sum, 1),
+                objective=value_sum / max(defined_sum, 1),
                 val_accuracy=val_acc,
                 efficiency=defined_sum / max(attempted_sum, 1),
             )
@@ -392,19 +379,17 @@ def train(net, data, config, val_data=None):
     """Generative (likelihood-ascent) training."""
     if net.output_prior is not None and data.labels is None:
         raise TrainingError("this network needs labeled data")
-
-    def batch_fn(n, d, idx, rng):
-        return _pbn_batch(n, d, idx, config.l2, rng)
-
-    return _run_epochs(net, data, config, val_data, batch_fn, evaluate)
+    rng = np.random.default_rng(config.seed)
+    return _run_epochs(net, data, config, val_data, gradient, evaluate, rng)
 
 
 def pretrain_discriminative(net, data, config, val_data=None):
     """Softmax cross-entropy warm start on the logits z_L."""
     if data.labels is None:
         raise TrainingError("pretraining needs labeled data")
+    rng = np.random.default_rng(config.seed)
 
-    def batch_fn(n, d, idx, rng):
-        return _pretrain_batch(n, d, idx, config.l2, rng, config.dropout)
+    def sample_grad(n, x_raw, label):
+        return _pretrain_sample(n, x_raw, label, rng, config.dropout)
 
-    return _run_epochs(net, data, config, val_data, batch_fn, evaluate_logits)
+    return _run_epochs(net, data, config, val_data, sample_grad, evaluate_logits, rng)

@@ -8,7 +8,7 @@ from scipy.io import wavfile
 from pbn import Dataset, DenseMap, LayerSpec, Network, OutputPriorConfig, save_model
 from pbn.cli import main, parse_config
 from pbn.errors import ConfigError
-from pbn.features import read_archive, write_archive_text
+from pbn.features import extract_directory, read_archive, write_archive_binary, write_archive_text
 
 
 def run(capsys, *argv):
@@ -128,6 +128,28 @@ class TestExtract:
         assert read_bytes(paths[0][:-4] + "_split.csv") == read_bytes(
             paths[1][:-4] + "_split.csv"
         )
+
+    def test_text_archive_is_written_in_one_pass(self, wav_tree, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        arch = str(out / "features.csv")
+        rc, _, _ = run(
+            capsys,
+            "extract", "--wav-dir", wav_tree, "--out", arch,
+            "--n-train", "4", "--n-val", "2", "--seed", "3",
+        )
+        assert rc == 0
+        lines = open(arch).read().splitlines()
+        header = open(str(out / "features_split.csv")).readline().rstrip("\n")
+        assert header.startswith("# pbn v")
+        assert lines[0] == header
+        assert lines[1].startswith("id,label,x000,")
+        want, _ = extract_directory(wav_tree)
+        back = read_archive(arch)
+        np.testing.assert_array_equal(back.x, want.x)
+        np.testing.assert_array_equal(back.labels, want.labels)
+        assert back.ids == want.ids
+        assert sorted(os.listdir(out)) == ["features.csv", "features_split.csv"]
 
     def test_binary_archive(self, wav_tree, tmp_path, capsys):
         arch = str(tmp_path / "features.pbnf")
@@ -262,6 +284,19 @@ class TestTrain:
         ]
         doc = json.loads(open(model).read())
         assert all(np.all(np.isfinite(layer["map"]["weights"])) for layer in doc["layers"])
+
+    def test_malformed_archive_exits_2(self, tmp_path, capsys):
+        data = Dataset(np.zeros((2, 3)), np.array([0, 1]), ["a/0", "b/1"])
+        path = str(tmp_path / "arch.pbnf")
+        write_archive_binary(path, data)
+        with open(path, "r+b") as fh:
+            fh.truncate(22)
+        rc, _, err = run(
+            capsys, "train", "--features", path, "--out-model", str(tmp_path / "m.json")
+        )
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "malformed archive" in err
 
     def test_config_defaults_resolve(self):
         cfg = parse_config(None)
@@ -581,10 +616,6 @@ class TestCombine:
 
 
 class TestParser:
-    def test_threads_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["eval", "--model", "m", "--features", "f", "--out-scores", "s", "--threads", "0"])
-
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])

@@ -275,6 +275,37 @@ class TestArchives:
         with pytest.raises(IngestionError, match="not a feature archive"):
             read_archive(str(path))
 
+    # Two rows of three values: the header ends at byte 20 and each
+    # record is a 2-byte id length, a 6-byte id, a 4-byte label and 24
+    # bytes of values, so the cuts land in every field of both records.
+    @pytest.mark.parametrize("cut", [0, 10, 20, 21, 22, 24, 30, 40, 56, 57, 91])
+    def test_cut_binary_raises_ingestion_error(self, tmp_path, cut):
+        data = self.sample_data(n=2, dim=3)
+        path = str(tmp_path / "arch.pbnf")
+        write_archive_binary(path, data)
+        raw = open(path, "rb").read()
+        assert len(raw) == 92
+        open(path, "wb").write(raw[:cut])
+        with pytest.raises(IngestionError):
+            read_archive(path)
+
+    def test_undecodable_binary_id_raises(self, tmp_path):
+        data = self.sample_data(n=2, dim=3)
+        path = str(tmp_path / "arch.pbnf")
+        write_archive_binary(path, data)
+        raw = bytearray(open(path, "rb").read())
+        raw[22] = 0xFF
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(IngestionError):
+            read_archive(path)
+
+    @pytest.mark.parametrize("label, value", [("zero", "1.0"), ("0", "abc"), ("1.5", "1.0")])
+    def test_bad_text_field_raises(self, tmp_path, label, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,label,x000,x001\na,0,1.0,2.0\nb,{label},{value},3.0\n")
+        with pytest.raises(IngestionError, match="malformed archive"):
+            read_archive(str(path))
+
     def test_ragged_text_row_raises(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("id,label,x000,x001\na,0,1.0,2.0\nb,1,3.0\n")

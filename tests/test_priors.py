@@ -32,6 +32,30 @@ def mills_reference(a):
         return float(num / den)
 
 
+# Every branch of every prior: far tails, the Taylor windows around 0
+# (|a| < 5e-3 and |a| < 0.05) and both sides of the tg switch at a = -5.
+BRANCH_GRID = [-700.0, -40.0, -6.0, -4.0, -1.0, -0.03, -1e-3, 0.0, 1e-3, 0.03, 1.0, 6.0, 40.0, 700.0]
+
+
+@pytest.mark.parametrize("prior", ALL_PRIORS, ids=lambda p: p.kind)
+@pytest.mark.parametrize("name", ["cgf", "activation", "activation_deriv", "cgf_third_deriv"])
+def test_scalar_input_equals_the_array_result(prior, name):
+    f = getattr(prior, name)
+    for a in BRANCH_GRID:
+        got = f(a)
+        assert np.ndim(got) == 0
+        assert got == f(np.array([a]))[0]
+
+
+@pytest.mark.parametrize("prior", ALL_PRIORS, ids=lambda p: p.kind)
+def test_scalar_inverse_equals_the_array_result(prior):
+    for a in (-3.0, 0.0, 0.7):
+        y = float(prior.activation(a))
+        got = prior.activation_inverse(y)
+        assert np.ndim(got) == 0
+        assert got == prior.activation_inverse(np.array([y]))[0]
+
+
 class TestClosedFormAnchors:
     def test_gaussian_cgf(self):
         assert GAUSSIAN.cgf(2.0) == pytest.approx(2.0, abs=1e-15)

@@ -1,5 +1,7 @@
 """Saddle point solver: exactness, quadrature cross-checks, failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 from helpers import sum_density_grid, sum_moments
@@ -131,6 +133,19 @@ class TestValidation:
         m = DenseMap(rng.standard_normal((6, 2)))
         z = m.forward(UNIFORM.sample(rng, 6))
         sol = solve_saddle(m, UNIFORM, z)
-        a = log_feature_density(m, UNIFORM, z, sol)
-        b = log_feature_density(m, UNIFORM, z)
-        assert_allclose(a, b, rtol=1e-12)
+        assert sol.log_density == log_feature_density(m, UNIFORM, z)
+
+    @pytest.mark.parametrize("prior", [GAUSSIAN, TRUNCATED_GAUSSIAN, UNIFORM], ids=lambda p: p.kind)
+    def test_log_density_is_the_explicit_formula_bit_for_bit(self, prior):
+        # K(h^) - h^'z~ - logdet(S)/2 - n log(2 pi)/2, recomputed from the parts
+        rng = np.random.default_rng(13)
+        m = DenseMap(rng.standard_normal((9, 3)))
+        z = m.forward(prior.sample(rng, 9))
+        sol = solve_saddle(m, prior, z)
+        want = (
+            float(np.sum(prior.cgf(sol.alpha)))
+            - float(sol.h_hat @ z)
+            - 0.5 * sol.curvature.logdet
+            - 0.5 * m.n_out * math.log(2.0 * math.pi)
+        )
+        assert sol.log_density == want
