@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, JoinError, LikelihoodUndefinedError, PbnError, ReconstructionError
+from .errors import ConfigError, JoinError, PbnError
 from .features import (
     extract_directory,
     read_archive,
@@ -31,6 +31,7 @@ from .network import (
     build_network,
     load_model,
     network_to_dict,
+    row_chunks,
     wordpair_network,
 )
 from .reconstruct import reconstruct_from_layer, reconstruction_statistic, synthesize
@@ -376,20 +377,15 @@ def cmd_eval(args):
         raise ConfigError(f"--stat-layer must be in 1..{net.depth - 1}")
     params = {"model": args.model, "stat_layer": str(args.stat_layer)}
     rows, correct, undefined = [], 0, 0
-    for i in range(len(data)):
-        label = int(data.labels[i])
-        try:
-            scores = net.class_scores(data.x[i])
-            if int(np.argmax(scores)) == label:
-                correct += 1
-        except LikelihoodUndefinedError:
-            scores = np.full(net.n_classes, np.nan)
-            undefined += 1
-        try:
-            stat = reconstruction_statistic(net, data.x[i], args.stat_layer)
-        except (PbnError, ValueError):
-            stat = float("nan")
-        rows.append((data.ids[i], label, *[float(s) for s in scores], stat))
+    for idx in row_chunks(len(data)):
+        x, labels = data.x[idx], data.labels[idx]
+        trace = net.interior_trace(x)
+        scores = net.class_scores(x, trace=trace)
+        stats = reconstruction_statistic(net, x, args.stat_layer, trace=trace)
+        correct += int(np.sum((np.argmax(scores, axis=1) == labels) & trace.defined))
+        undefined += int(np.sum(~trace.defined))
+        for i, label, row, stat in zip(idx, labels, scores, stats):
+            rows.append((data.ids[i], int(label), *[float(s) for s in row], float(stat)))
     columns = ["id", "label"] + [f"ll{k}" for k in range(net.n_classes)] + ["recon_stat"]
     _write_csv(args.out_scores, _header(args.seed, params), columns, rows)
     accuracy = correct / len(data) if len(data) else float("nan")
@@ -407,25 +403,26 @@ def cmd_reconstruct(args):
     header = _header(args.seed, params)
     count = len(data) if args.count == 0 else min(args.count, len(data))
     mse_rows, raw_rows = [], []
-    for i in range(count):
-        sample_id = data.ids[i]
-        _, zs = net.forward_pass(data.x[i])
-        try:
-            x_hat = reconstruct_from_layer(net, args.layer, zs[args.layer - 1])
-        except ReconstructionError:
-            mse_rows.append((sample_id, float("nan")))
-            continue
-        mse = float(np.mean((data.x[i] - x_hat) ** 2))
-        mse_rows.append((sample_id, mse))
-        stem = f"{i:04d}_{_safe_name(sample_id)}"
-        _write_pgm(os.path.join(args.out_images, f"orig_{stem}.pgm"), header, _as_image(data.x[i]))
-        _write_pgm(
-            os.path.join(args.out_images, f"recon_l{args.layer}_{stem}.pgm"),
-            header,
-            _as_image(x_hat),
-        )
-        raw_rows.append((sample_id, "orig", *[float(v) for v in data.x[i]]))
-        raw_rows.append((sample_id, "recon", *[float(v) for v in x_hat]))
+    for idx in row_chunks(count):
+        _, zs = net.forward_pass(data.x[idx])
+        x_hats = reconstruct_from_layer(net, args.layer, zs[args.layer - 1])
+        for i, x_hat in zip(idx, x_hats):
+            sample_id = data.ids[i]
+            mse = float(np.mean((data.x[i] - x_hat) ** 2))
+            mse_rows.append((sample_id, mse))
+            if np.isnan(mse):
+                continue
+            stem = f"{i:04d}_{_safe_name(sample_id)}"
+            _write_pgm(
+                os.path.join(args.out_images, f"orig_{stem}.pgm"), header, _as_image(data.x[i])
+            )
+            _write_pgm(
+                os.path.join(args.out_images, f"recon_l{args.layer}_{stem}.pgm"),
+                header,
+                _as_image(x_hat),
+            )
+            raw_rows.append((sample_id, "orig", *[float(v) for v in data.x[i]]))
+            raw_rows.append((sample_id, "recon", *[float(v) for v in x_hat]))
     dim = data.x.shape[1]
     _write_csv(
         os.path.join(args.out_images, "raw_values.csv"),
@@ -447,15 +444,14 @@ def cmd_synthesize(args):
     header = _header(args.seed, params)
     label = args.label if net.output_prior is not None else None
     raw_rows, made = [], 0
-    for k in range(args.count):
-        seed = args.seed + k
-        try:
-            x = synthesize(net, seed, label=label)
-        except ReconstructionError:
-            continue
-        made += 1
-        _write_pgm(os.path.join(args.out_images, f"synth_{seed:06d}.pgm"), header, _as_image(x))
-        raw_rows.append((f"synth_{seed:06d}", *[float(v) for v in x]))
+    for idx in row_chunks(args.count):
+        seeds = args.seed + idx
+        for seed, x in zip(seeds, synthesize(net, seeds, label=label)):
+            if np.any(np.isnan(x)):
+                continue
+            made += 1
+            _write_pgm(os.path.join(args.out_images, f"synth_{seed:06d}.pgm"), header, _as_image(x))
+            raw_rows.append((f"synth_{seed:06d}", *[float(v) for v in x]))
     _write_csv(
         os.path.join(args.out_images, "raw_values.csv"),
         header,
@@ -468,19 +464,16 @@ def cmd_synthesize(args):
 
 def _outofset_rows(net_a, net_b, data, layer, true_side):
     rows = []
-    for i in range(len(data)):
-        stats = []
-        for net in (net_a, net_b):
-            try:
-                stats.append(reconstruction_statistic(net, data.x[i], layer))
-            except (PbnError, ValueError):
-                stats.append(float("nan"))
-        if np.isnan(stats[0]) and np.isnan(stats[1]):
-            decision = ""
-        else:
-            pair = [-np.inf if np.isnan(s) else s for s in stats]
-            decision = "a" if pair[0] >= pair[1] else "b"
-        rows.append((data.ids[i], true_side, stats[0], stats[1], decision))
+    for idx in row_chunks(len(data)):
+        stats_a = reconstruction_statistic(net_a, data.x[idx], layer)
+        stats_b = reconstruction_statistic(net_b, data.x[idx], layer)
+        for i, stat_a, stat_b in zip(idx, stats_a, stats_b):
+            if np.isnan(stat_a) and np.isnan(stat_b):
+                decision = ""
+            else:
+                pair = [-np.inf if np.isnan(s) else s for s in (stat_a, stat_b)]
+                decision = "a" if pair[0] >= pair[1] else "b"
+            rows.append((data.ids[i], true_side, float(stat_a), float(stat_b), decision))
     return rows
 
 

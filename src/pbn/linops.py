@@ -1,4 +1,4 @@
-"""Linear maps with explicit parameter gradients, plus an SPD Gram factor.
+"""Linear maps with explicit parameter gradients, plus SPD Gram factors.
 
 Every map holds a tall weight matrix W of shape n_in x n_out (a map
 never expands dimension) and exposes the pair
@@ -6,20 +6,30 @@ never expands dimension) and exposes the pair
     forward(x) = W' x      (n_in -> n_out)
     adjoint(h) = W  h      (n_out -> n_in)
 
-together with the two gradient collectors training needs: the gradient
-of s' forward(x) with respect to the raw parameters, and the projection
-of an arbitrary dense d/dW onto the parameters.  Maps are immutable;
-``with_params`` builds a sibling that shares the wiring indices, so a
-training loop can swap parameters without re-deriving the sparsity
-pattern of a convolution.
+on one vector or on each row of a (B, n) stack, together with the two
+gradient collectors training needs: the gradient of s' forward(x) with
+respect to the raw parameters (summed over the rows of a stack), and
+the projection of an arbitrary dense d/dW onto the parameters.  Maps
+are immutable; ``with_params`` builds a sibling that shares the wiring
+indices, so a training loop can swap parameters without re-deriving
+the sparsity pattern of a convolution.  ``GramFactor`` factors one
+weighted Gram matrix, ``GramStack`` one per row of a weight stack.
 """
 
 import functools
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError, ShapeMismatchError, SingularityError
+
+
+def _rows(v, n, what):
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[-1] != n:
+        raise ShapeMismatchError(f"{what} expects shape ({n},) or (B, {n}), got {v.shape}")
+    return v
 
 
 def _readonly(a):
@@ -61,24 +71,26 @@ class LinearMap:
         raise NotImplementedError
 
     def param_grad(self, x, s):
-        """d(s' W' x)/dparams for vectors x (n_in) and s (n_out)."""
-        raise NotImplementedError
+        """d(s' W' x)/dparams for vectors x (n_in) and s (n_out).
+
+        For (B, n_in) and (B, n_out) stacks the result is the sum over
+        the rows: one product X'S, folded once.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
+        return self.collect_matrix_grad(x.T @ s)
 
     def collect_matrix_grad(self, g):
         """Fold a dense gradient d/dW of shape (n_in, n_out) onto the parameters."""
         raise NotImplementedError
 
     def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_in,):
-            raise ShapeMismatchError(f"forward expects shape ({self.n_in},), got {x.shape}")
-        return self.materialize() @ x
+        """W'x for one vector or for each row of a (B, n_in) stack."""
+        return _rows(x, self.n_in, "forward") @ self.materialize().T
 
     def adjoint(self, h):
-        h = np.asarray(h, dtype=np.float64)
-        if h.shape != (self.n_out,):
-            raise ShapeMismatchError(f"adjoint expects shape ({self.n_out},), got {h.shape}")
-        return self.materialize().T @ h
+        """W h for one vector or for each row of a (B, n_out) stack."""
+        return _rows(h, self.n_out, "adjoint") @ self.materialize()
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.n_in}->{self.n_out}>"
@@ -113,9 +125,6 @@ class DenseMap(LinearMap):
             raise ShapeMismatchError(f"params shape {p.shape} != {self._params.shape}")
         return DenseMap(p)
 
-    def param_grad(self, x, s):
-        return np.outer(np.asarray(x, dtype=np.float64), np.asarray(s, dtype=np.float64))
-
     def collect_matrix_grad(self, g):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.n_in, self.n_out):
@@ -131,10 +140,13 @@ class ConvMap(LinearMap):
     taps falling outside the image are dropped (zero padding).  The
     output spatial extent is floor(h/sy) by floor(w/sx).
 
-    The wiring is stored as three parallel index arrays (output unit,
-    input unit, parameter) covering every surviving tap, which makes the
-    materialized matrix, the parameter gradient, and the dense-gradient
-    projection all single gather/scatter passes.
+    The wiring is stored as three parallel index arrays over every
+    surviving tap: its entry in the flattened n_out x n_in matrix, its
+    entry in a flattened n_in x n_out dense gradient, and its parameter.
+    That makes the materialized matrix and the dense-gradient projection
+    single gather/scatter passes.  Each (output, input) pair is hit by
+    exactly one tap (two taps of one output differ in their input pixel
+    or channel), so the matrix is one assignment, with no accumulation.
     """
 
     def __init__(self, weights, in_shape, strides, *, _wiring=None):
@@ -161,9 +173,7 @@ class ConvMap(LinearMap):
         if self.n_out > self.n_in:
             raise ShapeMismatchError(f"map must not expand dimension: {self.n_in} -> {self.n_out}")
         self._params = _readonly(k)
-        if _wiring is None:
-            _wiring = self._build_wiring()
-        self._out_idx, self._in_idx, self._par_idx = _wiring
+        self._wiring = self._build_wiring() if _wiring is None else _wiring
 
     def _build_wiring(self):
         c_out, c_in, kh, kw = self._params.shape
@@ -179,7 +189,7 @@ class ConvMap(LinearMap):
         out_idx = np.ravel_multi_index((co[ok], ty[ok], tx[ok]), self.out_shape)
         in_idx = np.ravel_multi_index((ci[ok], iy[ok], ix[ok]), self.in_shape)
         par_idx = np.ravel_multi_index((co[ok], ci[ok], dy[ok], dx[ok]), self._params.shape)
-        return out_idx, in_idx, par_idx
+        return out_idx * self.n_in + in_idx, in_idx * self.n_out + out_idx, par_idx
 
     @property
     def fan_in(self):
@@ -188,9 +198,11 @@ class ConvMap(LinearMap):
 
     @functools.cached_property
     def _dense(self):
+        dense_idx, _, par_idx = self._wiring
         a = np.zeros((self.n_out, self.n_in))
-        np.add.at(a, (self._out_idx, self._in_idx), self._params.ravel()[self._par_idx])
-        return _readonly(a)
+        a.ravel()[dense_idx] = self._params.ravel()[par_idx]
+        a.flags.writeable = False
+        return a
 
     def materialize(self):
         return self._dense
@@ -199,26 +211,15 @@ class ConvMap(LinearMap):
         p = np.asarray(params, dtype=np.float64)
         if p.shape != self._params.shape:
             raise ShapeMismatchError(f"params shape {p.shape} != {self._params.shape}")
-        return ConvMap(
-            p,
-            self.in_shape,
-            self.strides,
-            _wiring=(self._out_idx, self._in_idx, self._par_idx),
-        )
-
-    def param_grad(self, x, s):
-        x = np.asarray(x, dtype=np.float64)
-        s = np.asarray(s, dtype=np.float64)
-        vals = s[self._out_idx] * x[self._in_idx]
-        flat = np.bincount(self._par_idx, weights=vals, minlength=self._params.size)
-        return flat.reshape(self._params.shape)
+        return ConvMap(p, self.in_shape, self.strides, _wiring=self._wiring)
 
     def collect_matrix_grad(self, g):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.n_in, self.n_out):
             raise ShapeMismatchError(f"matrix grad shape {g.shape} != {(self.n_in, self.n_out)}")
-        vals = g[self._in_idx, self._out_idx]
-        flat = np.bincount(self._par_idx, weights=vals, minlength=self._params.size)
+        _, grad_idx, par_idx = self._wiring
+        vals = np.ravel(g)[grad_idx]
+        flat = np.bincount(par_idx, weights=vals, minlength=self._params.size)
         return flat.reshape(self._params.shape)
 
 
@@ -263,9 +264,78 @@ class GramFactor:
         """Solve S u = b for a vector or a stack of columns."""
         return cho_solve(self._factor, np.asarray(b, dtype=np.float64))
 
+    def solve_rows(self, r):
+        """Solve S u = r for one vector or for each row of a (B, n_out) stack."""
+        return self.solve(np.asarray(r, dtype=np.float64).T).T
+
     @functools.cached_property
     def w_s_inv(self):
         """W S^-1 (n_in x n_out, read-only), computed on first use and kept."""
         p = self.solve(self._a).T
         p.flags.writeable = False
         return p
+
+
+class GramStack:
+    """Factors of S_b = W' diag(w_b) W, one for each row w_b of a (B, n_in) stack.
+
+    The counterpart of GramFactor for curvature weights that differ from
+    row to row.  ``GramStack.factor`` runs the B Cholesky factorizations
+    as one ``np.linalg.cholesky`` call.  A row whose weights are not
+    positive and finite, or whose matrix fails the GramFactor tests, gets
+    its reason in ``failures`` (None for a good row) and NaN in
+    ``logdet`` and ``inv``; no other row sees it.  ``inv`` holds S_b^-1.
+    """
+
+    def __init__(self, a, inv, logdet, failures):
+        self._a = a
+        self.inv = inv
+        self.logdet = logdet
+        self.failures = failures
+
+    @classmethod
+    def factor(cls, map_, weights):
+        a = map_.materialize()
+        w = np.asarray(weights, dtype=np.float64)
+        if w.ndim != 2 or w.shape[1] != map_.n_in:
+            raise ShapeMismatchError(f"weight stack shape {w.shape} != (B, {map_.n_in})")
+        m = map_.n_out
+        good = np.all(np.isfinite(w) & (w > 0.0), axis=1)
+        failures = [None if g else "gram weights must be positive and finite" for g in good]
+        s = (a * np.where(good[:, None], w, 1.0)[:, None, :]) @ a.T
+        try:
+            c = np.linalg.cholesky(s)
+        except LinAlgError:
+            c = np.empty_like(s)
+            for b in range(len(s)):
+                try:
+                    c[b] = np.linalg.cholesky(s[b])
+                except LinAlgError:
+                    failures[b] = failures[b] or "gram matrix is not positive definite"
+                    c[b] = np.eye(m)
+        piv = np.diagonal(c, axis1=1, axis2=2)
+        singular = np.any(piv * piv < 1e-12 * np.trace(s, axis1=1, axis2=2)[:, None] / m, axis=1)
+        for b in np.flatnonzero(singular):
+            failures[b] = failures[b] or "gram matrix is numerically singular"
+        bad = [b for b, f in enumerate(failures) if f is not None]
+        c[bad] = np.eye(m)
+        c_inv = np.linalg.inv(c)
+        inv = np.swapaxes(c_inv, 1, 2) @ c_inv
+        logdet = 2.0 * np.sum(np.log(np.diagonal(c, axis1=1, axis2=2)), axis=1)
+        inv[bad] = np.nan
+        logdet[bad] = np.nan
+        return cls(a, inv, logdet, failures)
+
+    def take(self, idx):
+        """The factors of the rows ``idx``; an integer gives one row's factor."""
+        failures = [self.failures[i] for i in np.atleast_1d(idx)]
+        return GramStack(self._a, self.inv[idx], self.logdet[idx], failures)
+
+    def solve_rows(self, r):
+        """Solve S_b u_b = r_b for each row r_b of r."""
+        return (self.inv @ np.asarray(r, dtype=np.float64)[..., None])[..., 0]
+
+    @functools.cached_property
+    def w_s_inv(self):
+        """W S_b^-1 for each row, shape (B, n_in, n_out)."""
+        return self._a.T @ self.inv

@@ -20,6 +20,13 @@ to z_L directly.
 
 Every term is exposed separately in LikelihoodTerms so experiments can
 report or recombine them without re-deriving the decomposition.
+
+Every pass takes one raw input or a (B, n_in) batch of them, one row
+per sample, and runs each layer on the whole batch at once.  A sample
+whose likelihood is undefined is marked with its layer and reason and
+drops out of the later layers; it never fails the batch, and the other
+samples' results do not depend on it.  A single input raises its
+LikelihoodUndefinedError instead.
 """
 
 import json
@@ -45,19 +52,29 @@ LOG_2PI = math.log(2.0 * math.pi)
 SIGMA_FLOOR = 1e-12
 INNER_ACTIVATIONS = ("linear", "tg", "ted")
 
+# Rows per batch when a whole archive or dataset is scored: it bounds
+# the memory a batched pass holds (about 50 kB per word-pair row).
+BATCH_ROWS = 64
+
+
+def row_chunks(n):
+    """Consecutive index arrays of at most BATCH_ROWS rows covering range(n)."""
+    return [np.arange(start, min(start + BATCH_ROWS, n)) for start in range(0, n, BATCH_ROWS)]
+
 
 # ---------------------------------------------------------------------------
 # label-dependent output shift
 
 
 def label_signal(label, n_classes, level):
-    """The +/-level target vector for a class label: +level at the label."""
-    label = int(label)
-    if not 0 <= label < n_classes:
+    """The +/-level target vector for a class label: +level at the label.
+
+    An array of labels gives one row per label.
+    """
+    labels = np.asarray(label).astype(int)
+    if np.any((labels < 0) | (labels >= n_classes)):
         raise DomainError(f"label {label} outside 0..{n_classes - 1}")
-    s = np.full(n_classes, -float(level))
-    s[label] = float(level)
-    return s
+    return np.where(np.arange(n_classes) == labels[..., None], float(level), -float(level))
 
 
 def output_shift(z, signal, c, level):
@@ -133,16 +150,41 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class InteriorTrace:
-    """Label-independent forward state: layer inputs, preactivations, saddles."""
+    """Label-independent forward state of a batch: layer inputs, preactivations, saddles.
+
+    ``xs`` and ``zs`` hold every layer's (B, n) inputs and preactivations.
+    ``solutions[l]`` is the saddle solution of layer l + 1 for the rows
+    ``rows[l]`` that reached it (None when no row did), failed columns
+    included.  ``undefined`` holds, per row, None or the
+    LikelihoodUndefinedError of the layer that ended it.
+    """
 
     xs: list
     zs: list
     solutions: list
+    rows: list
+    undefined: list
+
+    @property
+    def defined(self):
+        """Row mask of the samples whose likelihood is defined."""
+        return np.array([u is None for u in self.undefined], dtype=bool)
+
+    def solution(self, layer, idx):
+        """The saddle solution of a 1-based layer for the rows ``idx``, all of which reached it."""
+        rows, sol = self.rows[layer - 1], self.solutions[layer - 1]
+        if len(idx) == len(rows):
+            return sol
+        return sol.take(np.searchsorted(rows, idx))
 
 
 @dataclass(frozen=True)
 class LikelihoodTerms:
-    """The decomposed log-likelihood; ``total`` adds every piece."""
+    """The decomposed log-likelihood; ``total`` adds every piece.
+
+    Each term is a float for one sample, or an array with one entry per
+    sample for a batch.
+    """
 
     log_priors: list
     neg_log_features: list
@@ -152,12 +194,23 @@ class LikelihoodTerms:
 
     @property
     def total(self):
-        return float(
+        total = (
             sum(self.log_priors)
             + sum(self.neg_log_features)
             + sum(self.log_jacobians)
             + self.log_output_prior
             + self.log_standardize
+        )
+        return float(total) if np.ndim(total) == 0 else total
+
+    def row(self, i):
+        """The terms of one sample of a batch."""
+        return LikelihoodTerms(
+            log_priors=[float(v[i]) for v in self.log_priors],
+            neg_log_features=[float(v[i]) for v in self.neg_log_features],
+            log_jacobians=[float(v[i]) for v in self.log_jacobians],
+            log_output_prior=float(self.log_output_prior[i]),
+            log_standardize=self.log_standardize,
         )
 
 
@@ -230,8 +283,8 @@ class Network:
     # -- forward passes -----------------------------------------------------
     def standardized(self, x_raw):
         x = np.asarray(x_raw, dtype=np.float64)
-        if x.shape != (self.n_in,):
-            raise ShapeMismatchError(f"input shape {x.shape} != ({self.n_in},)")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n_in:
+            raise ShapeMismatchError(f"input shape {x.shape} != ({self.n_in},) or (B, {self.n_in})")
         if not np.all(np.isfinite(x)):
             raise DomainError("input must be finite")
         if self.standardize is None:
@@ -252,11 +305,18 @@ class Network:
             return 0.0
         return float(-np.sum(np.log(self.standardize[1])))
 
-    def forward_pass(self, x_raw):
-        """Propagate without saddle solves; returns (layer inputs, preactivations)."""
+    def forward_pass(self, x_raw, masks=None):
+        """Propagate without saddle solves; returns (layer inputs, preactivations).
+
+        ``masks``, when given, holds one multiplier per layer (None for
+        none) that scales the layer input before its map: the dropout
+        of the discriminative warm start.
+        """
         x = self.standardized(x_raw)
         xs, zs = [], []
-        for spec in self.layers:
+        for l, spec in enumerate(self.layers):
+            if masks is not None and masks[l] is not None:
+                x = x * masks[l]
             xs.append(x)
             z = spec.map.forward(x) + spec.bias
             zs.append(z)
@@ -270,89 +330,119 @@ class Network:
         return zs[-1]
 
     def interior_trace(self, x_raw):
-        """Forward pass plus the per-layer saddle solutions.
+        """Forward pass plus the per-layer saddle solutions of one input or a batch.
 
-        Raises LikelihoodUndefinedError, tagged with the 1-based layer,
-        when an input leaves its prior support or a feature target has
-        no saddle point.
+        A row whose layer input leaves its prior support, or whose
+        feature target has no saddle point, is marked undefined with a
+        LikelihoodUndefinedError tagged with the 1-based layer, and
+        drops out of the later layers.  A single input raises it.
         """
-        xs, zs = self.forward_pass(x_raw)
-        solutions = []
+        single = np.ndim(x_raw) == 1
+        xs, zs = self.forward_pass(np.atleast_2d(x_raw))
+        undefined = [None] * len(xs[0])
+        live = np.arange(len(xs[0]))
+        solutions, rows = [], []
         for l, spec in enumerate(self.layers, start=1):
-            x = xs[l - 1]
-            if not spec.input_prior.in_support(x):
-                raise LikelihoodUndefinedError(l, "layer input outside the prior support")
-            z_tilde = zs[l - 1] - spec.bias
+            inside = spec.input_prior.in_support(xs[l - 1][live])
+            for r in live[~inside]:
+                undefined[r] = LikelihoodUndefinedError(l, "layer input outside the prior support")
+            live = live[inside]
+            rows.append(live)
+            if not live.size:
+                solutions.append(None)
+                continue
+            z_tilde = zs[l - 1][live] - spec.bias
             try:
-                solutions.append(
-                    solve_saddle(spec.map, spec.input_prior, z_tilde, label=f"layer {l}")
-                )
+                sol = solve_saddle(spec.map, spec.input_prior, z_tilde, label=f"layer {l}")
+                failures = sol.errors
             except (DomainError, ReconstructionError, SingularityError) as exc:
-                raise LikelihoodUndefinedError(l, f"feature density unavailable ({exc})") from exc
-        return InteriorTrace(xs, zs, solutions)
+                sol, failures = None, [exc] * live.size
+            solutions.append(sol)
+            for r, exc in zip(live, failures):
+                if exc is not None:
+                    reason = f"feature density unavailable ({exc})"
+                    undefined[r] = LikelihoodUndefinedError(l, reason)
+                    undefined[r].__cause__ = exc
+            live = live[[exc is None for exc in failures]]
+        if single and undefined[0] is not None:
+            raise undefined[0]
+        return InteriorTrace(xs, zs, solutions, rows, undefined)
 
     # -- likelihood ---------------------------------------------------------
-    def _interior_terms(self, trace):
-        """The label-independent (log priors, -log p^, log jacobians) per layer."""
+    def _interior_terms(self, trace, idx):
+        """The label-independent (log priors, -log p^, log jacobians) of the rows ``idx``."""
+        if not idx.size:
+            return ([np.zeros(0)] * self.depth,) * 3
         log_priors, neg_log_features, log_jacobians = [], [], []
-        for spec, x, z, sol in zip(self.layers, trace.xs, trace.zs, trace.solutions):
-            log_priors.append(float(spec.input_prior.log_density(x)))
-            neg_log_features.append(-sol.log_density)
+        for l, spec in enumerate(self.layers, start=1):
+            log_priors.append(spec.input_prior.log_density(trace.xs[l - 1][idx]))
+            neg_log_features.append(-trace.solution(l, idx).log_density)
             if spec.activation in INNER_ACTIVATIONS:
-                deriv = activation_prior(spec.activation).activation_deriv(z)
-                log_jacobians.append(float(np.sum(np.log(deriv))))
+                deriv = activation_prior(spec.activation).activation_deriv(trace.zs[l - 1][idx])
+                log_jacobians.append(np.sum(np.log(deriv), axis=1))
             else:
-                log_jacobians.append(0.0)
+                log_jacobians.append(np.zeros(len(idx)))
         return log_priors, neg_log_features, log_jacobians
 
-    def _likelihood_terms(self, interior, z_last, label):
-        """Complete the interior terms with the output terms of one label hypothesis."""
+    def _likelihood_terms(self, interior, z_last, labels):
+        """Complete the interior terms with the output terms of one label hypothesis per row."""
         log_priors, neg_log_features, log_jacobians = interior
         if self.output_prior is None:
-            if label is not None:
+            if labels is not None:
                 raise ConfigError("network has no output prior; drop the label")
             x_out = z_last
         else:
-            if label is None:
+            if labels is None:
                 raise ConfigError("network has an output prior; a label hypothesis is required")
             cfg = self.output_prior
-            signal = label_signal(label, cfg.n_classes, cfg.level)
+            signal = label_signal(labels, cfg.n_classes, cfg.level)
             x_out = output_shift(z_last, signal, cfg.c, cfg.level)
             # An output prior comes with a shift on the last layer (see __init__).
-            shift_jac = float(np.sum(np.log(output_shift_slope(z_last, cfg.c))))
+            shift_jac = np.sum(np.log(output_shift_slope(z_last, cfg.c)), axis=1)
             log_jacobians = log_jacobians[:-1] + [shift_jac]
         return LikelihoodTerms(
             log_priors=log_priors,
             neg_log_features=neg_log_features,
             log_jacobians=log_jacobians,
-            log_output_prior=float(-0.5 * x_out.size * LOG_2PI - 0.5 * np.dot(x_out, x_out)),
+            log_output_prior=-0.5 * x_out.shape[1] * LOG_2PI - 0.5 * np.vecdot(x_out, x_out),
             log_standardize=self.log_standardize,
         )
 
     def log_likelihood(self, x_raw, label=None, trace=None):
-        """Exact decomposed log-likelihood of one raw input under a label."""
+        """Exact decomposed log-likelihood of one raw input, or of a batch, under a label.
+
+        For a batch, ``label`` holds one label per row and the terms
+        cover the rows whose likelihood is defined (``trace.defined``),
+        in order.
+        """
         if trace is None:
             trace = self.interior_trace(x_raw)
-        return self._likelihood_terms(self._interior_terms(trace), trace.zs[-1], label)
+        idx = np.flatnonzero(trace.defined)
+        labels = None if label is None else np.atleast_1d(label)[idx]
+        terms = self._likelihood_terms(
+            self._interior_terms(trace, idx), trace.zs[-1][idx], labels
+        )
+        return terms.row(0) if np.ndim(x_raw) == 1 else terms
 
     def class_scores(self, x_raw, trace=None):
-        """Total log-likelihood under every label hypothesis.
+        """Total log-likelihood under every label hypothesis: (n_classes,), or (B, n_classes).
 
         The interior is label-independent, so all hypotheses share one
         trace and one set of interior terms; ``class_scores(x)[y]`` is
-        exactly ``log_likelihood(x, label=y).total``.
+        exactly ``log_likelihood(x, label=y).total``.  In a batch, the
+        rows of undefined samples are NaN.
         """
         if self.output_prior is None:
             raise ConfigError("classification needs an output prior")
         if trace is None:
             trace = self.interior_trace(x_raw)
-        interior = self._interior_terms(trace)
-        return np.array(
-            [
-                self._likelihood_terms(interior, trace.zs[-1], y).total
-                for y in range(self.n_classes)
-            ]
-        )
+        idx = np.flatnonzero(trace.defined)
+        interior = self._interior_terms(trace, idx)
+        scores = np.full((len(trace.undefined), self.n_classes), np.nan)
+        for y in range(self.n_classes):
+            labels = np.full(idx.size, y)
+            scores[idx, y] = self._likelihood_terms(interior, trace.zs[-1][idx], labels).total
+        return scores[0] if np.ndim(x_raw) == 1 else scores
 
     def classify(self, x_raw):
         """Most likely label; ties resolve to the lowest index."""
@@ -403,9 +493,8 @@ def build_network(input_shape, layer_cfgs, rng, output_prior=None, standardize=N
                 raise ConfigError("conv layer after the spatial structure was flattened")
             c_out = int(cfg["channels"])
             kh, kw = (int(v) for v in cfg["kernel"])
-            zeros = np.zeros((c_out, shape[0], kh, kw))
-            probe = ConvMap(zeros, shape, cfg["strides"])
-            map_ = ConvMap(scaled_uniform_init(rng, probe), shape, cfg["strides"])
+            probe = ConvMap(np.zeros((c_out, shape[0], kh, kw)), shape, cfg["strides"])
+            map_ = probe.with_params(scaled_uniform_init(rng, probe))
             shape = map_.out_shape
         elif kind == "dense":
             units = int(cfg["units"])

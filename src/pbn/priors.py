@@ -55,28 +55,41 @@ def _bracketed_newton(f, fprime, y, lo, hi, *, max_iter=140, tol=1e-13):
 
     Newton steps are accepted only while they stay inside the current
     bracket; otherwise the iterate falls back to bisection, so
-    convergence is guaranteed.
+    convergence is guaranteed.  An element stops iterating once it has
+    converged, so each result is the one its scalar solve would give,
+    whatever the other elements of the array.
     """
     y = np.asarray(y, dtype=np.float64)
-    lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), y.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), y.shape).copy()
+    shape = y.shape
+    y = y.ravel()
+    lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), shape).flatten()
+    hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), shape).flatten()
     x = 0.5 * (lo + hi)
+    live = np.arange(y.size)
     for _ in range(max_iter):
-        fx = f(x) - y
-        if np.all(np.abs(fx) <= tol * (1.0 + np.abs(y))):
-            return x
+        yl, xl, lol, hil = y[live], x[live], lo[live], hi[live]
+        fx = f(xl) - yl
+        going = ~(np.abs(fx) <= tol * (1.0 + np.abs(yl)))
+        if not going.any():
+            return x.reshape(shape)
+        live, fx, xl, lol, hil = live[going], fx[going], xl[going], lol[going], hil[going]
         below = fx < 0.0
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
+        lol = np.where(below, xl, lol)
+        hil = np.where(below, hil, xl)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = fx / fprime(x)
-            xn = x - step
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-        x = np.where(bad, 0.5 * (lo + hi), xn)
-    fx = f(x) - y
-    if np.all(np.abs(fx) <= 1e-9 * (1.0 + np.abs(y))):
-        return x
+            xn = xl - fx / fprime(xl)
+        bad = ~np.isfinite(xn) | (xn <= lol) | (xn >= hil)
+        x[live] = np.where(bad, 0.5 * (lol + hil), xn)
+        lo[live], hi[live] = lol, hil
+    fx = f(x[live]) - y[live]
+    if np.all(np.abs(fx) <= 1e-9 * (1.0 + np.abs(y[live]))):
+        return x.reshape(shape)
     raise PbnError("activation inverse did not converge")
+
+
+def _per_row(values):
+    """A per-row result as a Python scalar for one vector, an array for a stack."""
+    return values.item() if values.ndim == 0 else values
 
 
 class ScalarPrior:
@@ -103,13 +116,17 @@ class ScalarPrior:
 
     # -- densities ------------------------------------------------------
     def log_density(self, x):
-        """Log prior density of a vector; -inf if any element leaves the support."""
+        """Log prior density of a vector, or of each row of a stack of them.
+
+        -inf where any element leaves the support.
+        """
         raise NotImplementedError
 
     def grad_log_density(self, x):
         raise NotImplementedError
 
     def in_support(self, x):
+        """Whether a vector, or each row of a stack of them, lies in the open support."""
         raise NotImplementedError
 
     def sample(self, rng, n):
@@ -150,15 +167,15 @@ class GaussianPrior(ScalarPrior):
 
     def log_density(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(x)):
-            return -np.inf
-        return float(-0.5 * x.size * LOG_2PI - 0.5 * np.dot(x.ravel(), x.ravel()))
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = -0.5 * x.shape[-1] * LOG_2PI - 0.5 * np.vecdot(x, x)
+        return _per_row(np.where(self.in_support(x), out, -np.inf))
 
     def grad_log_density(self, x):
         return -np.asarray(x, dtype=np.float64)
 
     def in_support(self, x):
-        return bool(np.all(np.isfinite(x)))
+        return _per_row(np.all(np.isfinite(x), axis=-1))
 
     def sample(self, rng, n):
         return rng.standard_normal(n)
@@ -222,17 +239,17 @@ class TruncatedGaussianPrior(ScalarPrior):
 
     def log_density(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if not self.in_support(x):
-            return -np.inf
-        n = x.size
-        return float(n * (math.log(2.0) - 0.5 * LOG_2PI) - 0.5 * np.dot(x.ravel(), x.ravel()))
+        n = x.shape[-1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = n * (math.log(2.0) - 0.5 * LOG_2PI) - 0.5 * np.vecdot(x, x)
+        return _per_row(np.where(self.in_support(x), out, -np.inf))
 
     def grad_log_density(self, x):
         return -np.asarray(x, dtype=np.float64)
 
     def in_support(self, x):
         x = np.asarray(x)
-        return bool(np.all(np.isfinite(x)) and np.all(x > 0.0))
+        return _per_row(np.all((x > 0.0) & (x < np.inf), axis=-1))
 
     def sample(self, rng, n):
         return np.abs(rng.standard_normal(n))
@@ -320,16 +337,14 @@ class UniformPrior(ScalarPrior):
         )
 
     def log_density(self, x):
-        if not self.in_support(x):
-            return -np.inf
-        return 0.0
+        return _per_row(np.where(self.in_support(x), 0.0, -np.inf))
 
     def grad_log_density(self, x):
         return np.zeros_like(np.asarray(x, dtype=np.float64))
 
     def in_support(self, x):
         x = np.asarray(x)
-        return bool(np.all(np.isfinite(x)) and np.all(x > 0.0) and np.all(x < 1.0))
+        return _per_row(np.all((x > 0.0) & (x < 1.0), axis=-1))
 
     def sample(self, rng, n):
         return rng.uniform(1e-12, 1.0 - 1e-12, n)

@@ -10,8 +10,11 @@ each conditional mean satisfies its saddle constraint exactly.
 
 A reconstructed preactivation need not be reachable by the layer below
 (its feasible cone is a strict subset once a prior has bounded
-support), so any backstep can raise ReconstructionError; callers count
-such failures rather than treating them as crashes.
+support), so any backstep can fail; callers count such failures rather
+than treating them as crashes.  Every walk takes one vector or a
+(B, n) stack: a stack walks all rows at once, and a row that fails
+comes back NaN, while a single vector raises its ReconstructionError
+(or DomainError, for a value outside an activation range).
 """
 
 import numpy as np
@@ -24,7 +27,7 @@ from .network import (
     output_shift,
 )
 from .priors import _bracketed_newton, activation_prior
-from .saddlepoint import conditional_mean
+from .saddlepoint import solve_saddle
 
 MSE_FLOOR = 1e-12
 
@@ -40,54 +43,116 @@ def invert_output_shift(x_out, signal, c, level):
     if not np.all(np.isfinite(x)):
         raise DomainError("shifted output must be finite")
     s = np.broadcast_to(np.asarray(signal, dtype=np.float64), x.shape)
-    offset = s * (level + 0.5 * c) / level
-    lo = x + offset - 0.5 * c - 1.0
-    hi = x + offset + 0.5 * c + 1.0
-    f = lambda z: output_shift(z, s, c, level)
+    y = x + s * (level + 0.5 * c) / level
+    # z + C (sigma(3z) - 1/2) = y, the label offset moved to the right-hand side
+    f = lambda z: output_shift(z, 0.0, c, level)
     fp = lambda z: output_shift_slope(z, c)
-    return _bracketed_newton(f, fp, x, lo, hi)
+    return _bracketed_newton(f, fp, y, y - 0.5 * c - 1.0, y + 0.5 * c + 1.0)
+
+
+def _single(values, errors, single):
+    """A batch result as is, or the one row of a single input, raising its error."""
+    if not single:
+        return values
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0]
+
+
+def _conditional_means(net, layer, z_layer, trace=None):
+    """(E[x_l | z~_l] per row, per-row errors) at a 1-based layer.
+
+    Rows the interior ``trace`` of the same batch solved at this layer
+    reuse its solution; the others are solved here.
+    """
+    spec = net.layers[layer - 1]
+    z_tilde = z_layer - spec.bias
+    x = np.full((len(z_tilde), spec.map.n_in), np.nan)
+    errors = [None] * len(z_tilde)
+    todo = np.arange(len(z_tilde))
+    if trace is not None and trace.solutions[layer - 1] is not None:
+        rows, sol = trace.rows[layer - 1], trace.solutions[layer - 1]
+        x[rows] = sol.x_hat
+        for r, err in zip(rows, sol.errors):
+            errors[r] = err
+        todo = np.setdiff1d(todo, rows)
+    if todo.size:
+        sol = solve_saddle(spec.map, spec.input_prior, z_tilde[todo], label=f"layer {layer}")
+        x[todo] = sol.x_hat
+        for r, err in zip(todo, sol.errors):
+            errors[r] = err
+    return x, errors
+
+
+def _backstep(spec, x_next, label):
+    """(estimates of x_l, per-row errors) for each row of x_next; a failed row is NaN."""
+    act = activation_prior(spec.activation)
+    out = np.full((len(x_next), spec.map.n_in), np.nan)
+    errors = [None] * len(x_next)
+    inside = act.in_support(x_next)
+    for r in np.flatnonzero(~inside):
+        errors[r] = DomainError(f"{label}: value outside the {spec.activation} activation range")
+    rows = np.flatnonzero(inside)
+    if rows.size:
+        z = act.activation_inverse(x_next[rows])
+        sol = solve_saddle(spec.map, spec.input_prior, z - spec.bias, label=label)
+        out[rows] = sol.x_hat
+        for r, err in zip(rows, sol.errors):
+            errors[r] = err
+    return out, errors
+
+
+def _walk_down(net, layer, x, errors):
+    """Walk (B, n) estimates of a layer's input down to raw inputs; a row keeps its first error."""
+    for l in range(layer - 1, 0, -1):
+        x, step = _backstep(net.layers[l - 1], x, f"layer {l}")
+        errors = [err or new for err, new in zip(errors, step)]
+    return net.destandardize(x), errors
 
 
 def backstep(spec, x_next, *, label="backstep"):
     """One layer of reconstruction: from x_{l+1} back to an estimate of x_l.
 
     Inverts the layer's mean activation (exact, with a strict open-range
-    check) and conditions the layer prior on the resulting feature.
+    check) and conditions the layer prior on the resulting feature.  A
+    (B, n_out) stack gives NaN rows where a row fails; one vector raises.
     """
     if spec.activation not in INNER_ACTIVATIONS:
         raise ConfigError("backstep needs a mean activation; shift layers are inverted per label")
-    x_next = np.asarray(x_next, dtype=np.float64)
-    if x_next.shape != (spec.map.n_out,):
-        raise ShapeMismatchError(f"{label}: expected shape ({spec.map.n_out},), got {x_next.shape}")
-    z = activation_prior(spec.activation).activation_inverse(x_next)
-    return conditional_mean(spec.map, spec.input_prior, z - spec.bias, label=label)
+    x = np.asarray(x_next, dtype=np.float64)
+    n_out = spec.map.n_out
+    if x.ndim not in (1, 2) or x.shape[-1] != n_out:
+        raise ShapeMismatchError(f"{label}: expected ({n_out},) or (B, {n_out}), got {x.shape}")
+    out, errors = _backstep(spec, np.atleast_2d(x), label)
+    return _single(out, errors, x.ndim == 1)
 
 
 def reconstruct_from_layer(net, layer, z_layer):
-    """Reconstruct a raw input from the preactivation of a 1-based layer."""
+    """Reconstruct a raw input from the preactivation of a 1-based layer.
+
+    ``z_layer`` is one preactivation or a (B, n) stack of them; a stack
+    gives NaN rows where the walk fails, one preactivation raises.
+    """
     if not 1 <= layer <= net.depth:
         raise DomainError(f"layer {layer} outside 1..{net.depth}")
-    spec = net.layers[layer - 1]
+    n_out = net.layers[layer - 1].map.n_out
     z = np.asarray(z_layer, dtype=np.float64)
-    if z.shape != (spec.map.n_out,):
-        raise ShapeMismatchError(f"layer {layer} emits ({spec.map.n_out},), got {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise DomainError("preactivation must be finite")
-    x = conditional_mean(spec.map, spec.input_prior, z - spec.bias, label=f"layer {layer}")
-    for l in range(layer - 1, 0, -1):
-        x = backstep(net.layers[l - 1], x, label=f"layer {l}")
-    return net.destandardize(x)
+    if z.ndim not in (1, 2) or z.shape[-1] != n_out:
+        raise ShapeMismatchError(f"layer {layer} emits ({n_out},), got {z.shape}")
+    x, errors = _walk_down(net, layer, *_conditional_means(net, layer, np.atleast_2d(z)))
+    return _single(x, errors, z.ndim == 1)
 
 
 def synthesize(net, seed, label=None):
-    """Draw one raw-space sample by inverting the whole network.
+    """Draw raw-space samples by inverting the whole network.
 
     The output is drawn standard normal, mapped back through the output
     shift under the requested label, then reconstructed layer by layer.
-    Deterministic in the seed.
+    Deterministic in the seed: an integer seed gives one sample, a
+    sequence of seeds one row per seed (NaN where the walk fails).
     """
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(net.n_out)
+    seeds = [int(s) for s in np.atleast_1d(seed)]
+    u = np.array([np.random.default_rng(s).standard_normal(net.n_out) for s in seeds])
     if net.output_prior is None:
         if label is not None:
             raise ConfigError("network has no output prior; drop the label")
@@ -99,20 +164,26 @@ def synthesize(net, seed, label=None):
         z_last = invert_output_shift(
             u, label_signal(label, cfg.n_classes, cfg.level), cfg.c, cfg.level
         )
-    return reconstruct_from_layer(net, net.depth, z_last)
+    return reconstruct_from_layer(net, net.depth, z_last[0] if np.ndim(seed) == 0 else z_last)
 
 
-def reconstruction_statistic(net, x_raw, layer):
+def reconstruction_statistic(net, x_raw, layer, trace=None):
     """Log inverse mean squared reconstruction error through a hidden layer.
 
     Forward to the given layer (1..depth-1), reconstruct, and score
     -log MSE in raw units, floored at MSE 1e-12 so perfect round trips
-    cap near 27.63.  Larger means the sample is better explained.
+    cap near 27.63.  Larger means the sample is better explained.  A
+    (B, n_in) batch gives one statistic per row, NaN where the walk
+    fails; one input raises.  Given the batch's interior ``trace``, the
+    walk starts from the conditional means it already holds.
     """
     if not 1 <= layer <= net.depth - 1:
         raise DomainError(f"statistic layer {layer} outside 1..{net.depth - 1}")
-    _, zs = net.forward_pass(x_raw)
-    x_hat = reconstruct_from_layer(net, layer, zs[layer - 1])
     x = np.asarray(x_raw, dtype=np.float64)
-    mse = float(np.mean((x - x_hat) ** 2))
-    return float(-np.log(max(mse, MSE_FLOOR)))
+    rows = np.atleast_2d(x)
+    zs = trace.zs if trace is not None else net.forward_pass(rows)[1]
+    start, errors = _conditional_means(net, layer, zs[layer - 1], trace)
+    x_hat, errors = _walk_down(net, layer, start, errors)
+    mse = np.mean((rows - x_hat) ** 2, axis=1)
+    stat = -np.log(np.maximum(mse, MSE_FLOOR))
+    return float(_single(stat, errors, x.ndim == 1)) if x.ndim == 1 else stat

@@ -28,6 +28,16 @@ Whenever the curvature weights k'' are exactly 1 (always, under the
 Gaussian prior) the curvature is that same factor, and the solution
 carries it instead of a rebuilt copy.  Maps are immutable and a
 parameter update builds new maps, so no solve can see a stale factor.
+
+A (B, n_out) stack of targets is solved as one stacked Newton
+iteration, one column per target.  Each column keeps its own line
+search, stalled-search rule, curvature floor and iteration count, and
+stops once it has converged: nothing computed for the other columns
+touches it afterwards, so a column's solution does not depend on its
+batch beyond the summation order of the shared matrix products.  A
+column that fails carries its error in ``SaddleSolution.errors`` and
+never fails the batch.  A single target is the one-column case, and
+its failure is raised.
 """
 
 import math
@@ -36,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ReconstructionError, ShapeMismatchError, SingularityError
-from .linops import GramFactor
+from .linops import GramFactor, GramStack
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -48,143 +58,282 @@ LOG_2PI = math.log(2.0 * math.pi)
 # reached geometrically, while single-step explosions stay impossible.
 ALPHA_STEP_CAP = 25.0
 
+# Halvings of the Newton step before the line search counts as stalled.
+LINE_SEARCH_TRIES = 60
+
+# An objective change within this many units of rounding of the objective
+# (float64 epsilon times the summed magnitudes of its terms) counts as flat.
+FLAT_ULPS = 16.0
+EPS = float(np.finfo(np.float64).eps)
+
 
 @dataclass(frozen=True)
 class SaddleSolution:
+    """The saddle point of one target, or of each column of a stack.
+
+    For a stack every array gains a leading column axis; ``residual``
+    and ``objective`` hold one value per column and ``objective_path``
+    one list per column; a failed column is NaN, with its error in
+    ``errors``.  ``curvature`` is the map's kept GramFactor when every
+    column has unit curvature weights, else a GramStack.
+    ``iterations`` is the largest column count, ``column_iterations``
+    has each one.
+    """
+
     h_hat: np.ndarray
     alpha: np.ndarray
     x_hat: np.ndarray
-    residual: float
-    curvature: GramFactor
+    residual: object
+    curvature: object
     iterations: int
     objective_path: list
+    objective: object
+    column_iterations: np.ndarray
+    errors: list
 
     @property
     def log_density(self):
         """log p^(z~); the final objective is already K(h^) - h^'z~."""
-        return (
-            self.objective_path[-1]
-            - 0.5 * self.curvature.logdet
-            - 0.5 * self.h_hat.size * LOG_2PI
+        n_out = self.h_hat.shape[-1]
+        return self.objective - 0.5 * self.curvature.logdet - 0.5 * n_out * LOG_2PI
+
+    def take(self, idx):
+        """The solution of the columns ``idx``; an integer gives one column's own solution."""
+        one = np.ndim(idx) == 0
+        cols = np.atleast_1d(idx)
+        paths = [self.objective_path[i] for i in cols]
+        curv = self.curvature
+        return SaddleSolution(
+            h_hat=self.h_hat[idx],
+            alpha=self.alpha[idx],
+            x_hat=self.x_hat[idx],
+            residual=self.residual[idx].item() if one else self.residual[idx],
+            curvature=curv.take(idx) if isinstance(curv, GramStack) else curv,
+            iterations=int(np.max(self.column_iterations[cols], initial=0)),
+            objective_path=paths[0] if one else paths,
+            objective=self.objective[idx].item() if one else self.objective[idx],
+            column_iterations=self.column_iterations[idx],
+            errors=[self.errors[i] for i in cols],
         )
 
 
-def _gram(map_, weights, label):
-    """Factor of W' diag(weights) W; unit weights reuse the map's kept factor."""
+def _factors(map_, weights):
+    """(factor, per-row failure reasons) of W' diag(w) W for a (k, n_in) weight stack.
+
+    All-unit weights (always, under the Gaussian prior) reuse the map's
+    kept factor for every row.
+    """
     if np.all(weights == 1.0):
-        return map_.gram
-    return GramFactor(map_, weights, label=label)
+        return map_.gram, [None] * len(weights)
+    stack = GramStack.factor(map_, weights)
+    return stack, list(stack.failures)
 
 
-def _curvature(map_, prior, alpha, label, iterations=None, residual=None):
-    try:
-        return _gram(map_, prior.activation_deriv(alpha), label)
-    except (DomainError, SingularityError) as exc:
-        raise ReconstructionError(
-            f"{label}: curvature failed: {exc}",
-            iterations=iterations,
-            residual=residual,
-        ) from exc
-
-
-def _direction_factor(map_, prior, alpha, label, iterations, residual):
-    """Curvature factor used only for the Newton direction.
+def _direction(map_, weights, resid):
+    """(Newton directions S^-1 r, per-row failure reasons) for a stack of rows.
 
     Mid-iteration the iterate can sit in a tail where some activation
     derivatives underflow and the strict Gram factor is numerically
     singular.  Any positive definite surrogate still gives a descent
-    direction on the convex objective, so the weights are floored at a
-    tiny fraction of their maximum and the factorization retried.  The
-    converged solution always reports the strict factor.
+    direction on the convex objective, so the weights of a failed row
+    are floored at a tiny fraction of their maximum and its
+    factorization retried.  The converged solution always reports the
+    strict factor.
     """
-    weights = prior.activation_deriv(alpha)
-    try:
-        return _gram(map_, weights, label)
-    except (DomainError, SingularityError):
-        floor = float(np.max(weights)) * 1e-10
-        if not (math.isfinite(floor) and floor > 0.0):
-            raise ReconstructionError(
-                f"{label}: curvature collapsed at iteration {iterations}",
-                iterations=iterations,
-                residual=residual,
-            )
-        try:
-            return GramFactor(map_, np.maximum(weights, floor), label=label)
-        except (DomainError, SingularityError) as exc:
-            raise ReconstructionError(
-                f"{label}: curvature failed: {exc}",
-                iterations=iterations,
-                residual=residual,
-            ) from exc
+    factor, failures = _factors(map_, weights)
+    delta = factor.solve_rows(resid)
+    retry = np.array([j for j, f in enumerate(failures) if f is not None], dtype=int)
+    if retry.size:
+        floor = np.max(weights[retry], axis=1) * 1e-10
+        usable = np.isfinite(floor) & (floor > 0.0)
+        for j in retry[~usable]:
+            failures[j] = "curvature collapsed"
+        retry, floor = retry[usable], floor[usable]
+        if retry.size:
+            stack = GramStack.factor(map_, np.maximum(weights[retry], floor[:, None]))
+            delta[retry] = stack.solve_rows(resid[retry])
+            for j, f in zip(retry, stack.failures):
+                failures[j] = f and f"curvature failed: {f}"
+    return delta, failures
 
 
 def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"):
     """Newton iteration on B(h), damped by objective backtracking.
 
-    The step is S^-1 (z~ - W' lambda(W h)); it is halved until the
-    objective strictly decreases.  Near the solution the objective can
-    bottom out in floating point before the residual test passes, so a
-    stalled line search still accepts the full Newton step whenever it
-    shrinks the residual.
+    ``z_tilde`` is one target (n_out,) or a (B, n_out) stack, solved
+    column by column in one stacked iteration.  The step is
+    S^-1 (z~ - W' lambda(W h)); it is halved until the objective
+    decreases by more than its rounding.  Near the solution the
+    objective bottoms out in floating point before the residual test
+    passes, so a full step that leaves it flat within rounding, and a
+    stalled line search, still take the full Newton step whenever it
+    shrinks the residual.  Which of two rounded objectives is lower thus
+    never decides a step, and neither does the batch a column sits in.
+    A column whose residual turns non-finite fails before any solve
+    with it.
+
+    A single target returns its own solution and raises its failure; a
+    stack returns every column, failed ones marked in ``errors``.
     """
     z = np.asarray(z_tilde, dtype=np.float64)
-    if z.shape != (map_.n_out,):
-        raise ShapeMismatchError(f"{label}: target shape {z.shape} != ({map_.n_out},)")
-    if not np.all(np.isfinite(z)):
-        raise DomainError(f"{label}: target must be finite")
-    scale = 1.0 + float(np.max(np.abs(z)))
-    try:
-        h = map_.gram.solve(z)
-    except SingularityError as exc:
-        raise ReconstructionError(f"{label}: map has a singular Gram matrix") from exc
+    if z.ndim not in (1, 2) or z.shape[-1] != map_.n_out:
+        raise ShapeMismatchError(
+            f"{label}: target shape {z.shape} != ({map_.n_out},) or (B, {map_.n_out})"
+        )
+    sol = _solve_columns(map_, prior, np.atleast_2d(z), max_iter, tol, label)
+    if z.ndim == 2:
+        return sol
+    if sol.errors[0] is not None:
+        raise sol.errors[0]
+    return sol.take(0)
 
-    path = []
-    rmax = math.inf
+
+def _solve_columns(map_, prior, z, max_iter, tol, label):
+    n_cols, m = z.shape
+    a = map_.materialize()
+    h_out = np.full((n_cols, m), np.nan)
+    alpha_out = np.full((n_cols, map_.n_in), np.nan)
+    x_out = np.full((n_cols, map_.n_in), np.nan)
+    residual = np.full(n_cols, np.nan)
+    objective = np.full(n_cols, np.nan)
+    iterations = np.zeros(n_cols, dtype=int)
+    paths = [[] for _ in range(n_cols)]
+    errors = [None] * n_cols
+    converged = []  # (columns, strict curvature factor) per iteration that finished some
+
+    def fail(col, message, it, rmax):
+        errors[col] = ReconstructionError(f"{label}: {message}", iterations=it, residual=rmax)
+        iterations[col] = it or 0
+
+    finite = np.all(np.isfinite(z), axis=1)
+    for col in np.flatnonzero(~finite):
+        errors[col] = DomainError(f"{label}: target must be finite")
+    cols = np.flatnonzero(finite)
+    scale = 1.0 + np.max(np.abs(z), axis=1)
+    try:
+        h = map_.gram.solve_rows(z[cols])
+    except SingularityError as exc:
+        for col in cols:
+            fail(col, "map has a singular Gram matrix", None, None)
+            errors[col].__cause__ = exc
+        cols = cols[:0]
+
     for it in range(max_iter + 1):
-        alpha = map_.adjoint(h)
-        lam = prior.activation(alpha)
-        resid = z - map_.forward(lam)
-        objective = float(np.sum(prior.cgf(alpha)) - h @ z)
-        path.append(objective)
-        rmax = float(np.max(np.abs(resid)))
-        if np.isfinite(rmax) and rmax <= tol * scale:
-            curv = _curvature(map_, prior, alpha, label, it, rmax)
-            return SaddleSolution(h, alpha, lam, rmax, curv, it, path)
-        if it == max_iter:
+        if not cols.size:
             break
-        curv = _direction_factor(map_, prior, alpha, label, it, rmax)
-        delta = curv.solve(resid)
-        cap = max(ALPHA_STEP_CAP, 2.0 * float(np.max(np.abs(alpha))))
-        move = float(np.max(np.abs(map_.adjoint(delta))))
-        if move > cap:
-            delta = delta * (cap / move)
-        t = 1.0
-        stepped = False
-        for _ in range(60):
-            cand = h + t * delta
-            cand_obj = float(np.sum(prior.cgf(map_.adjoint(cand))) - cand @ z)
-            if cand_obj < objective:
-                h = cand
-                stepped = True
+        zc = z[cols]
+        alpha = h @ a
+        lam = prior.activation(alpha)
+        resid = zc - lam @ a.T
+        cgf = prior.cgf(alpha)
+        obj = np.sum(cgf, axis=1) - np.vecdot(h, zc)
+        # an objective change this small is rounding, not descent
+        flat = FLAT_ULPS * EPS * (np.sum(np.abs(cgf), axis=1) + np.vecdot(np.abs(h), np.abs(zc)))
+        for col, value in zip(cols, obj):
+            paths[col].append(float(value))
+        rmax = np.max(np.abs(resid), axis=1)
+        done = np.isfinite(rmax) & (rmax <= tol * scale[cols])
+        if done.any():
+            factor, failures = _factors(map_, prior.activation_deriv(alpha[done]))
+            dcols = cols[done]
+            for col, f, r in zip(dcols, failures, rmax[done]):
+                if f is not None:
+                    fail(col, f"curvature failed: {f}", it, float(r))
+            h_out[dcols], alpha_out[dcols], x_out[dcols] = h[done], alpha[done], lam[done]
+            residual[dcols], objective[dcols], iterations[dcols] = rmax[done], obj[done], it
+            converged.append((dcols, factor))
+        for col, r in zip(cols[~done], rmax[~done]):
+            if not np.isfinite(r):
+                fail(col, f"non-finite residual at iteration {it}", it, float(r))
+            elif it == max_iter:
+                fail(col, f"saddle point not reached in {max_iter} iterations", max_iter, float(r))
+        go = ~done & np.isfinite(rmax)
+        if it == max_iter or not go.any():
+            break
+        cols, h, zc, alpha, resid, rmax, obj, flat = (
+            v[go] for v in (cols, h, zc, alpha, resid, rmax, obj, flat)
+        )
+
+        delta, failures = _direction(map_, prior.activation_deriv(alpha), resid)
+        ok = np.array([f is None for f in failures])
+        for col, f, r in zip(cols, failures, rmax):
+            if f is not None:
+                fail(col, f"{f} at iteration {it}", it, float(r))
+        cols, h, zc, alpha, rmax, obj, flat, delta = (
+            v[ok] for v in (cols, h, zc, alpha, rmax, obj, flat, delta)
+        )
+        cap = np.maximum(ALPHA_STEP_CAP, 2.0 * np.max(np.abs(alpha), axis=1))
+        move = np.max(np.abs(delta @ a), axis=1)
+        over = move > cap
+        delta[over] = delta[over] * (cap[over] / move[over])[:, None]
+
+        # Per-column backtracking: a column leaves the search at its first
+        # step that lowers its objective by more than rounding.  A full step
+        # that leaves the objective flat within rounding (near the solution)
+        # and a search that stalls are judged by the residual instead.
+        stepped = h.copy()
+        t = np.ones(len(cols))
+        pending = np.arange(len(cols))
+        by_residual = pending[:0]
+        for attempt in range(LINE_SEARCH_TRIES):
+            cand = h[pending] + t[pending, None] * delta[pending]
+            cand_obj = np.sum(prior.cgf(cand @ a), axis=1) - np.vecdot(cand, zc[pending])
+            change = cand_obj - obj[pending]
+            lower = change < -flat[pending]
+            stepped[pending[lower]] = cand[lower]
+            if attempt == 0:
+                level = ~lower & (change <= flat[pending])
+                by_residual = pending[level]
+                lower |= level
+            pending = pending[~lower]
+            if not pending.size:
                 break
-            t *= 0.5
-        if not stepped:
-            cand = h + delta
-            cand_resid = z - map_.forward(prior.activation(map_.adjoint(cand)))
-            cand_rmax = float(np.max(np.abs(cand_resid)))
-            if np.isfinite(cand_rmax) and cand_rmax < rmax:
-                h = cand
-            else:
-                raise ReconstructionError(
-                    f"{label}: no descent direction at iteration {it}",
-                    iterations=it,
-                    residual=rmax,
-                )
-    raise ReconstructionError(
-        f"{label}: saddle point not reached in {max_iter} iterations",
-        iterations=max_iter,
-        residual=rmax,
+            t[pending] *= 0.5
+        judged = np.concatenate([by_residual, pending])
+        if judged.size:
+            cand = h[judged] + delta[judged]
+            cand_resid = zc[judged] - prior.activation(cand @ a) @ a.T
+            cand_rmax = np.max(np.abs(cand_resid), axis=1)
+            shrinks = np.isfinite(cand_rmax) & (cand_rmax < rmax[judged])
+            stepped[judged[shrinks]] = cand[shrinks]
+            keep = np.ones(len(cols), dtype=bool)
+            for j in judged[~shrinks]:
+                fail(cols[j], f"no descent direction at iteration {it}", it, float(rmax[j]))
+                keep[j] = False
+            cols, stepped = cols[keep], stepped[keep]
+        h = stepped
+
+    failed = [col for col, err in enumerate(errors) if err is not None]
+    for out in (h_out, alpha_out, x_out, residual, objective):
+        out[failed] = np.nan
+    return SaddleSolution(
+        h_hat=h_out,
+        alpha=alpha_out,
+        x_hat=x_out,
+        residual=residual,
+        curvature=_assemble(map_, converged, n_cols, errors),
+        iterations=int(np.max(iterations, initial=0)),
+        objective_path=paths,
+        objective=objective,
+        column_iterations=iterations,
+        errors=errors,
     )
+
+
+def _assemble(map_, converged, n_cols, errors):
+    """One curvature for the whole stack from the factors of its converged groups."""
+    if converged and all(isinstance(f, GramFactor) for _, f in converged):
+        return map_.gram
+    m = map_.n_out
+    inv = np.full((n_cols, m, m), np.nan)
+    logdet = np.full(n_cols, np.nan)
+    for cols, f in converged:
+        inv[cols] = f.inv if isinstance(f, GramStack) else f.solve(np.eye(m))
+        logdet[cols] = f.logdet
+    failures = [None if err is None else str(err) for err in errors]
+    failed = [col for col, f in enumerate(failures) if f is not None]
+    inv[failed], logdet[failed] = np.nan, np.nan
+    return GramStack(map_.materialize(), inv, logdet, failures)
 
 
 def log_feature_density(map_, prior, z_tilde, *, label="saddle"):

@@ -1,9 +1,10 @@
 """Training: the exact likelihood gradient, plain optimizers, epoch loops.
 
-The per-sample gradient runs one reverse sweep.  Activation and output
-terms differentiate like any backward pass; each layer's feature term
--log p^(z~) needs two extra pieces, both available from the saddle
-solution already computed for the likelihood:
+The gradient runs one reverse sweep over a whole minibatch, one row per
+sample.  Activation and output terms differentiate like any backward
+pass; each layer's feature term -log p^(z~) needs two extra pieces,
+both available from the saddle solutions already computed for the
+likelihood:
 
 * its z~ gradient is h^ + u/2, where u = S^-1 W'(k''' q) and
   q_i = w_i' S^-1 w_i, from differentiating the curvature log
@@ -11,6 +12,12 @@ solution already computed for the likelihood:
 * its explicit weight gradient is
   -lambda(alpha)(h^ + u/2)' + [(k''' q) - (k'' v)] h^'/2 + diag(k'') W S^-1
   with v = W u, everything evaluated at the saddle alpha = W h^.
+
+Summed over a batch the first two weight terms are matrix products and
+every map's collector is linear, so each layer folds one dense matrix
+onto its parameters per batch.  Where k''' is exactly zero (always,
+under the Gaussian prior) u and v vanish and q is never needed; with
+the kept unit factor the last term is then B W S^-1.
 
 Samples whose likelihood is undefined (prior support or infeasible
 feature targets) are skipped and counted; the reported efficiency is
@@ -28,14 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LikelihoodUndefinedError, TrainingError, UnclassifiableError
+from .errors import TrainingError
 from .linops import DenseMap
 from .network import (
-    INNER_ACTIVATIONS,
     label_signal,
     output_shift,
     output_shift_curvature,
     output_shift_slope,
+    row_chunks,
 )
 from .priors import activation_prior
 
@@ -97,24 +104,28 @@ class TrainResult:
 
 
 def gradient(net, x_raw, label=None, trace=None):
-    """Per-sample gradient of the log-likelihood.
+    """Gradient of the log-likelihood of one sample, or summed over a batch.
 
-    Returns (weight grads, bias grads, log-likelihood).  Raises
-    LikelihoodUndefinedError when the sample has no likelihood.
+    Returns (weight grads, bias grads, log-likelihood).  One sample
+    raises LikelihoodUndefinedError when it has no likelihood.  For a
+    (B, n_in) batch with one label per row, the gradients are summed
+    over the samples whose likelihood is defined (``trace.defined``) and
+    the log-likelihood has one value per defined sample.
     """
     if trace is None:
         trace = net.interior_trace(x_raw)
     ll = net.log_likelihood(x_raw, label=label, trace=trace).total
+    idx = np.flatnonzero(trace.defined)
     depth = net.depth
     grads_w = [None] * depth
     grads_b = [None] * depth
 
-    z_last = trace.zs[-1]
+    z_last = trace.zs[-1][idx]
     if net.output_prior is None:
-        bar_z = -z_last.copy()
+        bar_z = -z_last
     else:
         cfg = net.output_prior
-        signal = label_signal(label, cfg.n_classes, cfg.level)
+        signal = label_signal(np.atleast_1d(label)[idx], cfg.n_classes, cfg.level)
         x_out = output_shift(z_last, signal, cfg.c, cfg.level)
         slope = output_shift_slope(z_last, cfg.c)
         bar_z = -x_out * slope + output_shift_curvature(z_last, cfg.c) / slope
@@ -122,36 +133,39 @@ def gradient(net, x_raw, label=None, trace=None):
     bar_x = None
     for l in range(depth, 0, -1):
         spec = net.layers[l - 1]
-        x, z, sol = trace.xs[l - 1], trace.zs[l - 1], trace.solutions[l - 1]
+        x, z = trace.xs[l - 1][idx], trace.zs[l - 1][idx]
         prior = spec.input_prior
         if l < depth:
             act = activation_prior(spec.activation)
             k2z = act.activation_deriv(z)
             bar_z = bar_x * k2z + act.cgf_third_deriv(z) / k2z
 
-        # feature term internals, all at the saddle alpha = W h^
-        a = spec.map.materialize()  # n_out x n_in
-        k2 = prior.activation_deriv(sol.alpha)
-        k3 = prior.cgf_third_deriv(sol.alpha)
-        p = sol.curvature.w_s_inv  # n_in x n_out
-        q = np.einsum("nm,nm->n", a.T, p)
-        g_h = spec.map.forward(k3 * q)
-        u = sol.curvature.solve(g_h)
-        v = spec.map.adjoint(u)
-        half = sol.h_hat + 0.5 * u
-
+        half, feature = _feature_term(spec, trace.solution(l, idx)) if idx.size else (0.0, 0.0)
         bar_z_tilde = bar_z + half
-        grads_b[l - 1] = bar_z.copy()
-        db_dw = (
-            -np.outer(sol.x_hat, half)
-            + 0.5 * np.outer(k3 * q - k2 * v, sol.h_hat)
-            + k2[:, None] * p
-        )
-        grads_w[l - 1] = spec.map.param_grad(x, bar_z_tilde) + spec.map.collect_matrix_grad(
-            db_dw
-        )
+        grads_b[l - 1] = np.sum(bar_z, axis=0)
+        grads_w[l - 1] = spec.map.collect_matrix_grad(x.T @ bar_z_tilde + feature)
         bar_x = spec.map.adjoint(bar_z_tilde) + prior.grad_log_density(x)
     return grads_w, grads_b, ll
+
+
+def _feature_term(spec, sol):
+    """(h^ + u/2 per row, the explicit d/dW of -log p^ summed over rows) of one layer."""
+    a = spec.map.materialize()  # n_out x n_in
+    k2 = spec.input_prior.activation_deriv(sol.alpha)
+    k3 = spec.input_prior.cgf_third_deriv(sol.alpha)
+    p = sol.curvature.w_s_inv  # n_in x n_out, shared or one per row
+    if p.ndim == 2:
+        feature = np.sum(k2, axis=0)[:, None] * p
+    else:
+        feature = np.einsum("bi,bij->ij", k2, p)
+    half = sol.h_hat
+    if np.any(k3 != 0.0):
+        q = np.einsum("ki,...ik->...i", a, p)
+        u = sol.curvature.solve_rows((k3 * q) @ a.T)
+        half = half + 0.5 * u
+        feature += 0.5 * (k3 * q - k2 * (u @ a)).T @ sol.h_hat
+    feature -= sol.x_hat.T @ half
+    return half, feature
 
 
 def objective(net, data, l2=0.0):
@@ -160,53 +174,37 @@ def objective(net, data, l2=0.0):
     Returns (value, efficiency).  Raises TrainingError when every
     sample is undefined.
     """
-    total, defined = 0.0, 0
-    for i in range(len(data)):
-        label = None if data.labels is None else int(data.labels[i])
-        try:
-            terms = net.log_likelihood(data.x[i], label=label)
-        except LikelihoodUndefinedError:
-            continue
-        total += terms.total
-        defined += 1
-    if defined == 0:
+    lls = []
+    for idx in row_chunks(len(data)):
+        labels = None if data.labels is None else data.labels[idx]
+        lls.append(net.log_likelihood(data.x[idx], label=labels).total)
+    lls = np.concatenate(lls) if lls else np.zeros(0)
+    if lls.size == 0:
         raise TrainingError("no sample in the batch has a defined likelihood")
-    value = total / defined - l2 * _weight_norm(net)
-    return value, defined / len(data)
+    value = float(np.sum(lls)) / lls.size - l2 * _weight_norm(net)
+    return value, lls.size / len(data)
 
 
 def _weight_norm(net):
     return float(sum(np.sum(spec.map.params**2) for spec in net.layers))
 
 
-def _batch(net, data, idx, l2, sample_grad):
+def _batch(net, data, idx, l2, batch_grad):
     """Mean gradient and objective over the defined samples of one minibatch.
 
-    ``sample_grad(net, x_raw, label)`` returns one sample's (weight
-    grads, bias grads, objective); a sample that raises
-    LikelihoodUndefinedError is skipped.  Returns (weight grads, bias
-    grads, penalized objective, defined-sample count).
+    ``batch_grad(net, x, labels)`` returns the weight and bias
+    gradients summed over the defined samples of the rows ``x``, and
+    one objective value per defined sample.  Returns (weight grads,
+    bias grads, penalized objective, defined-sample count).
     """
-    grads_w = [np.zeros_like(spec.map.params) for spec in net.layers]
-    grads_b = [np.zeros_like(spec.bias) for spec in net.layers]
-    total, defined = 0.0, 0
-    for i in idx:
-        label = None if data.labels is None else int(data.labels[i])
-        try:
-            gw, gb, ll = sample_grad(net, data.x[i], label)
-        except LikelihoodUndefinedError:
-            continue
-        for l in range(net.depth):
-            grads_w[l] += gw[l]
-            grads_b[l] += gb[l]
-        total += ll
-        defined += 1
+    labels = None if data.labels is None else data.labels[idx]
+    grads_w, grads_b, values = batch_grad(net, data.x[idx], labels)
+    defined = len(values)
     if defined == 0:
         raise TrainingError("no sample in the batch has a defined likelihood")
-    for l, spec in enumerate(net.layers):
-        grads_w[l] = grads_w[l] / defined - 2.0 * l2 * spec.map.params
-        grads_b[l] /= defined
-    value = total / defined - l2 * _weight_norm(net)
+    grads_w = [g / defined - 2.0 * l2 * spec.map.params for g, spec in zip(grads_w, net.layers)]
+    grads_b = [g / defined for g in grads_b]
+    value = float(np.sum(values)) / defined - l2 * _weight_norm(net)
     return grads_w, grads_b, value, defined
 
 
@@ -215,42 +213,53 @@ def _batch(net, data, idx, l2, sample_grad):
 
 
 def _softmax(z):
-    e = np.exp(z - np.max(z))
-    return e / np.sum(e)
+    e = np.exp(z - np.max(z, axis=1, keepdims=True))
+    return e / np.sum(e, axis=1, keepdims=True)
 
 
-def _pretrain_sample(net, x_raw, label, rng, dropout):
-    x = net.standardized(x_raw)
-    xs, zs, masks = [], [], []
-    for spec in net.layers:
-        mask = None
-        if dropout > 0.0 and isinstance(spec.map, DenseMap):
-            mask = (rng.random(x.size) >= dropout) / (1.0 - dropout)
-            x = x * mask
-        xs.append(x)
-        masks.append(mask)
-        z = spec.map.forward(x) + spec.bias
-        zs.append(z)
-        if spec.activation in INNER_ACTIVATIONS:
-            x = activation_prior(spec.activation).activation(z)
+def _dropout_masks(net, n_rows, rng, dropout):
+    """Dropout multipliers for the inputs of the dense layers (None elsewhere).
+
+    The draws run sample by sample and, within a sample, layer by layer.
+    """
+    dense = [l for l, spec in enumerate(net.layers) if isinstance(spec.map, DenseMap)]
+    widths = [net.layers[l].map.n_in for l in dense]
+    draws = rng.random((n_rows, sum(widths)))
+    masks = [None] * net.depth
+    for l, block in zip(dense, np.split(draws, np.cumsum(widths)[:-1], axis=1)):
+        masks[l] = (block >= dropout) / (1.0 - dropout)
+    return masks
+
+
+def _pretrain_batch(net, x_raw, labels, rng, dropout):
+    """Softmax cross-entropy gradient summed over a minibatch, and each sample's value."""
+    masks = _dropout_masks(net, len(x_raw), rng, dropout) if dropout > 0.0 else None
+    xs, zs = net.forward_pass(x_raw, masks=masks)
+    rows = np.arange(len(x_raw))
     probs = _softmax(zs[-1])
-    ll = float(np.log(max(probs[label], 1e-300)))
+    lls = np.log(np.maximum(probs[rows, labels], 1e-300))
+    # A hidden activation leaves its range only when its arithmetic breaks
+    # down at enormous preactivations; such a sample's value is NaN, like
+    # an overflow, so a diverging run aborts instead of training on noise.
+    for spec, z in zip(net.layers[:-1], zs[:-1]):
+        act = activation_prior(spec.activation)
+        lls[~act.in_support(act.activation(z))] = np.nan
 
     grads_w = [None] * net.depth
     grads_b = [None] * net.depth
     bar_z = -probs
-    bar_z[label] += 1.0
+    bar_z[rows, labels] += 1.0
     for l in range(net.depth, 0, -1):
         spec = net.layers[l - 1]
         if l < net.depth:
             act = activation_prior(spec.activation)
             bar_z = bar_x * act.activation_deriv(zs[l - 1])
         grads_w[l - 1] = spec.map.param_grad(xs[l - 1], bar_z)
-        grads_b[l - 1] = bar_z.copy()
+        grads_b[l - 1] = np.sum(bar_z, axis=0)
         bar_x = spec.map.adjoint(bar_z)
-        if masks[l - 1] is not None:
+        if masks is not None and masks[l - 1] is not None:
             bar_x = bar_x * masks[l - 1]
-    return grads_w, grads_b, ll
+    return grads_w, grads_b, lls
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +269,19 @@ def _pretrain_sample(net, x_raw, label, rng, dropout):
 def evaluate(net, data):
     """Generative classification accuracy; undefined samples count as wrong."""
     correct = 0
-    for i in range(len(data)):
-        try:
-            if net.classify(data.x[i]) == int(data.labels[i]):
-                correct += 1
-        except UnclassifiableError:
-            pass
+    for idx in row_chunks(len(data)):
+        trace = net.interior_trace(data.x[idx])
+        scores = net.class_scores(data.x[idx], trace=trace)
+        hits = np.argmax(scores, axis=1) == data.labels[idx]
+        correct += int(np.sum(hits & trace.defined))
     return correct / len(data)
 
 
 def evaluate_logits(net, data):
     """Discriminative accuracy by argmax of the logits."""
     correct = 0
-    for i in range(len(data)):
-        if int(np.argmax(net.logits(data.x[i]))) == int(data.labels[i]):
-            correct += 1
+    for idx in row_chunks(len(data)):
+        correct += int(np.sum(np.argmax(net.logits(data.x[idx]), axis=1) == data.labels[idx]))
     return correct / len(data)
 
 
@@ -333,7 +340,7 @@ def _checkpoint(net):
     )
 
 
-def _run_epochs(net, data, config, val_data, sample_grad, val_fn, rng):
+def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
     """Minibatch ascent; ``rng`` shuffles every epoch (and drives any dropout)."""
     opt = _make_optimizer(config)
     history = []
@@ -346,7 +353,7 @@ def _run_epochs(net, data, config, val_data, sample_grad, val_fn, rng):
         value_sum, defined_sum, attempted_sum = 0.0, 0, 0
         for start in range(0, len(order), size):
             idx = order[start : start + size]
-            grads_w, grads_b, value, defined = _batch(net, data, idx, config.l2, sample_grad)
+            grads_w, grads_b, value, defined = _batch(net, data, idx, config.l2, batch_grad)
             if not (np.isfinite(value) and _all_finite(grads_w) and _all_finite(grads_b)):
                 aborted = True
                 break
@@ -389,7 +396,7 @@ def pretrain_discriminative(net, data, config, val_data=None):
         raise TrainingError("pretraining needs labeled data")
     rng = np.random.default_rng(config.seed)
 
-    def sample_grad(n, x_raw, label):
-        return _pretrain_sample(n, x_raw, label, rng, config.dropout)
+    def batch_grad(n, x_raw, labels):
+        return _pretrain_batch(n, x_raw, labels, rng, config.dropout)
 
-    return _run_epochs(net, data, config, val_data, sample_grad, evaluate_logits, rng)
+    return _run_epochs(net, data, config, val_data, batch_grad, evaluate_logits, rng)

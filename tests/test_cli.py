@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from pbn import Dataset, DenseMap, LayerSpec, Network, OutputPriorConfig, save_model
+from pbn import (
+    Dataset,
+    DenseMap,
+    LayerSpec,
+    Network,
+    OutputPriorConfig,
+    network,
+    reconstruct,
+    saddlepoint,
+    save_model,
+)
 from pbn.cli import main, parse_config
 from pbn.errors import ConfigError
 from pbn.features import extract_directory, read_archive, write_archive_binary, write_archive_text
@@ -341,6 +351,42 @@ class TestEval:
         assert rc == 2
         assert "stat-layer" in err
 
+    def test_each_layer_1_saddle_is_solved_once(self, tmp_path, toy_archive, toy_model, capsys, monkeypatch):
+        # The reconstruction statistic starts from the layer-1 conditional
+        # means the class-score trace already holds.
+        solved = []
+        real = saddlepoint.solve_saddle
+
+        def counting(map_, prior, z_tilde, **kwargs):
+            if kwargs.get("label") == "layer 1":
+                solved.append(len(np.atleast_2d(z_tilde)))
+            return real(map_, prior, z_tilde, **kwargs)
+
+        monkeypatch.setattr(network, "solve_saddle", counting)
+        monkeypatch.setattr(reconstruct, "solve_saddle", counting)
+        rc, out, _ = run(
+            capsys,
+            "eval", "--model", toy_model, "--features", toy_archive,
+            "--out-scores", str(tmp_path / "s.csv"), "--stat-layer", "1",
+        )
+        assert rc == 0 and "undefined=0" in out
+        assert sum(solved) == 24
+
+    def test_a_bug_in_the_walk_propagates(self, tmp_path, toy_archive, toy_model, capsys, monkeypatch):
+        # Only the walk's own failures become a NaN statistic; any other
+        # exception is a bug and must surface.
+        def broken(*args, **kwargs):
+            raise ValueError("bug in the walk")
+
+        monkeypatch.setattr(reconstruct, "_walk_down", broken)
+        with pytest.raises(ValueError, match="bug in the walk"):
+            main(
+                [
+                    "eval", "--model", toy_model, "--features", toy_archive,
+                    "--out-scores", str(tmp_path / "s.csv"),
+                ]
+            )
+
 
 class TestReconstruct:
     def identity_model(self, tmp_path):
@@ -511,6 +557,18 @@ class TestOutofset:
         assert "decisions for 10" in text
         body = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")][1:]
         assert all(ln.split(",")[4] == "a" for ln in body)
+
+    def test_a_bug_in_the_walk_propagates(self, tmp_path, capsys, monkeypatch):
+        model = self.subspace_model(tmp_path, (0, 1), "x")
+        arch = self.subspace_archive(tmp_path, (0, 1), "x")
+
+        def broken(*args, **kwargs):
+            raise ValueError("bug in the walk")
+
+        monkeypatch.setattr(reconstruct, "_walk_down", broken)
+        with pytest.raises(ValueError, match="bug in the walk"):
+            main(["outofset", "--model-a", model, "--model-b", model, "--features", arch,
+                  "--out", str(tmp_path / "o.csv")])
 
     def test_requires_exactly_one_mode(self, tmp_path, capsys):
         model = self.subspace_model(tmp_path, (0, 1), "x")

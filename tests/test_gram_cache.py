@@ -2,15 +2,16 @@
 
 Every map keeps its unit-weight GramFactor (``LinearMap.gram``), and
 every factor keeps W S^-1 once asked.  The oracle below restores the
-per-solve construction: a fresh unit factor on every access, a fresh
-curvature factor for every solve, whatever its weights, and a fresh
-solve for W S^-1 on every gradient.  Results must
-agree bit for bit, because both paths run the same arithmetic.
+per-solve construction: a fresh unit factor on every access (every
+seed, and every unit-weight curvature of a solve, reads it anew), and a
+fresh solve for W S^-1 on every gradient; curvature factors with other
+weights are built per solve either way.  Results must agree bit for
+bit, because both paths run the same arithmetic.
 """
 
 import numpy as np
 
-from pbn import Dataset, TrainConfig, gradient, saddlepoint, train
+from pbn import Dataset, TrainConfig, gradient, train
 from pbn.linops import GramFactor, LinearMap
 from pbn.network import network_from_dict, network_to_dict, wordpair_network
 from pbn.reconstruct import reconstruct_from_layer, reconstruction_statistic
@@ -19,9 +20,6 @@ from pbn.reconstruct import reconstruct_from_layer, reconstruction_statistic
 def install_per_sample_oracle(monkeypatch):
     monkeypatch.setattr(LinearMap, "gram", property(lambda map_: GramFactor(map_)))
     monkeypatch.setattr(GramFactor, "w_s_inv", property(lambda f: f.solve(f._a).T))
-    monkeypatch.setattr(
-        saddlepoint, "_gram", lambda map_, weights, label: GramFactor(map_, weights, label=label)
-    )
 
 
 def wordpair(seed=5):

@@ -72,6 +72,16 @@ class TestConvWiring:
         assert m.out_shape == cfg["out_shape"]
         assert m.n_out == int(np.prod(cfg["out_shape"]))
 
+    @pytest.mark.parametrize("cfg", WORDPAIR_CONVS, ids=["conv1", "conv2"])
+    def test_each_tap_hits_its_own_matrix_entry(self, cfg):
+        # The matrix is one assignment per tap, so no two taps may share an
+        # (output, input) pair; the reference accumulates tap by tap.
+        m = make_conv(np.random.default_rng(2), cfg)
+        dense_idx = m._wiring[0]
+        assert np.unique(dense_idx).size == dense_idx.size
+        want = brute_conv_matrix(m.params, cfg["in_shape"], cfg["strides"])
+        np.testing.assert_array_equal(m.materialize(), want)
+
     def test_forward_is_materialized_product(self):
         rng = np.random.default_rng(1)
         m = make_conv(rng, WORDPAIR_CONVS[1])

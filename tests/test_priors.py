@@ -49,11 +49,17 @@ def test_scalar_input_equals_the_array_result(prior, name):
 
 @pytest.mark.parametrize("prior", ALL_PRIORS, ids=lambda p: p.kind)
 def test_scalar_inverse_equals_the_array_result(prior):
-    for a in (-3.0, 0.0, 0.7):
-        y = float(prior.activation(a))
-        got = prior.activation_inverse(y)
-        assert np.ndim(got) == 0
-        assert got == prior.activation_inverse(np.array([y]))[0]
+    # A converged element stops iterating, so each element of an array is
+    # inverted bit for bit as it would be alone, whatever its neighbours.
+    y = prior.activation(np.array([-3.0, 0.0, 0.7, -2.0, 0.5, 3.0, -40.0, 1e-3, 12.0]))
+    for values in (y, y[::-1], y.reshape(3, 3)):
+        got = prior.activation_inverse(values)
+        assert got.shape == values.shape
+        for yi, gi in zip(values.ravel(), got.ravel()):
+            one = prior.activation_inverse(float(yi))
+            assert np.ndim(one) == 0
+            assert gi == one
+            assert one == prior.activation_inverse(np.array([yi]))[0]
 
 
 class TestClosedFormAnchors:

@@ -47,6 +47,16 @@ class TestInvertOutputShift:
         x = np.array([3.0, -2.0])
         assert_allclose(invert_output_shift(x, s, 0.0, LEVEL), x + s, atol=1e-12)
 
+    def test_array_inverse_equals_the_scalar_inverses_bit_for_bit(self):
+        # Converged elements stop iterating, so an element's inverse does
+        # not depend on the other elements of its array.
+        signals = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, -1.0]])
+        x = np.array([[0.3, -104.0], [101.5, 2.0], [-7.0, 55.0]])
+        got = invert_output_shift(x, signals, C, LEVEL)
+        for idx in np.ndindex(x.shape):
+            one = invert_output_shift(np.array([x[idx]]), np.array([signals[idx]]), C, LEVEL)[0]
+            assert got[idx] == one
+
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             invert_output_shift(np.array([np.inf]), np.array([1.0]), C, LEVEL)

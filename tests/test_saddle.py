@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from scipy.stats import multivariate_normal
 
 from pbn.errors import DomainError, ReconstructionError, ShapeMismatchError
-from pbn.linops import DenseMap
-from pbn.priors import GAUSSIAN, TRUNCATED_GAUSSIAN, UNIFORM, get_prior
+from pbn.linops import DenseMap, GramFactor
+from pbn.priors import GAUSSIAN, TRUNCATED_GAUSSIAN, UNIFORM, TruncatedGaussianPrior, get_prior
 from pbn.saddlepoint import conditional_mean, log_feature_density, solve_saddle
 
 
@@ -118,6 +118,35 @@ class TestInfeasibleTargets:
             solve_saddle(m, UNIFORM, np.array([5.0]))
         assert ei.value.iterations is not None
         assert ei.value.residual is not None
+
+
+class FragileTruncatedGaussian(TruncatedGaussianPrior):
+    """A prior whose activation turns NaN past a = 2, as an overflow would."""
+
+    def activation(self, a):
+        return np.where(np.asarray(a) > 2.0, np.nan, super().activation(a))
+
+
+class TestNonFiniteResidual:
+    def test_fails_before_any_solve_with_it(self, monkeypatch):
+        m = DenseMap(np.ones((2, 1)))
+        solves = []
+        real = GramFactor.solve
+        monkeypatch.setattr(GramFactor, "solve", lambda f, b: solves.append(b) or real(f, b))
+        with pytest.raises(ReconstructionError, match="non-finite residual") as ei:
+            solve_saddle(m, FragileTruncatedGaussian(), np.array([9.0]))
+        assert ei.value.iterations == 0
+        assert len(solves) == 1  # the seed; no Newton direction was solved for
+
+    def test_fails_only_its_own_column(self):
+        m = DenseMap(np.ones((2, 1)))
+        z = np.array([[9.0], [1.0]])
+        sol = solve_saddle(m, FragileTruncatedGaussian(), z)
+        assert isinstance(sol.errors[0], ReconstructionError) and np.isnan(sol.x_hat[0]).all()
+        alone = solve_saddle(m, TRUNCATED_GAUSSIAN, z[1])
+        assert sol.errors[1] is None
+        assert_allclose(sol.x_hat[1], alone.x_hat, rtol=1e-12)
+        assert sol.column_iterations[1] == alone.iterations
 
 
 class TestValidation:

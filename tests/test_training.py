@@ -16,6 +16,7 @@ from pbn import (
     objective,
     pretrain_discriminative,
     train,
+    training,
 )
 
 FD_STEP = 1e-5
@@ -331,6 +332,45 @@ class TestPretrain:
         plain, drop_a, drop_b = (flatten_params(r.network) for r in runs)
         assert not np.array_equal(plain, drop_a)
         np.testing.assert_array_equal(drop_a, drop_b)
+
+
+class TestBatchedWarmStart:
+    def test_dropout_masks_are_drawn_sample_by_sample_then_layer_by_layer(self):
+        net = build_network(
+            6,
+            [
+                {"type": "dense", "units": 4, "activation": "tg"},
+                {"type": "dense", "units": 3, "activation": "tg"},
+                {"type": "dense", "units": 2, "activation": "linear"},
+            ],
+            np.random.default_rng(70),
+        )
+        masks = training._dropout_masks(net, 5, np.random.default_rng(71), 0.3)
+        rng = np.random.default_rng(71)
+        for b in range(5):
+            for l, spec in enumerate(net.layers):
+                want = (rng.random(spec.map.n_in) >= 0.3) / 0.7
+                np.testing.assert_array_equal(masks[l][b], want)
+
+    def test_masked_forward_pass_scales_each_layer_input(self):
+        net = blob_net(np.random.default_rng(72))
+        x = np.random.default_rng(73).normal(size=(4, 2))
+        masks = [np.array([[2.0, 0.0]] * 4), None]
+        xs, zs = net.forward_pass(x, masks=masks)
+        np.testing.assert_array_equal(xs[0], net.standardized(x) * masks[0])
+        np.testing.assert_array_equal(zs[0], net.layers[0].map.forward(xs[0]) + net.layers[0].bias)
+
+    def test_minibatch_gradient_is_the_sum_of_sample_gradients(self):
+        net = blob_net(np.random.default_rng(74))
+        data = blob_data(np.random.default_rng(75), n_per=4)
+        grads_w, grads_b, lls = training._pretrain_batch(net, data.x, data.labels, None, 0.0)
+        for l in range(net.depth):
+            one_w = sum(
+                training._pretrain_batch(net, data.x[i : i + 1], data.labels[i : i + 1], None, 0.0)[0][l]
+                for i in range(len(data))
+            )
+            np.testing.assert_allclose(grads_w[l], one_w, rtol=1e-12, atol=1e-15)
+        assert lls.shape == (len(data),)
 
 
 class TestEvaluate:
