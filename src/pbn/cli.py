@@ -21,6 +21,7 @@ from . import __version__
 from .errors import ConfigError, JoinError, PbnError
 from .features import (
     extract_directory,
+    format_row,
     read_archive,
     split_dataset,
     write_archive_binary,
@@ -180,13 +181,7 @@ def _write_csv(path, header_comment, columns, rows):
         fh.write(header_comment + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
-def _format_cell(v):
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+            fh.write(format_row(row) + "\n")
 
 
 def _read_csv(path):
@@ -421,8 +416,8 @@ def cmd_reconstruct(args):
                 header,
                 _as_image(x_hat),
             )
-            raw_rows.append((sample_id, "orig", *[float(v) for v in data.x[i]]))
-            raw_rows.append((sample_id, "recon", *[float(v) for v in x_hat]))
+            raw_rows.append((sample_id, "orig", *data.x[i].tolist()))
+            raw_rows.append((sample_id, "recon", *x_hat.tolist()))
     dim = data.x.shape[1]
     _write_csv(
         os.path.join(args.out_images, "raw_values.csv"),

@@ -16,6 +16,7 @@ text or as a little-endian binary stream with an identifying magic;
 ``read_archive`` sniffs which one it was given.
 """
 
+import functools
 import os
 import struct
 
@@ -37,6 +38,7 @@ FEATURE_DIM = N_FRAMES * N_BANDS
 
 _MAGIC = b"PBNFEAT\x00"
 _BINARY_VERSION = 1
+_MAX_ID_BYTES = 2**16 - 1
 
 
 def hz_to_mel(f):
@@ -161,26 +163,55 @@ def split_dataset(data, seed, n_train=500, n_val=150):
 # feature archives
 
 
-def _require_ids(data):
+def _check_records(data):
+    """Raise IngestionError for a record the archives cannot hold.
+
+    An id must not contain ``,``, ``\n`` or ``\r`` (the text separators)
+    and its UTF-8 encoding must fit the binary length field (65,535
+    bytes); a label must fit the binary int32.
+    """
     if data.ids is None or data.labels is None:
         raise IngestionError("archives need ids and labels")
+    for sample_id in data.ids:
+        if any(c in sample_id for c in ",\n\r"):
+            raise IngestionError(f"id {sample_id[:40]!r} contains ',' or a line break")
+        try:
+            size = len(sample_id.encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            raise IngestionError(f"id {sample_id[:40]!r} is not valid unicode") from exc
+        if size > _MAX_ID_BYTES:
+            raise IngestionError(
+                f"id {sample_id[:40]!r} is {size} bytes in UTF-8, over {_MAX_ID_BYTES}"
+            )
+    if np.any((data.labels < -(2**31)) | (data.labels >= 2**31)):
+        raise IngestionError("labels must fit in 32 bits")
+
+
+@functools.cache
+def _row_format(types):
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
+
+
+def format_row(row):
+    """One comma-separated line: floats as %.17g (exact round trip), the rest as str."""
+    row = tuple(row)
+    return _row_format(tuple(map(type, row))) % row
 
 
 def write_archive_text(path, data, header=None):
     """Write the text archive; ``header``, a ``#`` comment line, goes first."""
-    _require_ids(data)
-    cols = ",".join(f"x{i:03d}" for i in range(data.x.shape[1]))
-    with open(path, "w") as fh:
+    _check_records(data)
+    columns = ["id", "label"] + [f"x{i:03d}" for i in range(data.x.shape[1])]
+    with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(header + "\n")
-        fh.write(f"id,label,{cols}\n")
-        for i in range(len(data)):
-            values = ",".join(f"{v:.17g}" for v in data.x[i])
-            fh.write(f"{data.ids[i]},{int(data.labels[i])},{values}\n")
+        fh.write(",".join(columns) + "\n")
+        for sample_id, label, values in zip(data.ids, data.labels, data.x.tolist()):
+            fh.write(format_row((sample_id, int(label), *values)) + "\n")
 
 
 def write_archive_binary(path, data):
-    _require_ids(data)
+    _check_records(data)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", _BINARY_VERSION, len(data), data.x.shape[1]))
@@ -193,7 +224,7 @@ def write_archive_binary(path, data):
 
 
 def _read_archive_text(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         while header.startswith("#"):
             header = fh.readline().strip()

@@ -13,7 +13,9 @@ the projection of an arbitrary dense d/dW onto the parameters.  Maps
 are immutable; ``with_params`` builds a sibling that shares the wiring
 indices, so a training loop can swap parameters without re-deriving
 the sparsity pattern of a convolution.  ``GramFactor`` factors one
-weighted Gram matrix, ``GramStack`` one per row of a weight stack.
+weighted Gram matrix, formed as one symmetric product (syrk), and keeps
+its explicit inverse once asked, so W S^-1 is one matrix product;
+``GramStack`` factors one per row of a weight stack.
 """
 
 import functools
@@ -21,6 +23,7 @@ import functools
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 
 from .errors import DomainError, ShapeMismatchError, SingularityError
 
@@ -228,26 +231,30 @@ class GramFactor:
 
     S is the weighted Gram matrix that appears both as the curvature of
     the saddle point objective (w = k'' at the saddle) and, with unit
-    weights, as the plain Gram W'W used to seed the solver.  Weights
+    weights, as the plain Gram W'W used to seed the solver.  It is
+    formed as the symmetric product B B' with B = W' diag(w)^(1/2)
+    (W' itself for unit weights), which BLAS runs as syrk.  Weights
     must be strictly positive and finite.  A failed factorization, or a
     pivot collapsing to zero relative to the trace, raises
     SingularityError carrying the provided label.
 
     The unit-weight factor of a map is kept on the map (``LinearMap.gram``)
-    and so lives exactly as long as the map's parameters; a factor also
-    keeps W S^-1 once a caller has asked for it (``w_s_inv``).
+    and so lives exactly as long as the map's parameters.  A factor
+    keeps S^-1 (``inv``, from the Cholesky factor by LAPACK potri) and
+    W S^-1 (``w_s_inv``, one matrix product with it) once a caller has
+    asked for them; ``solve`` stays a pair of triangular solves.
     """
 
     def __init__(self, map_, weights=None, label="gram"):
         self._a = a = map_.materialize()
-        if weights is None:
-            weights = np.ones(map_.n_in)
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (map_.n_in,):
-            raise ShapeMismatchError(f"{label}: weights shape {w.shape} != ({map_.n_in},)")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise DomainError(f"{label}: gram weights must be positive and finite")
-        s = (a * w) @ a.T
+        if weights is not None:
+            w = np.asarray(weights, dtype=np.float64)
+            if w.shape != (map_.n_in,):
+                raise ShapeMismatchError(f"{label}: weights shape {w.shape} != ({map_.n_in},)")
+            if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+                raise DomainError(f"{label}: gram weights must be positive and finite")
+            a = a * np.sqrt(w)
+        s = a @ a.T
         m = map_.n_out
         try:
             c, lower = cho_factor(s, lower=True)
@@ -269,9 +276,21 @@ class GramFactor:
         return self.solve(np.asarray(r, dtype=np.float64).T).T
 
     @functools.cached_property
+    def inv(self):
+        """S^-1 (n_out x n_out, symmetric, read-only), computed on first use and kept."""
+        c, _ = self._factor
+        lower, info = dpotri(c, lower=True)
+        if info != 0:
+            raise SingularityError(f"gram inverse failed: LAPACK potri info {info}")
+        inv = np.tril(lower)
+        inv += np.tril(inv, -1).T
+        inv.flags.writeable = False
+        return inv
+
+    @functools.cached_property
     def w_s_inv(self):
         """W S^-1 (n_in x n_out, read-only), computed on first use and kept."""
-        p = self.solve(self._a).T
+        p = self._a.T @ self.inv
         p.flags.writeable = False
         return p
 

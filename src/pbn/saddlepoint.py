@@ -328,7 +328,7 @@ def _assemble(map_, converged, n_cols, errors):
     inv = np.full((n_cols, m, m), np.nan)
     logdet = np.full(n_cols, np.nan)
     for cols, f in converged:
-        inv[cols] = f.inv if isinstance(f, GramStack) else f.solve(np.eye(m))
+        inv[cols] = f.inv
         logdet[cols] = f.logdet
     failures = [None if err is None else str(err) for err in errors]
     failed = [col for col, f in enumerate(failures) if f is not None]

@@ -17,7 +17,9 @@ Summed over a batch the first two weight terms are matrix products and
 every map's collector is linear, so each layer folds one dense matrix
 onto its parameters per batch.  Where k''' is exactly zero (always,
 under the Gaussian prior) u and v vanish and q is never needed; with
-the kept unit factor the last term is then B W S^-1.
+the kept unit factor the last term is then B W S^-1, where W S^-1 is
+one matrix product of W with the factor's kept explicit inverse.  The
+sweep skips the input gradient of the first layer, which nothing reads.
 
 Samples whose likelihood is undefined (prior support or infeasible
 feature targets) are skipped and counted; the reported efficiency is
@@ -144,7 +146,8 @@ def gradient(net, x_raw, label=None, trace=None):
         bar_z_tilde = bar_z + half
         grads_b[l - 1] = np.sum(bar_z, axis=0)
         grads_w[l - 1] = spec.map.collect_matrix_grad(x.T @ bar_z_tilde + feature)
-        bar_x = spec.map.adjoint(bar_z_tilde) + prior.grad_log_density(x)
+        if l > 1:
+            bar_x = spec.map.adjoint(bar_z_tilde) + prior.grad_log_density(x)
     return grads_w, grads_b, ll
 
 
@@ -256,9 +259,10 @@ def _pretrain_batch(net, x_raw, labels, rng, dropout):
             bar_z = bar_x * act.activation_deriv(zs[l - 1])
         grads_w[l - 1] = spec.map.param_grad(xs[l - 1], bar_z)
         grads_b[l - 1] = np.sum(bar_z, axis=0)
-        bar_x = spec.map.adjoint(bar_z)
-        if masks is not None and masks[l - 1] is not None:
-            bar_x = bar_x * masks[l - 1]
+        if l > 1:
+            bar_x = spec.map.adjoint(bar_z)
+            if masks is not None and masks[l - 1] is not None:
+                bar_x = bar_x * masks[l - 1]
     return grads_w, grads_b, lls
 
 

@@ -172,6 +172,19 @@ class TestExtract:
         assert read_bytes(arch)[:7] == b"PBNFEAT"
         assert read_archive(arch).x.shape == (16, 900)
 
+    def test_id_with_a_comma_exits_2(self, wav_tree, tmp_path, capsys):
+        bed = os.path.join(wav_tree, "bed")
+        os.rename(os.path.join(bed, "clip3.wav"), os.path.join(bed, "a,b.wav"))
+        arch = tmp_path / "features.csv"
+        rc, _, err = run(
+            capsys,
+            "extract", "--wav-dir", wav_tree, "--out", str(arch),
+            "--n-train", "4", "--n-val", "2",
+        )
+        assert rc == 2
+        assert err.startswith("error: id 'bed/a,b'")
+        assert not arch.exists()
+
     def test_missing_dir_is_usage_error(self, tmp_path, capsys):
         rc, _, err = run(
             capsys, "extract", "--wav-dir", "/no/such/dir", "--out", str(tmp_path / "x.csv")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from pbn import Dataset, IngestionError
@@ -12,6 +14,7 @@ from pbn.features import (
     N_FRAMES,
     extract_directory,
     extract_file,
+    format_row,
     hz_to_mel,
     load_wav,
     logmel,
@@ -311,3 +314,89 @@ class TestArchives:
         path.write_text("id,label,x000,x001\na,0,1.0,2.0\nb,1,3.0\n")
         with pytest.raises(IngestionError, match="fields"):
             read_archive(str(path))
+
+    @pytest.mark.parametrize("writer", [write_archive_text, write_archive_binary])
+    @pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb", "x" * 65536, "\u00e9" * 32768])
+    def test_unwritable_id_raises_before_writing(self, tmp_path, writer, bad_id):
+        data = self.sample_data(n=2, dim=3)
+        data.ids[1] = bad_id
+        path = tmp_path / "arch"
+        with pytest.raises(IngestionError, match="id"):
+            writer(str(path), data)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("writer", [write_archive_text, write_archive_binary])
+    def test_longest_id_round_trips(self, tmp_path, writer):
+        data = self.sample_data(n=2, dim=3)
+        data.ids[0] = "\u00e9" * 32767 + "x"
+        path = str(tmp_path / "arch")
+        writer(path, data)
+        assert read_archive(path).ids == data.ids
+
+    @pytest.mark.parametrize("writer", [write_archive_text, write_archive_binary])
+    def test_label_outside_int32_raises(self, tmp_path, writer):
+        data = self.sample_data(n=2, dim=3)
+        data.labels = np.array([0, 2**31])
+        with pytest.raises(IngestionError, match="labels"):
+            writer(str(tmp_path / "arch"), data)
+
+
+SPECIAL_FLOATS = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+    2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 1e17, -123456789.125,
+]
+
+
+def test_row_format_matches_per_cell_format():
+    rng = np.random.default_rng(20)
+    values = SPECIAL_FLOATS + rng.standard_normal(50).tolist()
+    values += (10.0 ** rng.uniform(-320, 308, 50)).tolist()
+    row = ("cls/a", 3, "orig", *values, np.float64(0.1), True)
+    want = ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+    assert format_row(row) == want
+    assert format_row(list(row)) == want
+
+
+ARCHIVE_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+# tmp_path is shared by the examples of one test; each example overwrites its file
+FUNCTION_SCOPED = HealthCheck.function_scoped_fixture
+
+
+@st.composite
+def archive_records(draw):
+    n = draw(st.integers(0, 4))
+    dim = draw(st.integers(0, 3))
+    ids = draw(st.lists(st.text(max_size=12), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n))
+    x = draw(st.lists(st.lists(ARCHIVE_FLOATS, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    x = np.array(x, dtype=np.float64).reshape(n, dim)
+    return Dataset(x, np.array(labels, dtype=np.int64), ids)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[FUNCTION_SCOPED])
+@given(data=archive_records(), binary=st.booleans())
+def test_archive_round_trips_or_refuses(tmp_path, data, binary):
+    """Any record set either comes back exactly or is refused with IngestionError."""
+    path = str(tmp_path / ("arch.pbnf" if binary else "arch.csv"))
+    try:
+        (write_archive_binary if binary else write_archive_text)(path, data)
+    except IngestionError:
+        return
+    back = read_archive(path)
+    assert back.ids == data.ids
+    np.testing.assert_array_equal(back.labels, data.labels)
+    assert back.x.shape == data.x.shape
+    np.testing.assert_array_equal(back.x, data.x)
+    finite = np.isfinite(data.x)
+    np.testing.assert_array_equal(np.signbit(back.x[finite]), np.signbit(data.x[finite]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[FUNCTION_SCOPED])
+@given(raw=st.binary(max_size=120), binary=st.booleans())
+def test_damaged_archive_raises_only_ingestion_error(tmp_path, raw, binary):
+    path = tmp_path / "damaged"
+    path.write_bytes(b"PBNFEAT\x00" + raw if binary else b"id,label,x000\n" + raw)
+    try:
+        read_archive(str(path))
+    except IngestionError:
+        pass

@@ -4,7 +4,7 @@ Every map keeps its unit-weight GramFactor (``LinearMap.gram``), and
 every factor keeps W S^-1 once asked.  The oracle below restores the
 per-solve construction: a fresh unit factor on every access (every
 seed, and every unit-weight curvature of a solve, reads it anew), and a
-fresh solve for W S^-1 on every gradient; curvature factors with other
+fresh S^-1 and W S^-1 on every use; curvature factors with other
 weights are built per solve either way.  Results must agree bit for
 bit, because both paths run the same arithmetic.
 """
@@ -19,7 +19,9 @@ from pbn.reconstruct import reconstruct_from_layer, reconstruction_statistic
 
 def install_per_sample_oracle(monkeypatch):
     monkeypatch.setattr(LinearMap, "gram", property(lambda map_: GramFactor(map_)))
-    monkeypatch.setattr(GramFactor, "w_s_inv", property(lambda f: f.solve(f._a).T))
+    fresh_inv = GramFactor.inv.func
+    monkeypatch.setattr(GramFactor, "inv", property(fresh_inv))
+    monkeypatch.setattr(GramFactor, "w_s_inv", property(lambda f: f._a.T @ fresh_inv(f)))
 
 
 def wordpair(seed=5):

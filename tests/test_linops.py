@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_solve
 
 from pbn.errors import DomainError, ShapeMismatchError, SingularityError
 from pbn.linops import ConvMap, DenseMap, GramFactor
+from pbn.network import wordpair_network
 
 WORDPAIR_CONVS = [
     dict(in_shape=(1, 45, 20), c_out=9, kernel=(21, 17), strides=(5, 4), out_shape=(9, 9, 5)),
@@ -19,6 +21,16 @@ def make_conv(rng, cfg):
     c_in = cfg["in_shape"][0]
     k = rng.standard_normal((cfg["c_out"], c_in) + cfg["kernel"])
     return ConvMap(k, cfg["in_shape"], cfg["strides"])
+
+
+def assert_kept_inverse_matches_triangular_solves(f, rtol):
+    """S^-1 and W S^-1 of a factor against cho_solve on its own Cholesky factor."""
+    m = f.matrix.shape[0]
+    pairs = [(f.inv, cho_solve(f._factor, np.eye(m))), (f.w_s_inv, cho_solve(f._factor, f._a).T)]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+        assert not got.flags.writeable
+    np.testing.assert_array_equal(f.inv, f.inv.T)
 
 
 def brute_conv_matrix(k, in_shape, strides):
@@ -225,6 +237,36 @@ class TestGramFactor:
         f = GramFactor(m)
         a = m.materialize()
         assert_allclose(f.matrix, a @ a.T, atol=1e-14)
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_kept_inverse_on_wordpair_convs(self, layer):
+        net = wordpair_network(np.random.default_rng(16))
+        assert_kept_inverse_matches_triangular_solves(GramFactor(net.layers[layer].map), 1e-12)
+
+    def test_kept_inverse_on_weighted_dense_map(self):
+        rng = np.random.default_rng(17)
+        m = DenseMap(rng.standard_normal((60, 24)))
+        f = GramFactor(m, rng.uniform(0.1, 10.0, 60))
+        assert_kept_inverse_matches_triangular_solves(f, 1e-12)
+
+    def test_kept_inverse_tolerance_scales_with_condition(self):
+        # singular values of W spread over 1e3, so cond(S) = 1e6
+        rng = np.random.default_rng(18)
+        q_in, _ = np.linalg.qr(rng.standard_normal((60, 24)))
+        q_out, _ = np.linalg.qr(rng.standard_normal((24, 24)))
+        f = GramFactor(DenseMap((q_in * np.logspace(0.0, 3.0, 24)) @ q_out.T))
+        cond = np.linalg.cond(f.matrix)
+        assert 0.5e6 < cond < 2e6
+        assert_kept_inverse_matches_triangular_solves(f, 16 * np.finfo(float).eps * cond)
+
+    def test_weighted_gram_is_the_symmetric_product(self):
+        rng = np.random.default_rng(19)
+        m = DenseMap(rng.standard_normal((9, 4)))
+        w = rng.uniform(0.5, 2.0, 9)
+        f = GramFactor(m, w)
+        a = m.materialize()
+        assert_allclose(f.matrix, (a * w) @ a.T, rtol=1e-13)
+        np.testing.assert_array_equal(f.matrix, f.matrix.T)
 
     def test_weight_domain_errors(self):
         m = DenseMap(np.eye(3))

@@ -5,6 +5,7 @@ from pbn import (
     Dataset,
     DenseMap,
     LayerSpec,
+    LinearMap,
     Network,
     OutputPriorConfig,
     TrainConfig,
@@ -371,6 +372,33 @@ class TestBatchedWarmStart:
             )
             np.testing.assert_allclose(grads_w[l], one_w, rtol=1e-12, atol=1e-15)
         assert lls.shape == (len(data),)
+
+
+class TestBacksweep:
+    """Both reverse sweeps stop at the first layer's weights: no input gradient there."""
+
+    def count_adjoints(self, monkeypatch):
+        calls = []
+        real = LinearMap.adjoint
+        monkeypatch.setattr(LinearMap, "adjoint", lambda m, h: calls.append(m) or real(m, h))
+        return calls
+
+    def test_likelihood_gradient_runs_depth_minus_one_adjoints(self, monkeypatch):
+        net = tg_shift_net(np.random.default_rng(80))
+        x = np.random.default_rng(81).uniform(0.2, 1.5, size=(3, 6))
+        trace = net.interior_trace(x)
+        calls = self.count_adjoints(monkeypatch)
+        gradient(net, x, label=np.array([0, 1, 0]), trace=trace)
+        assert calls == [spec.map for spec in net.layers[:0:-1]]
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_warm_start_gradient_runs_depth_minus_one_adjoints(self, monkeypatch, dropout):
+        net = tg_shift_net(np.random.default_rng(82))
+        data = blob_data(np.random.default_rng(83), n_per=2)
+        x = np.hstack([data.x] * 3)
+        calls = self.count_adjoints(monkeypatch)
+        training._pretrain_batch(net, x, data.labels, np.random.default_rng(84), dropout)
+        assert calls == [spec.map for spec in net.layers[:0:-1]]
 
 
 class TestEvaluate:
