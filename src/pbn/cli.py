@@ -184,11 +184,18 @@ def _write_csv(path, header_comment, columns, rows):
             fh.write(format_row(row) + "\n")
 
 
+def _read_lines(path):
+    """Lines of a UTF-8 text file; bytes that are not UTF-8 raise JoinError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise JoinError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def _read_csv(path):
     """(columns, rows of strings); leading # comment lines are skipped."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
+    body = [ln for ln in _read_lines(path) if ln and not ln.startswith("#")]
     if not body:
         raise JoinError(f"{path}: empty table")
     columns = body[0].split(",")
@@ -524,24 +531,30 @@ def cmd_combine(args):
     ids = [r[col["id"]] for r in rows]
     if len(set(ids)) != len(ids):
         raise JoinError(f"{args.scores}: duplicate ids")
-    labels = np.array([int(r[col["label"]]) for r in rows])
-    s_gen = np.array(
-        [float(r[col["ll0"]]) - float(r[col["ll1"]]) for r in rows], dtype=np.float64
-    )
+    try:
+        labels = np.array([int(r[col["label"]]) for r in rows])
+        s_gen = np.array(
+            [float(r[col["ll0"]]) - float(r[col["ll1"]]) for r in rows], dtype=np.float64
+        )
+    except ValueError as exc:
+        raise JoinError(f"{args.scores}: {exc}") from exc
 
     ext_columns, ext_rows = _read_csv(args.external)
     if "id" not in ext_columns:
         raise JoinError(f"{args.external}: needs an id column")
     ecol = {c: ext_columns.index(c) for c in ext_columns}
-    if "score0" in ecol and "score1" in ecol:
-        ext_map = {
-            r[ecol["id"]]: float(r[ecol["score0"]]) - float(r[ecol["score1"]])
-            for r in ext_rows
-        }
-    elif "score" in ecol:
-        ext_map = {r[ecol["id"]]: float(r[ecol["score"]]) for r in ext_rows}
-    else:
-        raise JoinError(f"{args.external}: needs score or score0/score1 columns")
+    try:
+        if "score0" in ecol and "score1" in ecol:
+            ext_map = {
+                r[ecol["id"]]: float(r[ecol["score0"]]) - float(r[ecol["score1"]])
+                for r in ext_rows
+            }
+        elif "score" in ecol:
+            ext_map = {r[ecol["id"]]: float(r[ecol["score"]]) for r in ext_rows}
+        else:
+            raise JoinError(f"{args.external}: needs score or score0/score1 columns")
+    except ValueError as exc:
+        raise JoinError(f"{args.external}: {exc}") from exc
     missing = [s for s in ids if s not in ext_map]
     if missing or len(ext_map) != len(ids):
         raise JoinError(
@@ -557,7 +570,7 @@ def cmd_combine(args):
     if args.val_ids:
         wanted = {
             ln.strip()
-            for ln in open(args.val_ids)
+            for ln in _read_lines(args.val_ids)
             if ln.strip() and not ln.startswith("#")
         }
         unknown = wanted - set(ids)

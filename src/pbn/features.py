@@ -9,7 +9,11 @@ exactly 45 frames.  A feature vector is the 45x20 matrix flattened
 frame-major, length 900.
 
 Only complete windows produce frames; a clip shorter than one window
-extracts as all floor-energy rows, like digital silence.
+extracts as all floor-energy rows, like digital silence.  A clip is
+framed as one strided (frames x 768) view of the waveform, windowed in
+one multiply, and sent through one real FFT along the frame axis and
+one (frames x 513) x (513 x 20) filterbank product; nothing is batched
+across clips.
 
 Archives store (id, label, 900 floats) records either as delimited
 text or as a little-endian binary stream with an identifying magic;
@@ -76,12 +80,13 @@ def logmel(wave, rate=SAMPLE_RATE):
     if wave.size < HOP:
         raise IngestionError(f"clip too short: {wave.size} < {HOP} samples (16 ms)")
 
-    n_frames = max(0, 1 + (wave.size - WINDOW) // HOP)
+    n = min(max(0, 1 + (wave.size - WINDOW) // HOP), N_FRAMES)
     out = np.full((N_FRAMES, N_BANDS), np.log(ENERGY_FLOOR))
-    for t in range(min(n_frames, N_FRAMES)):
-        frame = wave[t * HOP : t * HOP + WINDOW] * _WINDOW_FN
-        power = np.abs(np.fft.rfft(frame, n=N_FFT)) ** 2
-        out[t] = np.log(np.maximum(_BANK @ power, ENERGY_FLOOR))
+    if n:
+        frames = np.lib.stride_tricks.sliding_window_view(wave, WINDOW)[: n * HOP : HOP]
+        spectra = np.fft.rfft(frames * _WINDOW_FN, n=N_FFT, axis=1)
+        power = spectra.real**2 + spectra.imag**2
+        out[:n] = np.log(np.maximum(power @ _BANK.T, ENERGY_FLOOR))
     return out
 
 

@@ -183,15 +183,16 @@ class ConvMap(LinearMap):
         _, h, w = self.in_shape
         sy, sx = self.strides
         _, h_out, w_out = self.out_shape
-        co, ty, tx, ci, dy, dx = (
-            a.ravel() for a in np.indices((c_out, h_out, w_out, c_in, kh, kw))
-        )
+        # one open index per axis of (c_out, h_out, w_out, c_in, kh, kw); the
+        # flat indices broadcast over them and one mask keeps in-image taps
+        shape = (c_out, h_out, w_out, c_in, kh, kw)
+        co, ty, tx, ci, dy, dx = np.ix_(*(np.arange(n) for n in shape))
         iy = ty * sy + dy - (kh - 1) // 2
         ix = tx * sx + dx - (kw - 1) // 2
-        ok = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
-        out_idx = np.ravel_multi_index((co[ok], ty[ok], tx[ok]), self.out_shape)
-        in_idx = np.ravel_multi_index((ci[ok], iy[ok], ix[ok]), self.in_shape)
-        par_idx = np.ravel_multi_index((co[ok], ci[ok], dy[ok], dx[ok]), self._params.shape)
+        ok = np.broadcast_to((iy >= 0) & (iy < h) & (ix >= 0) & (ix < w), shape)
+        out_idx = np.broadcast_to((co * h_out + ty) * w_out + tx, shape)[ok]
+        in_idx = np.broadcast_to((ci * h + iy) * w + ix, shape)[ok]
+        par_idx = np.broadcast_to(((co * c_in + ci) * kh + dy) * kw + dx, shape)[ok]
         return out_idx * self.n_in + in_idx, in_idx * self.n_out + out_idx, par_idx
 
     @property

@@ -9,6 +9,10 @@ within rounding as flat, and a non-finite residual fails the solve).
 It uses the package's priors, maps and output-shift helpers, which act
 elementwise, and nothing from its saddle, network, training or
 reconstruction code.  Tests compare the batched results with these.
+
+Two front-end pieces are kept the same way: ``logmel`` with one FFT and
+one filterbank product per frame, and ``conv_wiring``, the tap indices
+of a ``ConvMap`` built from full ``np.indices`` grids.
 """
 
 import math
@@ -21,6 +25,7 @@ from pbn.errors import (
     ReconstructionError,
     SingularityError,
 )
+from pbn.features import _BANK, _WINDOW_FN, ENERGY_FLOOR, HOP, N_BANDS, N_FFT, N_FRAMES, WINDOW
 from pbn.linops import GramFactor
 from pbn.network import (
     INNER_ACTIVATIONS,
@@ -200,3 +205,31 @@ def reconstruction_statistic(net, x_raw, layer):
     _, zs = net.forward_pass(x_raw)
     x_hat = reconstruct_from_layer(net, layer, zs[layer - 1])
     return float(-np.log(max(float(np.mean((x_raw - x_hat) ** 2)), 1e-12)))
+
+
+def logmel(wave):
+    """Log-MEL matrix of one clip, one FFT and one filterbank product per frame."""
+    wave = np.asarray(wave, dtype=np.float64)
+    n_frames = max(0, 1 + (wave.size - WINDOW) // HOP)
+    out = np.full((N_FRAMES, N_BANDS), np.log(ENERGY_FLOOR))
+    for t in range(min(n_frames, N_FRAMES)):
+        frame = wave[t * HOP : t * HOP + WINDOW] * _WINDOW_FN
+        power = np.abs(np.fft.rfft(frame, n=N_FFT)) ** 2
+        out[t] = np.log(np.maximum(_BANK @ power, ENERGY_FLOOR))
+    return out
+
+
+def conv_wiring(conv):
+    """(dense, transposed-dense, parameter) flat indices of a ConvMap's taps, via np.indices."""
+    c_out, c_in, kh, kw = conv.params.shape
+    _, h, w = conv.in_shape
+    sy, sx = conv.strides
+    _, h_out, w_out = conv.out_shape
+    co, ty, tx, ci, dy, dx = (a.ravel() for a in np.indices((c_out, h_out, w_out, c_in, kh, kw)))
+    iy = ty * sy + dy - (kh - 1) // 2
+    ix = tx * sx + dx - (kw - 1) // 2
+    ok = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
+    out_idx = np.ravel_multi_index((co[ok], ty[ok], tx[ok]), conv.out_shape)
+    in_idx = np.ravel_multi_index((ci[ok], iy[ok], ix[ok]), conv.in_shape)
+    par_idx = np.ravel_multi_index((co[ok], ci[ok], dy[ok], dx[ok]), conv.params.shape)
+    return out_idx * conv.n_in + in_idx, in_idx * conv.n_out + out_idx, par_idx

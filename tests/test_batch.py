@@ -7,17 +7,16 @@ same layers, and nothing that depends on which other rows share the
 batch beyond the summation order of matrix products.
 
 Two results pass through steps that amplify rounding, so their bounds
-are wider, set from that amplification rather than from a run.  The
-gradient of a net with uniform and truncated-Gaussian priors carries
-their third cgf derivatives, and the uniform prior's closed form just
-outside its series window (|a| = 0.05) computes -2/a^3 + ... = -a/120
-from terms near 16000, losing 7.6 digits (relative error up to 4e-8),
-so that gradient is held to 1e-8; with Gaussian priors on the wide
-layers the gradient is held to 1e-12.  The reconstruction statistic is
--log of a mean squared difference of nearly equal vectors, held to
-1e-10.  Over 800 random batches the largest differences seen were
-1.2e-9 (uniform/tg gradient), 3.3e-13 (Gaussian-conv gradient) and
-1.1e-12 (statistic).
+are wider.  The gradient of a net with uniform and truncated-Gaussian
+priors carries their third cgf derivatives and is held to 1e-8; its
+largest differences sit in a truncated-Gaussian layer whose solved
+preactivation reaches about -20 (the uniform prior's k''' holds to
+rounding since its series window reaches |a| = 1).  With Gaussian
+priors on the wide layers the gradient is held to 1e-12.  The
+reconstruction statistic is -log of a mean squared difference of
+nearly equal vectors, held to 1e-10.  Over 800 random batches the
+largest differences seen were 1.2e-9 (uniform/tg gradient), 3.3e-13
+(Gaussian-conv gradient) and 1.1e-12 (statistic).
 """
 
 import contextlib

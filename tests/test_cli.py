@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from pbn import (
@@ -16,8 +18,8 @@ from pbn import (
     saddlepoint,
     save_model,
 )
-from pbn.cli import main, parse_config
-from pbn.errors import ConfigError
+from pbn.cli import _read_csv, main, parse_config
+from pbn.errors import ConfigError, PbnError
 from pbn.features import extract_directory, read_archive, write_archive_binary, write_archive_text
 
 
@@ -684,6 +686,48 @@ class TestCombine:
         assert rc == 2
         assert err.startswith("error: ")
         assert "missing.csv" in err
+
+    @pytest.mark.parametrize(
+        "which, old, new",
+        [
+            ("scores", b"s03,1,", b"s03,one,"),
+            ("scores", b",0.0,1.0", b",0.0x,1.0"),
+            ("scores", b"s00", b"\xff"),
+            ("external", b"s04,3.0", b"s04,three"),
+            ("external", b"s00", b"\xff"),
+            ("val", b"s01", b"\xff"),
+        ],
+    )
+    def test_damaged_table_exits_2(self, tmp_path, capsys, which, old, new):
+        # a non-numeric label or score, or a byte that is never UTF-8
+        scores = self.score_table(tmp_path)
+        external = self.external_table(tmp_path, [(f"s{i:02d}", i % 2) for i in range(10)])
+        val = tmp_path / "val.txt"
+        val.write_text("s00\ns01\n")
+        path = {"scores": scores, "external": external, "val": str(val)}[which]
+        text = read_bytes(path)
+        assert old in text
+        with open(path, "wb") as fh:
+            fh.write(text.replace(old, new, 1))
+        rc, _, err = run(
+            capsys,
+            "combine", "--scores", scores, "--external", external,
+            "--out", str(tmp_path / "o.csv"), "--val-ids", str(val),
+        )
+        assert rc == 2
+        assert err.startswith("error: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary(max_size=200) | st.text(alphabet=",#\n\r0a\xff", max_size=40).map(str.encode))
+def test_read_csv_raises_only_package_errors(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    path.write_bytes(raw)
+    try:
+        columns, rows = _read_csv(str(path))
+    except PbnError:
+        return
+    assert all(len(r) == len(columns) for r in rows)
 
 
 class TestParser:

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+import oracle
 from pbn import Dataset, IngestionError
 from pbn.features import (
     ENERGY_FLOOR,
@@ -98,6 +99,38 @@ class TestLogmel:
             logmel(np.zeros((100, 2)))
         with pytest.raises(IngestionError):
             logmel(np.zeros(200))
+
+
+# Around every framing edge: under one hop, one short of a window, exactly
+# one window, one short of and at a second frame, the last complete 45th
+# frame and one sample either side of it, and two seconds (cropped).
+EDGE_LENGTHS = [256, 767, 768, 1023, 1024, 768 + 44 * 256 - 1, 768 + 44 * 256, 768 + 44 * 256 + 1, 32000]
+
+
+def assert_matches_per_frame_oracle(wave):
+    got, want = logmel(wave), oracle.logmel(wave)
+    n_real = min(max(0, 1 + (wave.size - 768) // 256), N_FRAMES)
+    np.testing.assert_array_equal(got[n_real:], FLOOR_CELL)
+    np.testing.assert_array_equal(want[n_real:], FLOOR_CELL)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+class TestLogmelAgainstPerFrameOracle:
+    @pytest.mark.parametrize("length", EDGE_LENGTHS)
+    def test_edge_lengths(self, length):
+        rng = np.random.default_rng(length)
+        assert_matches_per_frame_oracle(rng.uniform(-0.5, 0.5, length))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        length=st.integers(256, 40000),
+        log_amplitude=st.floats(-7.0, 0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_lengths_and_levels(self, length, log_amplitude, seed):
+        # quiet clips put some bands of real frames on the energy floor
+        rng = np.random.default_rng(seed)
+        assert_matches_per_frame_oracle(10.0**log_amplitude * rng.uniform(-1.0, 1.0, length))
 
 
 class TestFilterbank:

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_solve
 
+import oracle
 from pbn.errors import DomainError, ShapeMismatchError, SingularityError
 from pbn.linops import ConvMap, DenseMap, GramFactor
 from pbn.network import wordpair_network
@@ -93,6 +94,33 @@ class TestConvWiring:
         assert np.unique(dense_idx).size == dense_idx.size
         want = brute_conv_matrix(m.params, cfg["in_shape"], cfg["strides"])
         np.testing.assert_array_equal(m.materialize(), want)
+
+    @pytest.mark.parametrize("cfg", WORDPAIR_CONVS, ids=["conv1", "conv2"])
+    def test_wiring_equals_the_full_index_grid_oracle(self, cfg):
+        m = make_conv(np.random.default_rng(3), cfg)
+        for got, want in zip(m._wiring, oracle.conv_wiring(m)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c_in=st.integers(1, 3),
+        c_out=st.integers(1, 3),
+        kh=st.integers(1, 6),
+        kw=st.integers(1, 6),
+        sy=st.integers(1, 8),
+        sx=st.integers(1, 8),
+        extra_h=st.integers(0, 9),
+        extra_w=st.integers(0, 9),
+    )
+    def test_wiring_sweep_equals_the_oracle(self, c_in, c_out, kh, kw, sy, sx, extra_h, extra_w):
+        # even kernels, strides past the kernel and images smaller than it
+        h, w = sy + extra_h, sx + extra_w
+        assume(c_out * (h // sy) * (w // sx) <= c_in * h * w)
+        m = ConvMap(np.ones((c_out, c_in, kh, kw)), (c_in, h, w), (sy, sx))
+        for got, want in zip(m._wiring, oracle.conv_wiring(m)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_forward_is_materialized_product(self):
         rng = np.random.default_rng(1)

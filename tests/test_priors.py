@@ -32,8 +32,18 @@ def mills_reference(a):
         return float(num / den)
 
 
+def uniform_deriv_references(a):
+    """k''(a) and k'''(a) of the uniform prior from their closed forms at 60 digits."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(a)
+        e = mpmath.exp(a)
+        k2 = 1 / a**2 - 1 / (4 * mpmath.sinh(a / 2) ** 2)
+        k3 = -2 / a**3 + e * (e + 1) / (e - 1) ** 3
+        return float(k2), float(k3)
+
+
 # Every branch of every prior: far tails, the Taylor windows around 0
-# (|a| < 5e-3 and |a| < 0.05) and both sides of the tg switch at a = -5.
+# (|a| < 5e-3 and |a| < 1) and both sides of the tg switch at a = -5.
 BRANCH_GRID = [-700.0, -40.0, -6.0, -4.0, -1.0, -0.03, -1e-3, 0.0, 1e-3, 0.03, 1.0, 6.0, 40.0, 700.0]
 
 
@@ -96,6 +106,16 @@ class TestClosedFormAnchors:
             1.0 - 2.0 / math.pi, rel=1e-14
         )
         assert UNIFORM.activation_deriv(0.0) == pytest.approx(1.0 / 12.0, rel=1e-14)
+
+    def test_uniform_derivatives_against_mpmath(self):
+        # a log grid through both series windows and the closed forms
+        mags = np.geomspace(1e-6, 40.0, 1200)
+        grid = np.concatenate([-mags[::-1], mags])
+        k2, k3 = UNIFORM.activation_deriv(grid), UNIFORM.cgf_third_deriv(grid)
+        for a, got2, got3 in zip(grid, k2, k3):
+            want2, want3 = uniform_deriv_references(a)
+            assert rel_err(got2, want2) < 1e-12, f"k'' at a={a}"
+            assert rel_err(got3, want3) < 1e-12, f"k''' at a={a}"
 
     def test_inverse_anchors(self):
         assert GAUSSIAN.activation_inverse(3.0) == 3.0
