@@ -10,6 +10,7 @@ nothing is lost to normalization.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, JoinError, PbnError
+from .errors import ConfigError, JoinError, PbnError, TrainingError
 from .features import (
     extract_directory,
     format_row,
@@ -78,9 +79,12 @@ def parse_config(path):
     if path is None:
         return resolved
     try:
-        lines = open(path).read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     for ln, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -319,7 +323,7 @@ def cmd_train(args):
         net = result.network
         history_rows += [("pretrain", r) for r in result.history]
         if result.aborted:
-            aborted = ("pretrain", len(result.history) + 1)
+            aborted = ("pretrain", len(result.history) + 1, result.reason)
 
     epochs = _as_int(cfg["epochs"], "epochs")
     if epochs > 0 and aborted is None:
@@ -331,11 +335,19 @@ def cmd_train(args):
             l2=_as_float(cfg["l2"], "l2"),
             seed=args.seed,
         )
-        result = train(net, train_data, pbn_cfg, val_data=val_data)
-        net = result.network
-        history_rows += [("pbn", r) for r in result.history]
-        if result.aborted:
-            aborted = ("pbn", len(result.history) + 1)
+        try:
+            result = train(net, train_data, pbn_cfg, val_data=val_data)
+        except TrainingError as exc:
+            # the warm start left a network this phase cannot start from;
+            # the warm-start model is the last good checkpoint
+            if not args.pretrain:
+                raise
+            aborted = ("pbn", 1, str(exc))
+        else:
+            net = result.network
+            history_rows += [("pbn", r) for r in result.history]
+            if result.aborted:
+                aborted = ("pbn", len(result.history) + 1, result.reason)
 
     doc = network_to_dict(net)
     doc["meta"] = {
@@ -360,9 +372,9 @@ def cmd_train(args):
     ]
     _write_csv(out_history, header, ["phase", "epoch", "objective", "val_accuracy", "efficiency"], rows)
     if aborted is not None:
-        phase, epoch = aborted
+        phase, epoch, reason = aborted
         print(
-            f"error: {phase} phase aborted in epoch {epoch}: non-finite objective or gradient; "
+            f"error: {phase} phase aborted in epoch {epoch}: {reason}; "
             f"saved the last good checkpoint to {args.out_model}",
             file=sys.stderr,
         )
@@ -678,7 +690,43 @@ def build_parser():
     return parser
 
 
+# glibc's mallopt parameters (malloc.h) and the values the CLI sets:
+# M_MMAP_THRESHOLD at the largest glibc accepts on 64-bit, M_TRIM_THRESHOLD
+# above any working set of the stock network
+_MALLOC_POLICY = ((-3, 32 * 1024 * 1024), (-1, 256 * 1024 * 1024))
+
+
+def _keep_freed_memory():
+    """Keep this process's freed heap pages for reuse; True if the policy was applied.
+
+    Every training step allocates and frees multi-megabyte arrays (dense
+    conv matrices, parameter gradients, Gram factors).  By default glibc
+    serves blocks above a threshold set by the largest block freed so far
+    from fresh mmaps, and trims the heap top once twice that is free, so
+    each step faults the same pages in again.  Under this policy blocks
+    under 32 MiB come from the heap and freed pages stay resident, for
+    about 1-2% more peak memory.  Only ``main`` sets it, so importing the
+    package changes nothing.  Other C libraries number mallopt's
+    parameters differently or stub it, so anywhere but glibc this does
+    nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (AttributeError, ValueError, OSError):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # a list, not a generator: set every parameter even if one is refused
+    return all([mallopt(param, value) == 1 for param, value in _MALLOC_POLICY])
+
+
 def main(argv=None):
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -264,7 +264,8 @@ class GramFactor:
         piv = np.diagonal(c)
         if np.any(piv * piv < 1e-12 * np.trace(s) / m):
             raise SingularityError(f"{label}: gram matrix is numerically singular")
-        self.matrix = _readonly(s)
+        s.flags.writeable = False
+        self.matrix = s
         self._factor = (c, lower)
         self.logdet = float(2.0 * np.sum(np.log(piv)))
 

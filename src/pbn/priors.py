@@ -28,13 +28,16 @@ tags ``linear``, ``tg`` and ``ted`` map back onto the same three objects.
 Numerical notes.  The truncated-Gaussian inverse Mills ratio
 r(a) = N(a)/Phi(a) is evaluated through the scaled complementary error
 function for a < 0, which stays accurate far into the tail where Phi(a)
-underflows (direct evaluation dies near a = -38).  The uniform-prior
-functions switch to Taylor series around a = 0 where the closed forms
-cancel catastrophically.  All four functions of every prior are finite
+underflows (direct evaluation dies near a = -38).  Below a = -5 its
+closed forms for k', k'' and k''' cancel (k'(a) = a + r(a) ~ -1/a), so
+there all three come from the continued fraction of k' instead.  The
+uniform-prior functions switch to Taylor series around a = 0 where the
+closed forms cancel catastrophically.  All four functions of every prior are finite
 and NaN-free at least on [-700, 700].
 """
 
 import math
+from itertools import zip_longest
 
 import numpy as np
 from scipy import special
@@ -181,6 +184,79 @@ class GaussianPrior(ScalarPrior):
         return rng.standard_normal(n)
 
 
+# Below this preactivation the truncated-Gaussian k, k', k'' and k''' switch
+# to forms that do not cancel; at and above it the closed forms hold (k''',
+# the worst, to about 5e-12 relative near the switch).
+_TG_TAIL = -5.0
+# Levels of the continued fraction of k' that the polynomials below carry;
+# 32 hold all three derivatives to rounding at t = 5.
+_TG_FRACTION_DEPTH = 32
+
+
+def _fraction_polynomials(first):
+    """Coefficients in z of P and Q with t u_first = P(z) / Q(z), z = 1/t^2.
+
+    Unwound from u_(depth+1) = 0 by t u_k = k / (1 + z t u_(k+1)) in exact
+    integers.  Every coefficient is positive, so P and Q sum without
+    cancelling.
+    """
+    p, q = [0], [1]
+    for k in range(_TG_FRACTION_DEPTH, first - 1, -1):
+        p, q = [k * c for c in q], [x + y for x, y in zip_longest(q, [0] + p, fillvalue=0)]
+    return p, q
+
+
+# columns P, Q of t u_1, then of t u_2, t u_3 and t u_4; row i holds z^i terms
+_TG_FRACTION_COEFFS = np.array(
+    list(zip_longest(*(c for k in (1, 2, 3, 4) for c in _fraction_polynomials(k)), fillvalue=0)),
+    dtype=np.float64,
+)
+
+
+def _tg_fraction(t):
+    """u_1 .. u_4 of u_k = k / (t + u_(k+1)) as rows, for a 1-d array of t = -a > 0.
+
+    By Laplace's continued fraction of the Mills ratio, r(-t) = t + u_1,
+    so k'(-t) = u_1 with every term positive and nothing to cancel.  The
+    polynomials above are summed by einsum, not BLAS, so that no
+    element's result depends on the others in the array.
+    """
+    s = 1.0 / t
+    powers = np.empty((len(_TG_FRACTION_COEFFS), len(t)))
+    powers[0] = 1.0
+    powers[1:] = s * s
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    pq = np.einsum("kn,kj->jn", powers, _TG_FRACTION_COEFFS)
+    return pq[0::2] / pq[1::2] * s
+
+
+def _tg_split(a, tail, rest):
+    """tail(-a) where a < _TG_TAIL and rest(a) elsewhere, elementwise."""
+    a = np.asarray(a, dtype=np.float64)
+    below = a < _TG_TAIL
+    if not below.any():  # most arrays: no masked copies
+        return rest(a)
+    out = np.empty_like(a)
+    out[below] = tail(-a[below])
+    above = ~below
+    out[above] = rest(a[above])
+    return out
+
+
+def _tg_tail_k2(t):
+    # 1 - r k' = u_1 (u_2 - u_1), and u_2 - u_1 = u_1 (t + 2 u_2 - u_3) / (t + u_3)
+    u1, u2, u3, _ = _tg_fraction(t)
+    return u1 * u1 * (t + 2.0 * u2 - u3) / (t + u3)
+
+
+def _tg_tail_k3(t):
+    # r (k'^2 - k'') = 2 r u_1^2 (u_3 - u_2) / (t + u_3), with r = t + u_1 and
+    # u_3 - u_2 = (t + 3 u_3 - 2 u_4) / ((t + u_3)(t + u_4)); the ratios keep
+    # every intermediate finite for huge t
+    u1, _, u3, u4 = _tg_fraction(t)
+    return 2.0 * u1 * u1 * ((t + u1) / (t + u3)) * ((t + 3.0 * u3 - 2.0 * u4) / (t + u3)) / (t + u4)
+
+
 class TruncatedGaussianPrior(ScalarPrior):
     """Standard normal truncated to (0, inf): density 2 N(x) for x > 0.
 
@@ -188,6 +264,9 @@ class TruncatedGaussianPrior(ScalarPrior):
     k'(a)     = a + r(a)            with r = N/Phi (inverse Mills ratio)
     k''(a)    = 1 - r(a) (a + r(a))
     k'''(a)   = r(a) [(a + r(a)) (a + 2 r(a)) - 1]
+
+    Below a = -5, k is log erfcx(-a/sqrt(2)) and the three derivatives
+    come from the continued fraction of k' (``_tg_fraction``).
     """
 
     kind = "truncated_gaussian"
@@ -206,28 +285,29 @@ class TruncatedGaussianPrior(ScalarPrior):
         return out
 
     def cgf(self, a):
-        a = np.asarray(a, dtype=np.float64)
-        out = np.empty_like(a)
-        tail = a < -5.0
         # a^2/2 + log(2 Phi(a)) == log erfcx(-a/sqrt(2)) identically.
-        out[tail] = np.log(special.erfcx(-a[tail] / _SQRT2))
-        rest = ~tail
-        out[rest] = 0.5 * a[rest] * a[rest] + np.log(2.0 * special.ndtr(a[rest]))
-        return out
+        return _tg_split(
+            a,
+            lambda t: np.log(special.erfcx(t / _SQRT2)),
+            lambda a: 0.5 * a * a + np.log(2.0 * special.ndtr(a)),
+        )
 
     def activation(self, a):
-        a = np.asarray(a, dtype=np.float64)
-        return a + self._mills(a)
+        return _tg_split(a, lambda t: _tg_fraction(t)[0], lambda a: a + self._mills(a))
 
     def activation_deriv(self, a):
-        a = np.asarray(a, dtype=np.float64)
-        r = self._mills(a)
-        return 1.0 - r * (a + r)
+        def closed(a):
+            r = self._mills(a)
+            return 1.0 - r * (a + r)
+
+        return _tg_split(a, _tg_tail_k2, closed)
 
     def cgf_third_deriv(self, a):
-        a = np.asarray(a, dtype=np.float64)
-        r = self._mills(a)
-        return r * ((a + r) * (a + 2.0 * r) - 1.0)
+        def closed(a):
+            r = self._mills(a)
+            return r * ((a + r) * (a + 2.0 * r) - 1.0)
+
+        return _tg_split(a, _tg_tail_k3, closed)
 
     def activation_inverse(self, y):
         y = np.asarray(y, dtype=np.float64)

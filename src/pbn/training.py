@@ -23,9 +23,11 @@ sweep skips the input gradient of the first layer, which nothing reads.
 
 Samples whose likelihood is undefined (prior support or infeasible
 feature targets) are skipped and counted; the reported efficiency is
-the fraction that evaluated.  A batch with no usable sample raises
-TrainingError, and a non-finite objective or gradient aborts training,
-returning the last good checkpoint.
+the fraction that evaluated.  A non-finite objective or gradient aborts
+training, returning the last good checkpoint, and so does a batch with
+no usable sample once the phase has taken a step.  Before the first
+step such a batch raises TrainingError: the data or the starting
+network is at fault, and there is nothing to keep.
 
 Both training modes ascend: the discriminative warm start maximizes the
 softmax log-probability of labels under the logits z_L, the generative
@@ -99,6 +101,7 @@ class TrainResult:
     network: object
     history: list = field(default_factory=list)
     aborted: bool = False
+    reason: str = None  # why the run aborted
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +352,7 @@ def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
     opt = _make_optimizer(config)
     history = []
     best_net, best_acc = net, -1.0
-    aborted = False
+    reason = None
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(data))
@@ -357,9 +360,15 @@ def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
         value_sum, defined_sum, attempted_sum = 0.0, 0, 0
         for start in range(0, len(order), size):
             idx = order[start : start + size]
-            grads_w, grads_b, value, defined = _batch(net, data, idx, config.l2, batch_grad)
+            try:
+                grads_w, grads_b, value, defined = _batch(net, data, idx, config.l2, batch_grad)
+            except TrainingError as exc:
+                if epoch == 1 and start == 0:
+                    raise
+                reason = str(exc)
+                break
             if not (np.isfinite(value) and _all_finite(grads_w) and _all_finite(grads_b)):
-                aborted = True
+                reason = "non-finite objective or gradient"
                 break
             flat = list(grads_w) + list(grads_b)
             params = [spec.map.params for spec in net.layers] + [
@@ -370,7 +379,7 @@ def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
             value_sum += value * defined
             defined_sum += defined
             attempted_sum += len(idx)
-        if aborted:
+        if reason is not None:
             break
         val_acc = None if val_data is None else val_fn(net, val_data)
         history.append(
@@ -383,7 +392,7 @@ def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
         )
         if val_data is None or val_acc >= best_acc:
             best_acc, best_net = val_acc, _checkpoint(net)
-    return TrainResult(network=best_net, history=history, aborted=aborted)
+    return TrainResult(network=best_net, history=history, aborted=reason is not None, reason=reason)
 
 
 def train(net, data, config, val_data=None):

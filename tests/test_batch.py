@@ -8,15 +8,14 @@ batch beyond the summation order of matrix products.
 
 Two results pass through steps that amplify rounding, so their bounds
 are wider.  The gradient of a net with uniform and truncated-Gaussian
-priors carries their third cgf derivatives and is held to 1e-8; its
-largest differences sit in a truncated-Gaussian layer whose solved
-preactivation reaches about -20 (the uniform prior's k''' holds to
-rounding since its series window reaches |a| = 1).  With Gaussian
-priors on the wide layers the gradient is held to 1e-12.  The
-reconstruction statistic is -log of a mean squared difference of
-nearly equal vectors, held to 1e-10.  Over 800 random batches the
-largest differences seen were 1.2e-9 (uniform/tg gradient), 3.3e-13
-(Gaussian-conv gradient) and 1.1e-12 (statistic).
+priors carries their third cgf derivatives and is held to 1e-8, a bound
+set when the tg k''' was off by 3.5e-9 at the preactivations of about
+-20 that these nets reach.  With the tg tail's continued fraction the
+largest difference over 2,400 random batches is 2.5e-12.  With Gaussian
+priors on the wide layers the gradient is held to 1e-12.  The reconstruction statistic is -log of a mean squared
+difference of nearly equal vectors, held to 1e-10.  Over 800 random
+batches the largest differences seen were 3.3e-13 (Gaussian-conv
+gradient) and 1.1e-12 (statistic).
 """
 
 import contextlib

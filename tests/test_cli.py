@@ -1,5 +1,8 @@
+import ctypes
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+import pbn
 from pbn import (
     Dataset,
     DenseMap,
@@ -18,7 +22,7 @@ from pbn import (
     saddlepoint,
     save_model,
 )
-from pbn.cli import _read_csv, main, parse_config
+from pbn.cli import _keep_freed_memory, _read_csv, main, parse_config
 from pbn.errors import ConfigError, PbnError
 from pbn.features import extract_directory, read_archive, write_archive_binary, write_archive_text
 
@@ -260,6 +264,18 @@ class TestTrain:
         assert rc == 2
         assert "unknown config key" in err
 
+    def test_non_utf8_config_exits_2(self, tmp_path, toy_archive, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"arch=wordpair\nC=\xff\n")
+        rc, out, err = run(
+            capsys,
+            "train", "--features", toy_archive, "--config", str(cfg),
+            "--out-model", str(tmp_path / "m.json"),
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {cfg}: not UTF-8 text")
+        assert not (tmp_path / "m.json").exists()
+
     def test_split_manifest_selects_validation(self, tmp_path, toy_archive, toy_config, capsys):
         data = read_archive(toy_archive)
         split = tmp_path / "split.csv"
@@ -284,10 +300,53 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_saves_checkpoint_and_exits_2(self, tmp_path, toy_archive, capsys):
-        cfg = tmp_path / "diverge.cfg"
-        cfg.write_text(
+        # a warm-start step of 1e30 saturates the net: all four epochs end
+        # with a finite objective, and the likelihood phase then has no
+        # defined sample in its first batch
+        diverge = (
             "arch=custom\ninput_shape=6\nlayers=dense:4:tg,dense:2:shift\nC=20\n"
             "pretrain_epochs=4\npretrain_optimizer=sgd\npretrain_learning_rate=1e30\n"
+        )
+        docs = []
+        for name, extra in (("d", ""), ("warm", "epochs=0\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(diverge + extra)
+            model = str(tmp_path / f"{name}.json")
+            rc, out, err = run(
+                capsys,
+                "train", "--features", toy_archive, "--config", str(cfg),
+                "--out-model", model, "--pretrain", "--seed", "2",
+            )
+            docs.append(json.loads(open(model).read()))
+            if name == "d":
+                assert (rc, out) == (2, "")
+                assert err == (
+                    "error: pbn phase aborted in epoch 1: no sample in the batch has a "
+                    f"defined likelihood; saved the last good checkpoint to {model}\n"
+                )
+                body = [
+                    ln
+                    for ln in open(str(tmp_path / "d_history.csv")).read().splitlines()
+                    if not ln.startswith("#")
+                ][1:]
+                assert [ln.split(",")[:2] for ln in body] == [
+                    ["pretrain", str(e)] for e in range(1, 5)
+                ]
+            else:
+                assert rc == 0
+        # the saved checkpoint is the warm start itself
+        assert docs[0]["layers"] == docs[1]["layers"]
+        assert all(np.all(np.isfinite(layer["map"]["weights"])) for layer in docs[0]["layers"])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_warm_start_saves_checkpoint_and_exits_2(
+        self, tmp_path, toy_archive, capsys
+    ):
+        cfg = tmp_path / "diverge.cfg"
+        # one step this large overflows the second epoch's logits
+        cfg.write_text(
+            "arch=custom\ninput_shape=6\nlayers=dense:4:tg,dense:2:shift\nC=20\n"
+            "pretrain_epochs=4\npretrain_optimizer=sgd\npretrain_learning_rate=1e200\n"
         )
         model = str(tmp_path / "d.json")
         rc, out, err = run(
@@ -745,3 +804,93 @@ class TestParser:
         cfg.write_text("justaword\n")
         with pytest.raises(ConfigError):
             parse_config(str(cfg))
+
+
+# Allocates, touches and frees eight 3.2 MB arrays per round (below numpy's
+# 4 MiB huge-page cut) and prints each round's minor faults and the pages
+# one round touches.  A round is a function, so that no loop variable keeps
+# an array alive at the top of the heap.
+FAULT_PROBE = """
+import json, resource, sys
+import numpy as np
+import pbn.cli
+if sys.argv[1] == "policy":
+    assert pbn.cli._keep_freed_memory()
+def one_round():
+    arrays = [np.empty(400_000) for _ in range(8)]
+    for a in arrays:
+        a.fill(1.0)
+faults, pages = [], 8 * 400_000 * 8 // resource.getpagesize()
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    one_round()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps([faults, pages]))
+"""
+
+
+def _on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _probe_faults(mode):
+    """Minor faults of rounds 2-5 of FAULT_PROBE and the pages they touched.
+
+    A fresh process, because the policy is process-wide and this one has
+    already run ``main``; round 1 grows the heap and faults either way.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pbn.__file__)))
+    # glibc reads its own malloc settings from these, which would make the
+    # control run keep its freed pages too
+    env = {
+        k: v for k, v in os.environ.items()
+        if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"
+    }
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, mode],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    faults, pages = json.loads(proc.stdout)
+    return sum(faults[1:]), 4 * pages
+
+
+def _raising(exc):
+    def fake(name):
+        raise exc
+
+    return fake
+
+
+class TestMemoryPolicy:
+    @pytest.mark.skipif(not _on_glibc(), reason="the policy applies on glibc only")
+    def test_freed_pages_are_reused_across_rounds(self):
+        faults, touched = _probe_faults("policy")
+        assert faults <= 0.05 * touched
+        control, touched = _probe_faults("default")
+        assert control > 0.5 * touched
+
+    @pytest.mark.parametrize(
+        "module, name, fake",
+        [
+            (ctypes, "CDLL", _raising(OSError("no C library"))),
+            (ctypes, "CDLL", lambda name: object()),
+            (os, "confstr", _raising(ValueError("unrecognized configuration name"))),
+        ],
+        ids=["no C library", "no mallopt", "not glibc"],
+    )
+    def test_declines_quietly_and_main_still_runs(
+        self, module, name, fake, monkeypatch, tmp_path, toy_archive, toy_config, capsys
+    ):
+        monkeypatch.setattr(module, name, fake)
+        assert _keep_freed_memory() is False
+        rc, out, _ = run(
+            capsys,
+            "train", "--features", toy_archive, "--config", toy_config,
+            "--out-model", str(tmp_path / "m.json"),
+        )
+        assert rc == 0 and out.startswith("trained ")

@@ -42,6 +42,19 @@ def uniform_deriv_references(a):
         return float(k2), float(k3)
 
 
+def tg_references(a):
+    """k'(a), k''(a) and k'''(a) of the truncated-Gaussian prior from its closed forms.
+
+    They cancel in the negative tail, k''' by about 4 log10(-a) digits, so
+    60 digits do not reach a = -1e8 and 100 do.
+    """
+    with mpmath.workdps(100):
+        a = mpmath.mpf(a)
+        r = mpmath.exp(-a * a / 2) / mpmath.sqrt(2 * mpmath.pi) / (mpmath.erfc(-a / mpmath.sqrt(2)) / 2)
+        lam = a + r
+        return float(lam), float(1 - r * lam), float(r * (lam * (a + 2 * r) - 1))
+
+
 # Every branch of every prior: far tails, the Taylor windows around 0
 # (|a| < 5e-3 and |a| < 1) and both sides of the tg switch at a = -5.
 BRANCH_GRID = [-700.0, -40.0, -6.0, -4.0, -1.0, -0.03, -1e-3, 0.0, 1e-3, 0.03, 1.0, 6.0, 40.0, 700.0]
@@ -116,6 +129,25 @@ class TestClosedFormAnchors:
             want2, want3 = uniform_deriv_references(a)
             assert rel_err(got2, want2) < 1e-12, f"k'' at a={a}"
             assert rel_err(got3, want3) < 1e-12, f"k''' at a={a}"
+
+    def test_tg_derivatives_against_mpmath(self):
+        # a log grid through the continued fraction below a = -5, the closed
+        # forms above it, and the right tail where N(a) leaves the normal range
+        grid = np.concatenate([-np.geomspace(1e8, 1e-6, 1400), np.geomspace(1e-6, 40.0, 400)])
+        lam = TRUNCATED_GAUSSIAN.activation(grid)
+        k2 = TRUNCATED_GAUSSIAN.activation_deriv(grid)
+        k3 = TRUNCATED_GAUSSIAN.cgf_third_deriv(grid)
+        for a, got1, got2, got3 in zip(grid, lam, k2, k3):
+            want1, want2, want3 = tg_references(a)
+            assert rel_err(got1, want1) < 1e-12, f"k' at a={a}"
+            assert rel_err(got2, want2) < 1e-12, f"k'' at a={a}"
+            if want3 >= np.finfo(np.float64).tiny:
+                assert rel_err(got3, want3) < 1e-11, f"k''' at a={a}"
+            else:  # subnormal beyond a ~ 37.6, where no relative bound can hold
+                assert abs(got3 - want3) < np.finfo(np.float64).tiny, f"k''' at a={a}"
+            assert got1 > 0.0 and 0.0 < got2 <= 1.0
+            if a < 0.0:
+                assert got2 < 1.0 and got3 > 0.0
 
     def test_inverse_anchors(self):
         assert GAUSSIAN.activation_inverse(3.0) == 3.0

@@ -294,13 +294,45 @@ class TestTrainingLoop:
         rng = np.random.default_rng(40)
         net = blob_net(rng)
         data = blob_data(np.random.default_rng(41), n_per=10)
-        cfg = TrainConfig(epochs=4, learning_rate=1e30, optimizer="sgd", seed=2)
+        # one step this large overflows the second epoch's logits
+        cfg = TrainConfig(epochs=4, learning_rate=1e200, optimizer="sgd", seed=2)
         result = pretrain_discriminative(net, data, cfg)
         assert result.aborted
+        assert result.reason == "non-finite objective or gradient"
         assert len(result.history) < 4
         for spec in result.network.layers:
             assert np.all(np.isfinite(spec.map.params))
             assert np.all(np.isfinite(spec.bias))
+
+    def test_saturating_warm_start_runs_every_epoch(self):
+        rng = np.random.default_rng(40)
+        net = blob_net(rng)
+        data = blob_data(np.random.default_rng(41), n_per=10)
+        # a step of 1e30 saturates the net but keeps every value finite
+        cfg = TrainConfig(epochs=4, learning_rate=1e30, optimizer="sgd", seed=2)
+        result = pretrain_discriminative(net, data, cfg)
+        assert not result.aborted and result.reason is None
+        assert [row["epoch"] for row in result.history] == [1, 2, 3, 4]
+        assert all(np.isfinite(row["objective"]) for row in result.history)
+        # the likelihood phase cannot start from it: nothing to keep yet
+        with pytest.raises(TrainingError, match="no sample in the batch"):
+            train(result.network, data, TrainConfig(epochs=1, seed=2))
+
+    def test_steps_out_of_support_abort_with_last_good_checkpoint(self):
+        net = tg_shift_net(np.random.default_rng(34), dims=(4, 3, 2))
+        data = Dataset(
+            np.random.default_rng(32).uniform(0.2, 1.5, size=(8, 4)),
+            np.random.default_rng(33).integers(0, 2, size=8),
+        )
+        # the first step leaves every sample of the next batch undefined
+        cfg = TrainConfig(epochs=2, learning_rate=1e2, batch_size=2, optimizer="sgd", seed=7)
+        result = train(net, data, cfg)
+        assert result.aborted
+        assert result.reason == "no sample in the batch has a defined likelihood"
+        assert result.history == []
+        for got, want in zip(result.network.layers, net.layers):
+            np.testing.assert_array_equal(got.map.params, want.map.params)
+            np.testing.assert_array_equal(got.bias, want.bias)
 
 
 class TestPretrain:
