@@ -418,7 +418,7 @@ def cmd_reconstruct(args):
     count = len(data) if args.count == 0 else min(args.count, len(data))
     mse_rows, raw_rows = [], []
     for idx in row_chunks(count):
-        _, zs = net.forward_pass(data.x[idx])
+        zs = net.forward_pass(data.x[idx])[1]
         x_hats = reconstruct_from_layer(net, args.layer, zs[args.layer - 1])
         for i, x_hat in zip(idx, x_hats):
             sample_id = data.ids[i]
@@ -457,20 +457,26 @@ def cmd_synthesize(args):
     params = {"model": args.model, "label": str(args.label), "count": str(args.count)}
     header = _header(args.seed, params)
     label = args.label if net.output_prior is not None else None
-    raw_rows, made = [], 0
+    raw_rows, rejects = [], []
     for idx in row_chunks(args.count):
         seeds = args.seed + idx
-        for seed, x in zip(seeds, synthesize(net, seeds, label=label)):
-            if np.any(np.isnan(x)):
+        for seed, x, err in zip(seeds, *synthesize(net, seeds, label=label)):
+            if err is not None:
+                # every walk error starts with the label of its layer, "layer N: "
+                layer, _, reason = str(err).partition(": ")
+                rejects.append((f"synth_{seed:06d}", int(seed), layer.removeprefix("layer "), reason))
                 continue
-            made += 1
             _write_pgm(os.path.join(args.out_images, f"synth_{seed:06d}.pgm"), header, _as_image(x))
             raw_rows.append((f"synth_{seed:06d}", *[float(v) for v in x]))
+    made = len(raw_rows)
     _write_csv(
         os.path.join(args.out_images, "raw_values.csv"),
         header,
         ["id"] + [f"x{j:03d}" for j in range(net.n_in)],
         raw_rows,
+    )
+    _write_csv(
+        os.path.join(args.out_images, "rejects.csv"), header, ["id", "seed", "layer", "reason"], rejects
     )
     print(f"synthesized {made}/{args.count} samples -> {args.out_images}")
     return 0

@@ -15,7 +15,8 @@ indices, so a training loop can swap parameters without re-deriving
 the sparsity pattern of a convolution.  ``GramFactor`` factors one
 weighted Gram matrix, formed as one symmetric product (syrk), and keeps
 its explicit inverse once asked, so W S^-1 is one matrix product;
-``GramStack`` factors one per row of a weight stack.
+``GramStack`` factors one per row of a weight stack, solves with all of
+them in one batched call, and forms W S^-1 only when asked.
 """
 
 import functools
@@ -301,16 +302,28 @@ class GramStack:
     """Factors of S_b = W' diag(w_b) W, one for each row w_b of a (B, n_in) stack.
 
     The counterpart of GramFactor for curvature weights that differ from
-    row to row.  ``GramStack.factor`` runs the B Cholesky factorizations
-    as one ``np.linalg.cholesky`` call.  A row whose weights are not
-    positive and finite, or whose matrix fails the GramFactor tests, gets
-    its reason in ``failures`` (None for a good row) and NaN in
-    ``logdet`` and ``inv``; no other row sees it.  ``inv`` holds S_b^-1.
+    row to row.  It keeps each S_b (``matrix``) and its lower Cholesky
+    factor (``chol``): ``solve_rows`` is one batched LU solve with the
+    S_b, ``logdet`` comes from the factor, and W S_b^-1 (``w_s_inv``)
+    is built from the factor on first use only, which only the
+    likelihood gradient does.  ``GramStack.factor`` runs
+    the B Cholesky factorizations as one ``np.linalg.cholesky`` call.  A
+    row whose weights are not positive and finite, or whose matrix fails
+    the GramFactor tests, gets its reason in ``failures`` (None for a
+    good row) and NaN in ``logdet``, ``w_s_inv`` and its solves; no
+    other row sees it.
     """
 
-    def __init__(self, a, inv, logdet, failures):
+    def __init__(self, a, matrix, chol, logdet, failures):
+        """Take over the arrays of a stack, or of one row (one matrix, a 0-d logdet)."""
+        bad = np.reshape([f is not None for f in failures], np.shape(logdet))
+        # a failed row solves with the identity and reports NaN
+        matrix[bad] = chol[bad] = np.eye(matrix.shape[-1])
+        logdet[bad] = np.nan
         self._a = a
-        self.inv = inv
+        self._bad = bad
+        self.matrix = matrix
+        self.chol = chol
         self.logdet = logdet
         self.failures = failures
 
@@ -338,25 +351,26 @@ class GramStack:
         singular = np.any(piv * piv < 1e-12 * np.trace(s, axis1=1, axis2=2)[:, None] / m, axis=1)
         for b in np.flatnonzero(singular):
             failures[b] = failures[b] or "gram matrix is numerically singular"
-        bad = [b for b, f in enumerate(failures) if f is not None]
-        c[bad] = np.eye(m)
-        c_inv = np.linalg.inv(c)
-        inv = np.swapaxes(c_inv, 1, 2) @ c_inv
-        logdet = 2.0 * np.sum(np.log(np.diagonal(c, axis1=1, axis2=2)), axis=1)
-        inv[bad] = np.nan
-        logdet[bad] = np.nan
-        return cls(a, inv, logdet, failures)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logdet = 2.0 * np.sum(np.log(piv), axis=1)
+        return cls(a, s, c, logdet, failures)
 
     def take(self, idx):
         """The factors of the rows ``idx``; an integer gives one row's factor."""
         failures = [self.failures[i] for i in np.atleast_1d(idx)]
-        return GramStack(self._a, self.inv[idx], self.logdet[idx], failures)
+        matrix, chol, logdet = (np.array(v[idx]) for v in (self.matrix, self.chol, self.logdet))
+        return GramStack(self._a, matrix, chol, logdet, failures)
 
     def solve_rows(self, r):
         """Solve S_b u_b = r_b for each row r_b of r."""
-        return (self.inv @ np.asarray(r, dtype=np.float64)[..., None])[..., 0]
+        u = np.linalg.solve(self.matrix, np.asarray(r, dtype=np.float64)[..., None])[..., 0]
+        u[self._bad] = np.nan
+        return u
 
     @functools.cached_property
     def w_s_inv(self):
-        """W S_b^-1 for each row, shape (B, n_in, n_out)."""
-        return self._a.T @ self.inv
+        """W S_b^-1 for each row, shape (B, n_in, n_out), from the Cholesky factor on first use."""
+        c_inv = np.linalg.inv(self.chol)
+        inv = np.swapaxes(c_inv, -1, -2) @ c_inv
+        inv[self._bad] = np.nan
+        return self._a.T @ inv

@@ -152,15 +152,17 @@ class LayerSpec:
 class InteriorTrace:
     """Label-independent forward state of a batch: layer inputs, preactivations, saddles.
 
-    ``xs`` and ``zs`` hold every layer's (B, n) inputs and preactivations.
-    ``solutions[l]`` is the saddle solution of layer l + 1 for the rows
-    ``rows[l]`` that reached it (None when no row did), failed columns
-    included.  ``undefined`` holds, per row, None or the
-    LikelihoodUndefinedError of the layer that ended it.
+    ``xs`` and ``zs`` hold every layer's (B, n) inputs and preactivations,
+    ``slopes`` the activation slopes k''(z) of the forward pass (None for
+    the output layer).  ``solutions[l]`` is the saddle solution of layer
+    l + 1 for the rows ``rows[l]`` that reached it (None when no row
+    did), failed columns included.  ``undefined`` holds, per row, None
+    or the LikelihoodUndefinedError of the layer that ended it.
     """
 
     xs: list
     zs: list
+    slopes: list
     solutions: list
     rows: list
     undefined: list
@@ -306,28 +308,32 @@ class Network:
         return float(-np.sum(np.log(self.standardize[1])))
 
     def forward_pass(self, x_raw, masks=None):
-        """Propagate without saddle solves; returns (layer inputs, preactivations).
+        """Propagate without saddle solves; returns (layer inputs, preactivations, slopes).
 
-        ``masks``, when given, holds one multiplier per layer (None for
-        none) that scales the layer input before its map: the dropout
-        of the discriminative warm start.
+        ``slopes[l]`` is lambda'(z_l) = k''(z_l), the activation slope
+        of layer l + 1, from the same pass as its activation (None for
+        the output layer).  ``masks``, when given, holds one multiplier
+        per layer (None for none) that scales the layer input before its
+        map: the dropout of the discriminative warm start.  ``xs`` holds
+        the inputs before their masks.
         """
         x = self.standardized(x_raw)
-        xs, zs = [], []
+        xs, zs, slopes = [], [], []
         for l, spec in enumerate(self.layers):
+            xs.append(x)
             if masks is not None and masks[l] is not None:
                 x = x * masks[l]
-            xs.append(x)
             z = spec.map.forward(x) + spec.bias
             zs.append(z)
+            slope = None
             if spec.activation in INNER_ACTIVATIONS:
-                x = activation_prior(spec.activation).activation(z)
-        return xs, zs
+                _, x, slope = activation_prior(spec.activation).cgf_derivs(z)
+            slopes.append(slope)
+        return xs, zs, slopes
 
     def logits(self, x_raw):
         """The last preactivation z_L, the discriminative output."""
-        _, zs = self.forward_pass(x_raw)
-        return zs[-1]
+        return self.forward_pass(x_raw)[1][-1]
 
     def interior_trace(self, x_raw):
         """Forward pass plus the per-layer saddle solutions of one input or a batch.
@@ -338,7 +344,7 @@ class Network:
         drops out of the later layers.  A single input raises it.
         """
         single = np.ndim(x_raw) == 1
-        xs, zs = self.forward_pass(np.atleast_2d(x_raw))
+        xs, zs, slopes = self.forward_pass(np.atleast_2d(x_raw))
         undefined = [None] * len(xs[0])
         live = np.arange(len(xs[0]))
         solutions, rows = [], []
@@ -366,7 +372,7 @@ class Network:
             live = live[[exc is None for exc in failures]]
         if single and undefined[0] is not None:
             raise undefined[0]
-        return InteriorTrace(xs, zs, solutions, rows, undefined)
+        return InteriorTrace(xs, zs, slopes, solutions, rows, undefined)
 
     # -- likelihood ---------------------------------------------------------
     def _interior_terms(self, trace, idx):
@@ -378,8 +384,7 @@ class Network:
             log_priors.append(spec.input_prior.log_density(trace.xs[l - 1][idx]))
             neg_log_features.append(-trace.solution(l, idx).log_density)
             if spec.activation in INNER_ACTIVATIONS:
-                deriv = activation_prior(spec.activation).activation_deriv(trace.zs[l - 1][idx])
-                log_jacobians.append(np.sum(np.log(deriv), axis=1))
+                log_jacobians.append(np.sum(np.log(trace.slopes[l - 1][idx]), axis=1))
             else:
                 log_jacobians.append(np.zeros(len(idx)))
         return log_priors, neg_log_features, log_jacobians

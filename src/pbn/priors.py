@@ -10,6 +10,11 @@ no special case and gives a 0-d result:
 * ``activation_deriv`` k''(a), its variance (always strictly positive),
 * ``cgf_third_deriv``  k'''(a), needed for curvature gradients.
 
+``cgf_derivs`` returns k, k' and k'' of one array together, each bit for
+bit what its own function gives.  The truncated Gaussian computes the
+three in one pass over its branches, with one inverse Mills ratio; every
+Newton iterate of a saddle solve and every forward pass needs them so.
+
 Three priors are provided:
 
 ==================  =============  =======================  ==================
@@ -53,14 +58,15 @@ def _npdf(a):
     return np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
 
 
-def _bracketed_newton(f, fprime, y, lo, hi, *, max_iter=140, tol=1e-13):
+def _bracketed_newton(f_df, y, lo, hi, *, max_iter=140, tol=1e-13):
     """Solve f(x) = y for increasing f with f(lo) < y < f(hi), elementwise.
 
-    Newton steps are accepted only while they stay inside the current
-    bracket; otherwise the iterate falls back to bisection, so
-    convergence is guaranteed.  An element stops iterating once it has
-    converged, so each result is the one its scalar solve would give,
-    whatever the other elements of the array.
+    ``f_df(x)`` returns the pair f(x), f'(x).  Newton steps are accepted
+    only while they stay inside the current bracket; otherwise the
+    iterate falls back to bisection, so convergence is guaranteed.  An
+    element stops iterating once it has converged, so each result is the
+    one its scalar solve would give, whatever the other elements of the
+    array.
     """
     y = np.asarray(y, dtype=np.float64)
     shape = y.shape
@@ -71,20 +77,22 @@ def _bracketed_newton(f, fprime, y, lo, hi, *, max_iter=140, tol=1e-13):
     live = np.arange(y.size)
     for _ in range(max_iter):
         yl, xl, lol, hil = y[live], x[live], lo[live], hi[live]
-        fx = f(xl) - yl
+        fx, dfx = f_df(xl)
+        fx = fx - yl
         going = ~(np.abs(fx) <= tol * (1.0 + np.abs(yl)))
         if not going.any():
             return x.reshape(shape)
-        live, fx, xl, lol, hil = live[going], fx[going], xl[going], lol[going], hil[going]
+        live, fx, dfx, xl = live[going], fx[going], dfx[going], xl[going]
+        lol, hil = lol[going], hil[going]
         below = fx < 0.0
         lol = np.where(below, xl, lol)
         hil = np.where(below, hil, xl)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xn = xl - fx / fprime(xl)
+            xn = xl - fx / dfx
         bad = ~np.isfinite(xn) | (xn <= lol) | (xn >= hil)
         x[live] = np.where(bad, 0.5 * (lol + hil), xn)
         lo[live], hi[live] = lol, hil
-    fx = f(x[live]) - y[live]
+    fx = f_df(x[live])[0] - y[live]
     if np.all(np.abs(fx) <= 1e-9 * (1.0 + np.abs(y[live]))):
         return x.reshape(shape)
     raise PbnError("activation inverse did not converge")
@@ -113,6 +121,10 @@ class ScalarPrior:
 
     def cgf_third_deriv(self, a):
         raise NotImplementedError
+
+    def cgf_derivs(self, a):
+        """(k(a), k'(a), k''(a)), each bit for bit what its own function gives."""
+        return self.cgf(a), self.activation(a), self.activation_deriv(a)
 
     def activation_inverse(self, y):
         raise NotImplementedError
@@ -231,22 +243,60 @@ def _tg_fraction(t):
 
 
 def _tg_split(a, tail, rest):
-    """tail(-a) where a < _TG_TAIL and rest(a) elsewhere, elementwise."""
+    """tail(-a) where a < _TG_TAIL and rest(a) elsewhere, elementwise.
+
+    ``tail`` and ``rest`` return one array, or a tuple of them, shaped
+    like their argument; the split returns the same.
+    """
     a = np.asarray(a, dtype=np.float64)
     below = a < _TG_TAIL
     if not below.any():  # most arrays: no masked copies
         return rest(a)
-    out = np.empty_like(a)
-    out[below] = tail(-a[below])
     above = ~below
-    out[above] = rest(a[above])
+
+    def merge(lo, hi):
+        out = np.empty_like(a)
+        out[below] = lo
+        out[above] = hi
+        return out
+
+    lo, hi = tail(-a[below]), rest(a[above])
+    return tuple(map(merge, lo, hi)) if isinstance(hi, tuple) else merge(lo, hi)
+
+
+def _mills(a):
+    """r(a) = N(a)/Phi(a), the inverse Mills ratio, stable on the whole line."""
+    out = np.empty_like(a)
+    neg = a < 0.0
+    # Phi(a) = 0.5 exp(-a^2/2) erfcx(-a/sqrt(2)) for a < 0, so the
+    # Gaussians cancel exactly and nothing underflows.
+    out[neg] = _SQRT_2_OVER_PI / special.erfcx(-a[neg] / _SQRT2)
+    pos = ~neg
+    out[pos] = _npdf(a[pos]) / special.ndtr(a[pos])
     return out
 
 
-def _tg_tail_k2(t):
+def _tg_tail_k(t):
+    # a^2/2 + log(2 Phi(a)) == log erfcx(-a/sqrt(2)) identically
+    return np.log(special.erfcx(t / _SQRT2))
+
+
+def _tg_closed_k(a):
+    return 0.5 * a * a + np.log(2.0 * special.ndtr(a))
+
+
+def _tg_tail(t):
+    """k, k' and k'' at a = -t below _TG_TAIL."""
     # 1 - r k' = u_1 (u_2 - u_1), and u_2 - u_1 = u_1 (t + 2 u_2 - u_3) / (t + u_3)
     u1, u2, u3, _ = _tg_fraction(t)
-    return u1 * u1 * (t + 2.0 * u2 - u3) / (t + u3)
+    return _tg_tail_k(t), u1, u1 * u1 * (t + 2.0 * u2 - u3) / (t + u3)
+
+
+def _tg_closed(a):
+    """k, k' and k'' at a at or above _TG_TAIL, from one inverse Mills ratio."""
+    r = _mills(a)
+    k1 = a + r
+    return _tg_closed_k(a), k1, 1.0 - r * k1
 
 
 def _tg_tail_k3(t):
@@ -255,6 +305,11 @@ def _tg_tail_k3(t):
     # every intermediate finite for huge t
     u1, _, u3, u4 = _tg_fraction(t)
     return 2.0 * u1 * u1 * ((t + u1) / (t + u3)) * ((t + 3.0 * u3 - 2.0 * u4) / (t + u3)) / (t + u4)
+
+
+def _tg_closed_k3(a):
+    r = _mills(a)
+    return r * ((a + r) * (a + 2.0 * r) - 1.0)
 
 
 class TruncatedGaussianPrior(ScalarPrior):
@@ -266,48 +321,28 @@ class TruncatedGaussianPrior(ScalarPrior):
     k'''(a)   = r(a) [(a + r(a)) (a + 2 r(a)) - 1]
 
     Below a = -5, k is log erfcx(-a/sqrt(2)) and the three derivatives
-    come from the continued fraction of k' (``_tg_fraction``).
+    come from the continued fraction of k' (``_tg_fraction``).  k' and
+    k'' are read off the fused ``cgf_derivs``, so each formula is
+    written once.
     """
 
     kind = "truncated_gaussian"
     activation_tag = "tg"
 
-    @staticmethod
-    def _mills(a):
-        """r(a) = N(a)/Phi(a), stable on the whole line."""
-        out = np.empty_like(a)
-        neg = a < 0.0
-        # Phi(a) = 0.5 exp(-a^2/2) erfcx(-a/sqrt(2)) for a < 0, so the
-        # Gaussians cancel exactly and nothing underflows.
-        out[neg] = _SQRT_2_OVER_PI / special.erfcx(-a[neg] / _SQRT2)
-        pos = ~neg
-        out[pos] = _npdf(a[pos]) / special.ndtr(a[pos])
-        return out
-
     def cgf(self, a):
-        # a^2/2 + log(2 Phi(a)) == log erfcx(-a/sqrt(2)) identically.
-        return _tg_split(
-            a,
-            lambda t: np.log(special.erfcx(t / _SQRT2)),
-            lambda a: 0.5 * a * a + np.log(2.0 * special.ndtr(a)),
-        )
+        return _tg_split(a, _tg_tail_k, _tg_closed_k)
 
     def activation(self, a):
-        return _tg_split(a, lambda t: _tg_fraction(t)[0], lambda a: a + self._mills(a))
+        return self.cgf_derivs(a)[1]
 
     def activation_deriv(self, a):
-        def closed(a):
-            r = self._mills(a)
-            return 1.0 - r * (a + r)
-
-        return _tg_split(a, _tg_tail_k2, closed)
+        return self.cgf_derivs(a)[2]
 
     def cgf_third_deriv(self, a):
-        def closed(a):
-            r = self._mills(a)
-            return r * ((a + r) * (a + 2.0 * r) - 1.0)
+        return _tg_split(a, _tg_tail_k3, _tg_closed_k3)
 
-        return _tg_split(a, _tg_tail_k3, closed)
+    def cgf_derivs(self, a):
+        return _tg_split(a, _tg_tail, _tg_closed)
 
     def activation_inverse(self, y):
         y = np.asarray(y, dtype=np.float64)
@@ -315,7 +350,7 @@ class TruncatedGaussianPrior(ScalarPrior):
             raise DomainError("tg activation inverse requires values in (0, inf)")
         # lambda(-1/y) < y < lambda(y + 1) holds for every y > 0 (Mills
         # ratio bound r(-t) < t + 1/t), so the bracket needs no search.
-        return _bracketed_newton(self.activation, self.activation_deriv, y, -1.0 / y, y + 1.0)
+        return _bracketed_newton(lambda a: self.cgf_derivs(a)[1:], y, -1.0 / y, y + 1.0)
 
     def log_density(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -386,7 +421,7 @@ class UniformPrior(ScalarPrior):
 
     def cgf(self, a):
         a = np.asarray(a, dtype=np.float64)
-        out = np.empty_like(a)
+        out = np.full_like(a, np.nan)  # NaN stays NaN
         small = np.abs(a) < 5e-3
         s = a[small]
         out[small] = 0.5 * s + s * s / 24.0 - s**4 / 2880.0
@@ -400,7 +435,7 @@ class UniformPrior(ScalarPrior):
 
     def activation(self, a):
         a = np.asarray(a, dtype=np.float64)
-        out = np.empty_like(a)
+        out = np.full_like(a, np.nan)  # NaN stays NaN
         small = np.abs(a) < 5e-3
         s = a[small]
         out[small] = 0.5 + s / 12.0 - s**3 / 720.0 + s**5 / 30240.0
@@ -426,7 +461,7 @@ class UniformPrior(ScalarPrior):
 
     def cgf_third_deriv(self, a):
         a = np.asarray(a, dtype=np.float64)
-        out = np.empty_like(a)
+        out = np.full_like(a, np.nan)  # NaN stays NaN
         small = np.abs(a) < _UNIFORM_SERIES_WINDOW
         s = a[small]
         out[small] = s * _series_in_square(_UNIFORM_K3_SERIES, s)
@@ -446,7 +481,7 @@ class UniformPrior(ScalarPrior):
             raise DomainError("ted activation inverse requires values in (0, 1)")
         # lambda(-1/y) < y and lambda(1/(1-y)) > y hold for all y in (0, 1).
         return _bracketed_newton(
-            self.activation, self.activation_deriv, y, -1.0 / y, 1.0 / (1.0 - y)
+            lambda a: (self.activation(a), self.activation_deriv(a)), y, -1.0 / y, 1.0 / (1.0 - y)
         )
 
     def log_density(self, x):

@@ -45,9 +45,8 @@ def invert_output_shift(x_out, signal, c, level):
     s = np.broadcast_to(np.asarray(signal, dtype=np.float64), x.shape)
     y = x + s * (level + 0.5 * c) / level
     # z + C (sigma(3z) - 1/2) = y, the label offset moved to the right-hand side
-    f = lambda z: output_shift(z, 0.0, c, level)
-    fp = lambda z: output_shift_slope(z, c)
-    return _bracketed_newton(f, fp, y, y - 0.5 * c - 1.0, y + 0.5 * c + 1.0)
+    f_df = lambda z: (output_shift(z, 0.0, c, level), output_shift_slope(z, c))
+    return _bracketed_newton(f_df, y, y - 0.5 * c - 1.0, y + 0.5 * c + 1.0)
 
 
 def _single(values, errors, single):
@@ -148,8 +147,10 @@ def synthesize(net, seed, label=None):
 
     The output is drawn standard normal, mapped back through the output
     shift under the requested label, then reconstructed layer by layer.
-    Deterministic in the seed: an integer seed gives one sample, a
-    sequence of seeds one row per seed (NaN where the walk fails).
+    Deterministic in the seed: an integer seed gives one sample and
+    raises its failure; a sequence of seeds gives (rows, errors), one
+    row per seed, NaN where the walk failed, with that walk's error
+    (None for a row that succeeded).
     """
     seeds = [int(s) for s in np.atleast_1d(seed)]
     u = np.array([np.random.default_rng(s).standard_normal(net.n_out) for s in seeds])
@@ -164,7 +165,8 @@ def synthesize(net, seed, label=None):
         z_last = invert_output_shift(
             u, label_signal(label, cfg.n_classes, cfg.level), cfg.c, cfg.level
         )
-    return reconstruct_from_layer(net, net.depth, z_last[0] if np.ndim(seed) == 0 else z_last)
+    x, errors = _walk_down(net, net.depth, *_conditional_means(net, net.depth, z_last))
+    return _single(x, errors, True) if np.ndim(seed) == 0 else (x, errors)
 
 
 def reconstruction_statistic(net, x_raw, layer, trace=None):

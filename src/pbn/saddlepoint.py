@@ -22,6 +22,15 @@ point; the iteration then fails to contract and surfaces as
 ReconstructionError, which callers count as an undefined likelihood
 rather than a crash.
 
+Each Newton iterate evaluates the prior once, by ``cgf_derivs``: k for
+the objective and its rounding level, k' for the residual, and k'' for
+the curvature, which is either the strict factor of a column that
+stopped or the one its Newton direction is solved with.  The solution
+keeps those weights (``curvature_weights``), and its curvature keeps
+each column's S and Cholesky factor: the log determinant comes from the
+factor, and S^-1 is built only when the likelihood gradient reads
+W S^-1.
+
 The unit Gram factor W'W that seeds every solve is a constant of the
 map, so it is built once per map and kept there (``LinearMap.gram``).
 Whenever the curvature weights k'' are exactly 1 (always, under the
@@ -74,10 +83,12 @@ class SaddleSolution:
     For a stack every array gains a leading column axis; ``residual``
     and ``objective`` hold one value per column and ``objective_path``
     one list per column; a failed column is NaN, with its error in
-    ``errors``.  ``curvature`` is the map's kept GramFactor when every
-    column has unit curvature weights, else a GramStack.
-    ``iterations`` is the largest column count, ``column_iterations``
-    has each one.
+    ``errors``.  ``curvature_weights`` holds k''(alpha), the weights of
+    the curvature S = W' diag(k'') W.  ``curvature`` is the map's kept
+    GramFactor when every column has unit weights, else a GramStack of
+    each column's S and its Cholesky factor, which builds S^-1 only if
+    the gradient asks for it.  ``iterations`` is the largest column
+    count, ``column_iterations`` has each one.
     """
 
     h_hat: np.ndarray
@@ -85,6 +96,7 @@ class SaddleSolution:
     x_hat: np.ndarray
     residual: object
     curvature: object
+    curvature_weights: np.ndarray
     iterations: int
     objective_path: list
     objective: object
@@ -109,6 +121,7 @@ class SaddleSolution:
             x_hat=self.x_hat[idx],
             residual=self.residual[idx].item() if one else self.residual[idx],
             curvature=curv.take(idx) if isinstance(curv, GramStack) else curv,
+            curvature_weights=self.curvature_weights[idx],
             iterations=int(np.max(self.column_iterations[cols], initial=0)),
             objective_path=paths[0] if one else paths,
             objective=self.objective[idx].item() if one else self.objective[idx],
@@ -194,6 +207,7 @@ def _solve_columns(map_, prior, z, max_iter, tol, label):
     h_out = np.full((n_cols, m), np.nan)
     alpha_out = np.full((n_cols, map_.n_in), np.nan)
     x_out = np.full((n_cols, map_.n_in), np.nan)
+    k2_out = np.full((n_cols, map_.n_in), np.nan)
     residual = np.full(n_cols, np.nan)
     objective = np.full(n_cols, np.nan)
     iterations = np.zeros(n_cols, dtype=int)
@@ -223,9 +237,8 @@ def _solve_columns(map_, prior, z, max_iter, tol, label):
             break
         zc = z[cols]
         alpha = h @ a
-        lam = prior.activation(alpha)
+        cgf, lam, k2 = prior.cgf_derivs(alpha)
         resid = zc - lam @ a.T
-        cgf = prior.cgf(alpha)
         obj = np.sum(cgf, axis=1) - np.vecdot(h, zc)
         # an objective change this small is rounding, not descent
         flat = FLAT_ULPS * EPS * (np.sum(np.abs(cgf), axis=1) + np.vecdot(np.abs(h), np.abs(zc)))
@@ -234,12 +247,13 @@ def _solve_columns(map_, prior, z, max_iter, tol, label):
         rmax = np.max(np.abs(resid), axis=1)
         done = np.isfinite(rmax) & (rmax <= tol * scale[cols])
         if done.any():
-            factor, failures = _factors(map_, prior.activation_deriv(alpha[done]))
+            factor, failures = _factors(map_, k2[done])
             dcols = cols[done]
             for col, f, r in zip(dcols, failures, rmax[done]):
                 if f is not None:
                     fail(col, f"curvature failed: {f}", it, float(r))
             h_out[dcols], alpha_out[dcols], x_out[dcols] = h[done], alpha[done], lam[done]
+            k2_out[dcols] = k2[done]
             residual[dcols], objective[dcols], iterations[dcols] = rmax[done], obj[done], it
             converged.append((dcols, factor))
         for col, r in zip(cols[~done], rmax[~done]):
@@ -250,11 +264,11 @@ def _solve_columns(map_, prior, z, max_iter, tol, label):
         go = ~done & np.isfinite(rmax)
         if it == max_iter or not go.any():
             break
-        cols, h, zc, alpha, resid, rmax, obj, flat = (
-            v[go] for v in (cols, h, zc, alpha, resid, rmax, obj, flat)
+        cols, h, zc, alpha, k2, resid, rmax, obj, flat = (
+            v[go] for v in (cols, h, zc, alpha, k2, resid, rmax, obj, flat)
         )
 
-        delta, failures = _direction(map_, prior.activation_deriv(alpha), resid)
+        delta, failures = _direction(map_, k2, resid)
         ok = np.array([f is None for f in failures])
         for col, f, r in zip(cols, failures, rmax):
             if f is not None:
@@ -304,7 +318,7 @@ def _solve_columns(map_, prior, z, max_iter, tol, label):
         h = stepped
 
     failed = [col for col, err in enumerate(errors) if err is not None]
-    for out in (h_out, alpha_out, x_out, residual, objective):
+    for out in (h_out, alpha_out, x_out, k2_out, residual, objective):
         out[failed] = np.nan
     return SaddleSolution(
         h_hat=h_out,
@@ -312,6 +326,7 @@ def _solve_columns(map_, prior, z, max_iter, tol, label):
         x_hat=x_out,
         residual=residual,
         curvature=_assemble(map_, converged, n_cols, errors),
+        curvature_weights=k2_out,
         iterations=int(np.max(iterations, initial=0)),
         objective_path=paths,
         objective=objective,
@@ -325,15 +340,16 @@ def _assemble(map_, converged, n_cols, errors):
     if converged and all(isinstance(f, GramFactor) for _, f in converged):
         return map_.gram
     m = map_.n_out
-    inv = np.full((n_cols, m, m), np.nan)
+    matrix = np.full((n_cols, m, m), np.nan)
+    chol = np.full((n_cols, m, m), np.nan)
     logdet = np.full(n_cols, np.nan)
     for cols, f in converged:
-        inv[cols] = f.inv
+        matrix[cols] = f.matrix
+        # the kept unit factor, here only beside columns with other weights
+        chol[cols] = np.tril(f._factor[0]) if isinstance(f, GramFactor) else f.chol
         logdet[cols] = f.logdet
     failures = [None if err is None else str(err) for err in errors]
-    failed = [col for col, f in enumerate(failures) if f is not None]
-    inv[failed], logdet[failed] = np.nan, np.nan
-    return GramStack(map_.materialize(), inv, logdet, failures)
+    return GramStack(map_.materialize(), matrix, chol, logdet, failures)
 
 
 def log_feature_density(map_, prior, z_tilde, *, label="saddle"):

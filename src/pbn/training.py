@@ -19,7 +19,10 @@ onto its parameters per batch.  Where k''' is exactly zero (always,
 under the Gaussian prior) u and v vanish and q is never needed; with
 the kept unit factor the last term is then B W S^-1, where W S^-1 is
 one matrix product of W with the factor's kept explicit inverse.  The
-sweep skips the input gradient of the first layer, which nothing reads.
+k'' at the saddle are the solve's curvature weights and the activation
+slopes k''(z) come from the forward pass, so the sweep evaluates only
+k''' anew.  It skips the input gradient of the first layer, which
+nothing reads.
 
 Samples whose likelihood is undefined (prior support or infeasible
 feature targets) are skipped and counted; the reported efficiency is
@@ -141,9 +144,8 @@ def gradient(net, x_raw, label=None, trace=None):
         x, z = trace.xs[l - 1][idx], trace.zs[l - 1][idx]
         prior = spec.input_prior
         if l < depth:
-            act = activation_prior(spec.activation)
-            k2z = act.activation_deriv(z)
-            bar_z = bar_x * k2z + act.cgf_third_deriv(z) / k2z
+            k2z = trace.slopes[l - 1][idx]
+            bar_z = bar_x * k2z + activation_prior(spec.activation).cgf_third_deriv(z) / k2z
 
         half, feature = _feature_term(spec, trace.solution(l, idx)) if idx.size else (0.0, 0.0)
         bar_z_tilde = bar_z + half
@@ -157,7 +159,7 @@ def gradient(net, x_raw, label=None, trace=None):
 def _feature_term(spec, sol):
     """(h^ + u/2 per row, the explicit d/dW of -log p^ summed over rows) of one layer."""
     a = spec.map.materialize()  # n_out x n_in
-    k2 = spec.input_prior.activation_deriv(sol.alpha)
+    k2 = sol.curvature_weights
     k3 = spec.input_prior.cgf_third_deriv(sol.alpha)
     p = sol.curvature.w_s_inv  # n_in x n_out, shared or one per row
     if p.ndim == 2:
@@ -167,7 +169,8 @@ def _feature_term(spec, sol):
     half = sol.h_hat
     if np.any(k3 != 0.0):
         q = np.einsum("ki,...ik->...i", a, p)
-        u = sol.curvature.solve_rows((k3 * q) @ a.T)
+        # u = S^-1 W'(k''' q) = (W S^-1)'(k''' q), as S^-1 is symmetric
+        u = ((k3 * q)[:, None, :] @ p)[:, 0]
         half = half + 0.5 * u
         feature += 0.5 * (k3 * q - k2 * (u @ a)).T @ sol.h_hat
     feature -= sol.x_hat.T @ half
@@ -218,9 +221,12 @@ def _batch(net, data, idx, l2, batch_grad):
 # discriminative warm start
 
 
-def _softmax(z):
-    e = np.exp(z - np.max(z, axis=1, keepdims=True))
-    return e / np.sum(e, axis=1, keepdims=True)
+def _log_softmax(z):
+    """(log-softmax, softmax) of each row of z, from one shift by the row maximum."""
+    shifted = z - np.max(z, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = np.sum(e, axis=1, keepdims=True)
+    return shifted - np.log(total), e / total
 
 
 def _dropout_masks(net, n_rows, rng, dropout):
@@ -240,16 +246,16 @@ def _dropout_masks(net, n_rows, rng, dropout):
 def _pretrain_batch(net, x_raw, labels, rng, dropout):
     """Softmax cross-entropy gradient summed over a minibatch, and each sample's value."""
     masks = _dropout_masks(net, len(x_raw), rng, dropout) if dropout > 0.0 else None
-    xs, zs = net.forward_pass(x_raw, masks=masks)
+    xs, zs, slopes = net.forward_pass(x_raw, masks=masks)
     rows = np.arange(len(x_raw))
-    probs = _softmax(zs[-1])
-    lls = np.log(np.maximum(probs[rows, labels], 1e-300))
+    log_probs, probs = _log_softmax(zs[-1])
+    lls = log_probs[rows, labels]
     # A hidden activation leaves its range only when its arithmetic breaks
     # down at enormous preactivations; such a sample's value is NaN, like
     # an overflow, so a diverging run aborts instead of training on noise.
-    for spec, z in zip(net.layers[:-1], zs[:-1]):
-        act = activation_prior(spec.activation)
-        lls[~act.in_support(act.activation(z))] = np.nan
+    # xs holds each activation before its dropout mask.
+    for spec, x in zip(net.layers[:-1], xs[1:]):
+        lls[~activation_prior(spec.activation).in_support(x)] = np.nan
 
     grads_w = [None] * net.depth
     grads_b = [None] * net.depth
@@ -257,15 +263,16 @@ def _pretrain_batch(net, x_raw, labels, rng, dropout):
     bar_z[rows, labels] += 1.0
     for l in range(net.depth, 0, -1):
         spec = net.layers[l - 1]
+        mask = None if masks is None else masks[l - 1]
         if l < net.depth:
-            act = activation_prior(spec.activation)
-            bar_z = bar_x * act.activation_deriv(zs[l - 1])
-        grads_w[l - 1] = spec.map.param_grad(xs[l - 1], bar_z)
+            bar_z = bar_x * slopes[l - 1]
+        x = xs[l - 1] if mask is None else xs[l - 1] * mask
+        grads_w[l - 1] = spec.map.param_grad(x, bar_z)
         grads_b[l - 1] = np.sum(bar_z, axis=0)
         if l > 1:
             bar_x = spec.map.adjoint(bar_z)
-            if masks is not None and masks[l - 1] is not None:
-                bar_x = bar_x * masks[l - 1]
+            if mask is not None:
+                bar_x = bar_x * mask
     return grads_w, grads_b, lls
 
 

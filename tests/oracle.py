@@ -113,7 +113,7 @@ def solve_saddle(map_, prior, z, *, max_iter=200, tol=1e-9, label="saddle"):
 
 def interior_trace(net, x_raw):
     """(layer inputs, preactivations, solutions) of one sample; raises when undefined."""
-    xs, zs = net.forward_pass(x_raw)
+    xs, zs, _ = net.forward_pass(x_raw)
     solutions = []
     for l, spec in enumerate(net.layers, start=1):
         if not spec.input_prior.in_support(xs[l - 1]):
@@ -202,7 +202,7 @@ def reconstruct_from_layer(net, layer, z_layer):
 
 
 def reconstruction_statistic(net, x_raw, layer):
-    _, zs = net.forward_pass(x_raw)
+    zs = net.forward_pass(x_raw)[1]
     x_hat = reconstruct_from_layer(net, layer, zs[layer - 1])
     return float(-np.log(max(float(np.mean((x_raw - x_hat) ** 2)), 1e-12)))
 

@@ -244,10 +244,10 @@ def test_criterion_07_hidden_variable_recovery():
     worst = 0.0
     for _ in range(100):
         x = rng.normal(size=12)
-        _, zs = net.forward_pass(x)
+        zs = net.forward_pass(x)[1]
         for k in range(1, 5):
             x_hat = reconstruct_from_layer(net, k, zs[k - 1])
-            _, zs_hat = net.forward_pass(x_hat)
+            zs_hat = net.forward_pass(x_hat)[1]
             gap = np.max(np.abs(zs_hat[k - 1] - zs[k - 1])) / (
                 1.0 + np.max(np.abs(zs[k - 1]))
             )

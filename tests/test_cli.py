@@ -561,6 +561,29 @@ class TestSynthesize:
                 os.path.join(dirs[1], name)
             )
 
+    def test_rejected_seeds_are_listed_with_layer_and_reason(self, tmp_path, capsys):
+        # a tg prior reaches only the open cone of positive combinations of
+        # the rows of W; seeds 5 and 7 draw outputs outside it, seed 6 inside
+        w = np.array([[1.0, 0.5], [0.5, 1.0], [1.0, 1.0], [0.2, 0.8]])
+        model = str(tmp_path / "tg.json")
+        save_model(Network([LayerSpec(DenseMap(w), np.zeros(2), "truncated_gaussian", "linear")]), model)
+        out_dir = str(tmp_path / "syn")
+        rc, out, _ = run(
+            capsys,
+            "synthesize", "--model", model, "--count", "3", "--seed", "5", "--out-images", out_dir,
+        )
+        assert rc == 0
+        assert "synthesized 1/3" in out
+        raw = [ln for ln in open(os.path.join(out_dir, "raw_values.csv")) if not ln.startswith("#")]
+        assert [ln.split(",")[0] for ln in raw[1:]] == ["synth_000006"]
+        rejects = open(os.path.join(out_dir, "rejects.csv")).read().splitlines()
+        assert rejects[0].startswith("#")
+        assert rejects[1:] == [
+            "id,seed,layer,reason",
+            "synth_000005,5,1,saddle point not reached in 200 iterations",
+            "synth_000007,7,1,saddle point not reached in 200 iterations",
+        ]
+
     def test_seed_changes_output(self, tmp_path, capsys):
         model = self.linear_model(tmp_path)
         outs = []

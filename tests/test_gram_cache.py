@@ -34,7 +34,7 @@ def sample(seed=6):
 
 def results(net, x):
     """Every consumer of the kept factors, on one sample."""
-    _, zs = net.forward_pass(x)
+    zs = net.forward_pass(x)[1]
     grads_w, grads_b, ll = gradient(net, x, label=0)
     return [
         net.class_scores(x),

@@ -71,6 +71,28 @@ def test_scalar_input_equals_the_array_result(prior, name):
 
 
 @pytest.mark.parametrize("prior", ALL_PRIORS, ids=lambda p: p.kind)
+def test_fused_evaluation_is_each_function_bit_for_bit(prior):
+    # every branch, both sides of the tg switch at a = -5 and of a = 0, and
+    # non-finite values, mixed in one array so that each branch split of the
+    # fused pass must put every part back in its place
+    edges = [np.nextafter(-5.0, -np.inf), -5.0, np.nextafter(-5.0, 0.0)]
+    edges += [np.nextafter(0.0, -1.0), -0.0, np.nextafter(0.0, 1.0)]
+    a = np.array(BRANCH_GRID + edges + [np.nan, np.inf, -np.inf])
+    with np.errstate(all="ignore"):
+        separate = [prior.cgf(a), prior.activation(a), prior.activation_deriv(a)]
+        fused = prior.cgf_derivs(a)
+        stacked = prior.cgf_derivs(a[::-1].reshape(-1, 1))
+        alone = [prior.cgf_derivs(v) for v in a]
+    assert len(fused) == 3
+    for i, (got, want) in enumerate(zip(fused, separate)):
+        np.testing.assert_array_equal(got, want)  # NaN matches NaN, and only NaN
+        np.testing.assert_array_equal(stacked[i][::-1, 0], want)
+        for v, one, w in zip(a, alone, want):
+            assert np.ndim(one[i]) == 0
+            assert one[i] == w or (np.isnan(one[i]) and np.isnan(w)), (v, i)
+
+
+@pytest.mark.parametrize("prior", ALL_PRIORS, ids=lambda p: p.kind)
 def test_scalar_inverse_equals_the_array_result(prior):
     # A converged element stops iterating, so each element of an array is
     # inverted bit for bit as it would be alone, whatever its neighbours.

@@ -79,7 +79,7 @@ class TestExactRecovery:
         rng = np.random.default_rng(42)
         net = square_net(rng)
         x = rng.standard_normal(5)
-        _, zs = net.forward_pass(x)
+        zs = net.forward_pass(x)[1]
         for k in (1, 2):
             back = reconstruct_from_layer(net, k, zs[k - 1])
             assert_allclose(back, x, atol=1e-6)
@@ -94,10 +94,10 @@ class TestExactRecovery:
         ]
         net = build_network(8, cfgs, rng)
         x = rng.standard_normal(8)
-        _, zs = net.forward_pass(x)
+        zs = net.forward_pass(x)[1]
         for k in (1, 2):
             x_hat = reconstruct_from_layer(net, k, zs[k - 1])
-            _, zs_hat = net.forward_pass(x_hat)
+            zs_hat = net.forward_pass(x_hat)[1]
             assert_allclose(zs_hat[k - 1], zs[k - 1], rtol=1e-6, atol=1e-8)
 
     def test_standardization_round_trip(self):
@@ -113,7 +113,7 @@ class TestExactRecovery:
         ]
         net = Network(layers, standardize=(mu, sigma))
         x = rng.standard_normal(5) * sigma + mu
-        _, zs = net.forward_pass(x)
+        zs = net.forward_pass(x)[1]
         assert_allclose(reconstruct_from_layer(net, 1, zs[0]), x, atol=1e-6)
 
 
@@ -227,7 +227,7 @@ class TestReconstructionStatistic:
         ]
         net = build_network(9, cfgs, rng)
         x = rng.standard_normal(9)
-        _, zs = net.forward_pass(x)
+        zs = net.forward_pass(x)[1]
         x_hat = reconstruct_from_layer(net, 1, zs[0])
         want = -np.log(max(float(np.mean((x - x_hat) ** 2)), 1e-12))
         assert_allclose(reconstruction_statistic(net, x, 1), want, rtol=1e-12)

@@ -121,10 +121,14 @@ class TestInfeasibleTargets:
 
 
 class FragileTruncatedGaussian(TruncatedGaussianPrior):
-    """A prior whose activation turns NaN past a = 2, as an overflow would."""
+    """A prior whose activation turns NaN past a = 2, as an overflow would.
 
-    def activation(self, a):
-        return np.where(np.asarray(a) > 2.0, np.nan, super().activation(a))
+    The NaN goes into the fused evaluation, which the activation reads too.
+    """
+
+    def cgf_derivs(self, a):
+        k, k1, k2 = super().cgf_derivs(a)
+        return k, np.where(np.asarray(a) > 2.0, np.nan, k1), k2
 
 
 class TestNonFiniteResidual:
@@ -178,3 +182,31 @@ class TestValidation:
             - 0.5 * m.n_out * math.log(2.0 * math.pi)
         )
         assert sol.log_density == want
+
+
+class TestCurvature:
+    def test_weights_are_k2_at_the_saddle_and_the_inverse_waits_for_a_reader(self):
+        rng = np.random.default_rng(14)
+        m = DenseMap(rng.standard_normal((9, 3)))
+        z = m.forward(TRUNCATED_GAUSSIAN.sample(rng, 9 * 4).reshape(4, 9))
+        sol = solve_saddle(m, TRUNCATED_GAUSSIAN, z)
+        np.testing.assert_array_equal(sol.curvature_weights, TRUNCATED_GAUSSIAN.activation_deriv(sol.alpha))
+        curv = sol.curvature
+        assert "w_s_inv" not in vars(curv)  # no inverse until the gradient reads one
+        for b in range(len(z)):
+            alone = GramFactor(m, sol.curvature_weights[b])
+            assert_allclose(curv.logdet[b], alone.logdet, rtol=1e-13)
+            assert_allclose(curv.w_s_inv[b], alone.w_s_inv, rtol=1e-12, atol=1e-14)
+            assert_allclose(curv.solve_rows(z)[b], alone.solve(z[b]), rtol=1e-12)
+
+    def test_unit_weight_column_beside_weighted_ones_keeps_the_map_factor(self):
+        # alpha = 50 > 38.5 underflows the Mills ratio, so k'' is exactly 1
+        # there and the first column stops at iteration 0 on the kept factor
+        m = DenseMap(np.array([[1.0], [1.0], [0.5]]))
+        sol = solve_saddle(m, TRUNCATED_GAUSSIAN, np.array([[100.0], [1.0]]))
+        np.testing.assert_array_equal(sol.curvature_weights[0], 1.0)
+        assert sol.column_iterations[0] == 0 < sol.column_iterations[1]
+        assert sol.curvature.logdet[0] == m.gram.logdet
+        assert_allclose(sol.curvature.w_s_inv[0], m.gram.w_s_inv, rtol=1e-15)
+        for b, z in enumerate((100.0, 1.0)):
+            assert sol.take(b).log_density == solve_saddle(m, TRUNCATED_GAUSSIAN, np.array([z])).log_density

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from pbn import (
     Dataset,
@@ -19,6 +20,7 @@ from pbn import (
     train,
     training,
 )
+from pbn.priors import activation_prior
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -389,9 +391,45 @@ class TestBatchedWarmStart:
         net = blob_net(np.random.default_rng(72))
         x = np.random.default_rng(73).normal(size=(4, 2))
         masks = [np.array([[2.0, 0.0]] * 4), None]
-        xs, zs = net.forward_pass(x, masks=masks)
-        np.testing.assert_array_equal(xs[0], net.standardized(x) * masks[0])
-        np.testing.assert_array_equal(zs[0], net.layers[0].map.forward(xs[0]) + net.layers[0].bias)
+        xs, zs, _ = net.forward_pass(x, masks=masks)
+        np.testing.assert_array_equal(xs[0], net.standardized(x))
+        want = net.layers[0].map.forward(xs[0] * masks[0]) + net.layers[0].bias
+        np.testing.assert_array_equal(zs[0], want)
+
+    def test_objective_is_the_log_softmax_of_the_logits(self):
+        net = blob_net(np.random.default_rng(76))
+        # logits this far apart put log-probabilities far below log(1e-300) = -690.8
+        params = [spec.map.params for spec in net.layers]
+        params[-1] = params[-1] * 1e4
+        net = net.with_layer_params(params, [spec.bias for spec in net.layers])
+        data = blob_data(np.random.default_rng(77), n_per=4)
+        labels = np.arange(len(data)) % 2
+        _, _, lls = training._pretrain_batch(net, data.x, labels, None, 0.0)
+        z = net.logits(data.x)
+        want = z[np.arange(len(z)), labels] - logsumexp(z, axis=1)
+        assert np.min(want) < -1e3
+        np.testing.assert_allclose(lls, want, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dropout_marks_the_samples_whose_hidden_activations_leave_their_range(self):
+        net = tg_shift_net(np.random.default_rng(78))
+        x = np.random.default_rng(79).normal(size=(12, 6))
+        x[::3] = np.sign(x[::3]) * 1e308  # these rows overflow some preactivations
+        labels = np.arange(len(x)) % 2
+        _, _, lls = training._pretrain_batch(net, x, labels, np.random.default_rng(80), 0.5)
+        # the rule: NaN where an activation of the masked forward pass,
+        # evaluated apart from the dropout mask, leaves its range
+        masks = training._dropout_masks(net, len(x), np.random.default_rng(80), 0.5)
+        zs = net.forward_pass(x, masks=masks)[1]
+        outside = np.zeros(len(x), dtype=bool)
+        for spec, z in zip(net.layers[:-1], zs[:-1]):
+            act = activation_prior(spec.activation)
+            outside |= ~act.in_support(act.activation(z))
+        np.testing.assert_array_equal(np.isnan(lls), outside)
+        assert 0 < np.sum(outside) < len(x)
+        # a dropped unit is 0, outside the tg support, and marks nothing
+        kept = ~outside
+        assert np.all(np.isfinite(lls[kept])) and np.any(masks[1][kept] == 0.0)
 
     def test_minibatch_gradient_is_the_sum_of_sample_gradients(self):
         net = blob_net(np.random.default_rng(74))
