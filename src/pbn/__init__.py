@@ -21,7 +21,6 @@ from .errors import (
     ShapeMismatchError,
     SingularityError,
     TrainingError,
-    UnclassifiableError,
 )
 from .features import (
     extract_directory,
@@ -58,7 +57,7 @@ from .reconstruct import (
     reconstruction_statistic,
     synthesize,
 )
-from .saddlepoint import SaddleSolution, conditional_mean, log_feature_density, solve_saddle
+from .saddlepoint import SaddleSolution, log_feature_density, solve_saddle
 from .training import (
     Dataset,
     TrainConfig,
@@ -97,11 +96,9 @@ __all__ = [
     "TrainResult",
     "TrainingError",
     "UNIFORM",
-    "UnclassifiableError",
     "activation_prior",
     "backstep",
     "build_network",
-    "conditional_mean",
     "evaluate",
     "evaluate_logits",
     "extract_directory",

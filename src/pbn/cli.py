@@ -12,7 +12,6 @@ nothing is lost to normalization.
 import argparse
 import ctypes
 import hashlib
-import json
 import os
 import sys
 
@@ -32,12 +31,12 @@ from .network import (
     OutputPriorConfig,
     build_network,
     load_model,
-    network_to_dict,
     row_chunks,
+    save_model,
     wordpair_network,
 )
 from .reconstruct import reconstruct_from_layer, reconstruction_statistic, synthesize
-from .training import Dataset, TrainConfig, evaluate, pretrain_discriminative, train
+from .training import TrainConfig, TrainResult, pretrain_discriminative, train
 
 CONFIG_DEFAULTS = {
     "arch": "wordpair",
@@ -69,8 +68,23 @@ def _config_hash(mapping):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _header(seed, mapping):
-    return f"# pbn v{__version__} seed={seed} config={_config_hash(mapping)}"
+def _header(args, *names, config=None):
+    """The comment line that opens every text output.
+
+    It carries the version, the seed, and the hash of ``config``, or of
+    the named arguments as strings when no config is given.
+    """
+    if config is None:
+        config = {name: str(getattr(args, name)) for name in names}
+    return f"# pbn v{__version__} seed={args.seed} config={_config_hash(config)}"
+
+
+def _in_range(args, name, lo, hi=None):
+    """Raise ConfigError unless the argument ``name`` lies in lo..hi (hi None: no cap)."""
+    value = getattr(args, name)
+    if value < lo or (hi is not None and value > hi):
+        bounds = f"be at least {lo}" if hi is None else f"be in {lo}..{hi}"
+        raise ConfigError(f"--{name.replace('_', '-')} must {bounds}")
 
 
 def parse_config(path):
@@ -99,33 +113,42 @@ def parse_config(path):
     return resolved
 
 
-def _as_bool(value, key):
-    if value.lower() in ("true", "1", "yes"):
-        return True
-    if value.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"config key {key}={value!r} is not a boolean")
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
+# the TrainConfig fields a training phase reads from its own config keys
+_PHASE_KEYS = (
+    ("epochs", int), ("learning_rate", float), ("optimizer", str), ("l2", float), ("dropout", float)
+)
 
 
-def _as_int(value, key):
+def _typed(value, key, kind):
+    """The text ``value`` of config key ``key`` as a bool, int or float."""
     try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}={value!r} is not an integer") from exc
+        return _BOOLS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"config key {key}={value!r} is not {_KIND_NAMES[kind]}") from exc
 
 
-def _as_float(value, key):
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}={value!r} is not a number") from exc
+def _train_config(cfg, prefix, seed):
+    """The TrainConfig of the phase whose keys start with ``prefix``; batch_size is shared.
+
+    Only the warm start has a dropout key.
+    """
+    fields = {
+        name: _typed(cfg[prefix + name], prefix + name, kind)
+        for name, kind in _PHASE_KEYS
+        if prefix + name in cfg
+    }
+    batch = _typed(cfg["batch_size"], "batch_size", int) if cfg["batch_size"] else None
+    return TrainConfig(**fields, batch_size=batch, seed=seed)
 
 
-def _parse_pair(text, key):
+def _parse_dims(text, key, forms):
+    """The integers of an "AxB..." value; ``forms`` names the pattern of each allowed count."""
     parts = text.split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"{key}: expected AxB, got {text!r}")
-    return tuple(_as_int(p, key) for p in parts)
+    if len(parts) not in forms:
+        raise ConfigError(f"{key}: expected {' or '.join(forms.values())}, got {text!r}")
+    return tuple(_typed(p, key, int) for p in parts)
 
 
 def _parse_layers(text):
@@ -134,15 +157,15 @@ def _parse_layers(text):
         parts = item.split(":")
         if parts[0] == "dense" and len(parts) == 3:
             cfgs.append(
-                {"type": "dense", "units": _as_int(parts[1], "layers"), "activation": parts[2]}
+                {"type": "dense", "units": _typed(parts[1], "layers", int), "activation": parts[2]}
             )
         elif parts[0] == "conv" and len(parts) == 5:
             cfgs.append(
                 {
                     "type": "conv",
-                    "channels": _as_int(parts[1], "layers"),
-                    "kernel": _parse_pair(parts[2], "layers"),
-                    "strides": _parse_pair(parts[3], "layers"),
+                    "channels": _typed(parts[1], "layers", int),
+                    "kernel": _parse_dims(parts[2], "layers", {2: "AxB"}),
+                    "strides": _parse_dims(parts[3], "layers", {2: "AxB"}),
                     "activation": parts[4],
                 }
             )
@@ -155,25 +178,24 @@ def _parse_layers(text):
     return cfgs
 
 
-def build_from_config(cfg, rng, standardize=None):
-    c = _as_float(cfg["C"], "C")
-    level = _as_float(cfg["L"], "L")
+def build_from_config(cfg, rng, x_train):
+    """The untrained network of ``cfg``, standardized on the rows ``x_train`` if it asks."""
+    standardize = None
+    if _typed(cfg["standardize"], "standardize", bool):
+        standardize = (x_train.mean(axis=0), x_train.std(axis=0))
+    c = _typed(cfg["C"], "C", float)
+    level = _typed(cfg["L"], "L", float)
     if cfg["arch"] == "wordpair":
         return wordpair_network(rng, c=c, level=level, standardize=standardize)
     if cfg["arch"] != "custom":
         raise ConfigError(f"arch must be wordpair or custom, got {cfg['arch']!r}")
-    shape_parts = cfg["input_shape"].split("x")
-    if len(shape_parts) == 1:
-        input_shape = _as_int(shape_parts[0], "input_shape")
-    elif len(shape_parts) == 3:
-        input_shape = tuple(_as_int(p, "input_shape") for p in shape_parts)
-    else:
-        raise ConfigError(f"input_shape: expected N or CxHxW, got {cfg['input_shape']!r}")
+    dims = _parse_dims(cfg["input_shape"], "input_shape", {1: "N", 3: "CxHxW"})
+    input_shape = dims[0] if len(dims) == 1 else dims
     layer_cfgs = _parse_layers(cfg["layers"])
     output_prior = None
     if layer_cfgs[-1]["activation"] == "shift":
         output_prior = OutputPriorConfig(
-            c=c, level=level, n_classes=_as_int(cfg["n_classes"], "n_classes")
+            c=c, level=level, n_classes=_typed(cfg["n_classes"], "n_classes", int)
         )
     return build_network(
         input_shape, layer_cfgs, rng, output_prior=output_prior, standardize=standardize
@@ -181,6 +203,7 @@ def build_from_config(cfg, rng, standardize=None):
 
 
 def _write_csv(path, header_comment, columns, rows):
+    """``header_comment`` (one or more # lines), the column names, then one line per row."""
     with open(path, "w") as fh:
         fh.write(header_comment + "\n")
         fh.write(",".join(columns) + "\n")
@@ -210,46 +233,66 @@ def _read_csv(path):
     return columns, rows
 
 
-def _write_pgm(path, header_comment, image):
-    image = np.asarray(image, dtype=np.float64)
-    lo, hi = float(image.min()), float(image.max())
-    if hi > lo:
-        scaled = np.round((image - lo) / (hi - lo) * 255.0)
-    else:
-        scaled = np.zeros_like(image)
-    data = scaled.astype(np.uint8)
-    h, w = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{header_comment}\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+def _read_table(path, needed):
+    """{column: its values} of a CSV table; JoinError unless it has the ``needed`` columns."""
+    columns, rows = _read_csv(path)
+    if not set(needed) <= set(columns):
+        raise JoinError(f"{path}: needs columns {', '.join(needed)}")
+    first = {c: columns.index(c) for c in columns}  # a repeated name reads its first column
+    return {c: [r[j] for r in rows] for c, j in first.items()}
 
 
-def _as_image(values):
-    """900-value vectors render as 20 bands x 45 frames; others as one row."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 900:
-        return values.reshape(45, 20).T
-    return values.reshape(1, values.size)
+def _numbers(path, values, kind=float):
+    """The text ``values`` of a column of the table at ``path`` as an array of ``kind``."""
+    try:
+        return np.array([kind(v) for v in values])
+    except ValueError as exc:
+        raise JoinError(f"{path}: {exc}") from exc
+
+
+class _ImageDir:
+    """An output directory of PGM images, keeping each image's raw values as one row."""
+
+    def __init__(self, path, header):
+        os.makedirs(path, exist_ok=True)
+        self.path, self.header, self.raw_rows = path, header, []
+
+    def add(self, name, values, *key):
+        """Write ``values`` as the image ``name``.pgm; keep ``key`` and the values as a raw row.
+
+        900-value vectors render as 20 bands x 45 frames; others as one row.
+        """
+        image = values.reshape(45, 20).T if values.size == 900 else values.reshape(1, values.size)
+        lo, hi = float(image.min()), float(image.max())
+        if hi > lo:
+            scaled = np.round((image - lo) / (hi - lo) * 255.0)
+        else:
+            scaled = np.zeros_like(image)
+        h, w = image.shape
+        with open(os.path.join(self.path, f"{name}.pgm"), "wb") as fh:
+            fh.write(f"P5\n{self.header}\n{w} {h}\n255\n".encode("ascii"))
+            fh.write(scaled.astype(np.uint8).tobytes())
+        self.raw_rows.append((*key, *values.tolist()))
+
+    def write_csv(self, name, columns, rows):
+        _write_csv(os.path.join(self.path, name), self.header, columns, rows)
+
+    def write_raw_values(self, key_columns, dim):
+        columns = key_columns + [f"x{j:03d}" for j in range(dim)]
+        self.write_csv("raw_values.csv", columns, self.raw_rows)
 
 
 def _safe_name(sample_id):
     return "".join(ch if (ch.isalnum() or ch in "-_.") else "_" for ch in sample_id)
 
 
-def _load_split_column(path, name):
-    columns, rows = _read_csv(path)
-    try:
-        id_col, split_col = columns.index("id"), columns.index("split")
-    except ValueError as exc:
-        raise JoinError(f"{path}: needs id and split columns") from exc
-    return [r[id_col] for r in rows if r[split_col] == name]
-
-
-def _subset_by_ids(data, ids, what):
+def _split_part(data, split, name):
+    """The rows of ``data`` that the split manifest table ``split`` puts in part ``name``."""
+    ids = [s for s, part in zip(split["id"], split["split"]) if part == name]
     index = {s: i for i, s in enumerate(data.ids)}
     missing = [s for s in ids if s not in index]
     if missing:
-        raise JoinError(f"{what}: {len(missing)} ids not in the feature archive")
+        raise JoinError(f"split {name}: {len(missing)} ids not in the feature archive")
     return data.subset([index[s] for s in ids])
 
 
@@ -258,31 +301,20 @@ def _subset_by_ids(data, ids, what):
 
 
 def cmd_extract(args):
+    _in_range(args, "n_train", 0)
+    _in_range(args, "n_val", 0)
     data, classes = extract_directory(args.wav_dir)
     splits = split_dataset(data, args.seed, n_train=args.n_train, n_val=args.n_val)
-    params = {
-        "wav_dir": args.wav_dir,
-        "n_train": str(args.n_train),
-        "n_val": str(args.n_val),
-        "binary": str(args.binary),
-    }
-    header = _header(args.seed, params)
+    header = _header(args, "wav_dir", "n_train", "n_val", "binary")
     if args.binary:
         write_archive_binary(args.out, data)
     else:
         write_archive_text(args.out, data, header=header)
-    split_of = {}
-    for name, idx in splits.items():
-        for i in idx:
-            split_of[data.ids[i]] = name
+    split_of = {data.ids[i]: name for name, idx in splits.items() for i in idx}
     out_split = args.out_split or (os.path.splitext(args.out)[0] + "_split.csv")
     class_note = ";".join(f"{c}={i}" for i, c in enumerate(classes))
-    with open(out_split, "w") as fh:
-        fh.write(header + "\n")
-        fh.write(f"# classes {class_note}\n")
-        fh.write("id,label,split\n")
-        for i, sample_id in enumerate(data.ids):
-            fh.write(f"{sample_id},{int(data.labels[i])},{split_of[sample_id]}\n")
+    rows = [(s, int(label), split_of[s]) for s, label in zip(data.ids, data.labels)]
+    _write_csv(out_split, f"{header}\n# classes {class_note}", ["id", "label", "split"], rows)
     print(f"extracted {len(data)} samples, {len(classes)} classes -> {args.out}")
     return 0
 
@@ -291,105 +323,69 @@ def cmd_train(args):
     cfg = parse_config(args.config)
     data = read_archive(args.features)
     if args.split:
-        train_data = _subset_by_ids(data, _load_split_column(args.split, "train"), "split train")
-        val_ids = _load_split_column(args.split, "val")
-        val_data = _subset_by_ids(data, val_ids, "split val") if val_ids else None
+        split = _read_table(args.split, ["id", "split"])
+        train_data, val_data = (_split_part(data, split, name) for name in ("train", "val"))
+        val_data = val_data if len(val_data) else None
     else:
         train_data, val_data = data, None
+    net = build_from_config(cfg, np.random.default_rng(args.seed), train_data.x)
 
-    standardize = None
-    if _as_bool(cfg["standardize"], "standardize"):
-        mu = train_data.x.mean(axis=0)
-        sigma = train_data.x.std(axis=0)
-        standardize = (mu, sigma)
-
-    rng = np.random.default_rng(args.seed)
-    net = build_from_config(cfg, rng, standardize=standardize)
-    header = _header(args.seed, cfg)
-
-    history_rows = []
+    phases = [("pretrain", "pretrain_", pretrain_discriminative)] if args.pretrain else []
+    phases.append(("pbn", "", train))
+    columns = ["phase", "epoch", "objective", "val_accuracy", "efficiency"]
+    history = []
     aborted = None
-    if args.pretrain:
-        pre_cfg = TrainConfig(
-            epochs=_as_int(cfg["pretrain_epochs"], "pretrain_epochs"),
-            learning_rate=_as_float(cfg["pretrain_learning_rate"], "pretrain_learning_rate"),
-            batch_size=_as_int(cfg["batch_size"], "batch_size") if cfg["batch_size"] else None,
-            optimizer=cfg["pretrain_optimizer"],
-            l2=_as_float(cfg["pretrain_l2"], "pretrain_l2"),
-            seed=args.seed,
-            dropout=_as_float(cfg["pretrain_dropout"], "pretrain_dropout"),
-        )
-        result = pretrain_discriminative(net, train_data, pre_cfg, val_data=val_data)
-        net = result.network
-        history_rows += [("pretrain", r) for r in result.history]
-        if result.aborted:
-            aborted = ("pretrain", len(result.history) + 1, result.reason)
-
-    epochs = _as_int(cfg["epochs"], "epochs")
-    if epochs > 0 and aborted is None:
-        pbn_cfg = TrainConfig(
-            epochs=epochs,
-            learning_rate=_as_float(cfg["learning_rate"], "learning_rate"),
-            batch_size=_as_int(cfg["batch_size"], "batch_size") if cfg["batch_size"] else None,
-            optimizer=cfg["optimizer"],
-            l2=_as_float(cfg["l2"], "l2"),
-            seed=args.seed,
-        )
+    for i, (phase, prefix, fit) in enumerate(phases):
+        config = _train_config(cfg, prefix, args.seed)
         try:
-            result = train(net, train_data, pbn_cfg, val_data=val_data)
+            result = fit(net, train_data, config, val_data=val_data)
         except TrainingError as exc:
             # the warm start left a network this phase cannot start from;
             # the warm-start model is the last good checkpoint
-            if not args.pretrain:
+            if i == 0:
                 raise
-            aborted = ("pbn", 1, str(exc))
-        else:
-            net = result.network
-            history_rows += [("pbn", r) for r in result.history]
-            if result.aborted:
-                aborted = ("pbn", len(result.history) + 1, result.reason)
+            result = TrainResult(network=net, aborted=True, reason=str(exc))
+        net = result.network
+        # a run without validation data has no validation accuracy
+        history += [
+            (phase, *("" if r[c] is None else r[c] for c in columns[1:])) for r in result.history
+        ]
+        if result.aborted:
+            aborted = f"{phase} phase aborted in epoch {len(result.history) + 1}: {result.reason}"
+            break
 
-    doc = network_to_dict(net)
-    doc["meta"] = {
+    meta = {
         "version": __version__,
         "seed": args.seed,
         "config_hash": _config_hash(cfg),
         "config": dict(sorted(cfg.items())),
     }
-    with open(args.out_model, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    save_model(net, args.out_model, meta=meta)
 
     out_history = args.out_history or (os.path.splitext(args.out_model)[0] + "_history.csv")
-    rows = [
-        (
-            phase,
-            r["epoch"],
-            r["objective"],
-            "" if r["val_accuracy"] is None else r["val_accuracy"],
-            r["efficiency"],
-        )
-        for phase, r in history_rows
-    ]
-    _write_csv(out_history, header, ["phase", "epoch", "objective", "val_accuracy", "efficiency"], rows)
+    _write_csv(out_history, _header(args, config=cfg), columns, history)
     if aborted is not None:
-        phase, epoch, reason = aborted
-        print(
-            f"error: {phase} phase aborted in epoch {epoch}: {reason}; "
-            f"saved the last good checkpoint to {args.out_model}",
-            file=sys.stderr,
-        )
+        note = f"saved the last good checkpoint to {args.out_model}"
+        print(f"error: {aborted}; {note}", file=sys.stderr)
         return 2
-    last = history_rows[-1][1]["objective"] if history_rows else float("nan")
-    print(f"trained {len(history_rows)} epochs, final objective {last:.6g} -> {args.out_model}")
+    last = history[-1][2] if history else float("nan")
+    print(f"trained {len(history)} epochs, final objective {last:.6g} -> {args.out_model}")
     return 0
 
 
+def _load_models(args, names, layer, top):
+    """The models the arguments ``names`` point to, with the argument ``layer`` checked.
+
+    The layer must lie in 1..depth - top of the shallowest of them.
+    """
+    nets = [load_model(getattr(args, name)) for name in names]
+    _in_range(args, layer, 1, min(net.depth for net in nets) - top)
+    return nets
+
+
 def cmd_eval(args):
-    net = load_model(args.model)
+    (net,) = _load_models(args, ["model"], "stat_layer", top=1)
     data = read_archive(args.features)
-    if not 1 <= args.stat_layer <= net.depth - 1:
-        raise ConfigError(f"--stat-layer must be in 1..{net.depth - 1}")
-    params = {"model": args.model, "stat_layer": str(args.stat_layer)}
     rows, correct, undefined = [], 0, 0
     for idx in row_chunks(len(data)):
         x, labels = data.x[idx], data.labels[idx]
@@ -401,22 +397,19 @@ def cmd_eval(args):
         for i, label, row, stat in zip(idx, labels, scores, stats):
             rows.append((data.ids[i], int(label), *[float(s) for s in row], float(stat)))
     columns = ["id", "label"] + [f"ll{k}" for k in range(net.n_classes)] + ["recon_stat"]
-    _write_csv(args.out_scores, _header(args.seed, params), columns, rows)
+    _write_csv(args.out_scores, _header(args, "model", "stat_layer"), columns, rows)
     accuracy = correct / len(data) if len(data) else float("nan")
     print(f"accuracy={accuracy:.4f} n={len(data)} undefined={undefined}")
     return 0
 
 
 def cmd_reconstruct(args):
-    net = load_model(args.model)
+    _in_range(args, "count", 0)
+    (net,) = _load_models(args, ["model"], "layer", top=0)
     data = read_archive(args.features)
-    if not 1 <= args.layer <= net.depth:
-        raise ConfigError(f"--layer must be in 1..{net.depth}")
-    os.makedirs(args.out_images, exist_ok=True)
-    params = {"model": args.model, "layer": str(args.layer), "count": str(args.count)}
-    header = _header(args.seed, params)
+    images = _ImageDir(args.out_images, _header(args, "model", "layer", "count"))
     count = len(data) if args.count == 0 else min(args.count, len(data))
-    mse_rows, raw_rows = [], []
+    mse_rows = []
     for idx in row_chunks(count):
         zs = net.forward_pass(data.x[idx])[1]
         x_hats = reconstruct_from_layer(net, args.layer, zs[args.layer - 1])
@@ -427,24 +420,10 @@ def cmd_reconstruct(args):
             if np.isnan(mse):
                 continue
             stem = f"{i:04d}_{_safe_name(sample_id)}"
-            _write_pgm(
-                os.path.join(args.out_images, f"orig_{stem}.pgm"), header, _as_image(data.x[i])
-            )
-            _write_pgm(
-                os.path.join(args.out_images, f"recon_l{args.layer}_{stem}.pgm"),
-                header,
-                _as_image(x_hat),
-            )
-            raw_rows.append((sample_id, "orig", *data.x[i].tolist()))
-            raw_rows.append((sample_id, "recon", *x_hat.tolist()))
-    dim = data.x.shape[1]
-    _write_csv(
-        os.path.join(args.out_images, "raw_values.csv"),
-        header,
-        ["id", "kind"] + [f"x{j:03d}" for j in range(dim)],
-        raw_rows,
-    )
-    _write_csv(os.path.join(args.out_images, "mse.csv"), header, ["id", "mse"], mse_rows)
+            images.add(f"orig_{stem}", data.x[i], sample_id, "orig")
+            images.add(f"recon_l{args.layer}_{stem}", x_hat, sample_id, "recon")
+    images.write_raw_values(["id", "kind"], data.x.shape[1])
+    images.write_csv("mse.csv", ["id", "mse"], mse_rows)
     finite = [m for _, m in mse_rows if np.isfinite(m)]
     mean_mse = float(np.mean(finite)) if finite else float("nan")
     print(f"reconstructed {len(finite)}/{count} through layer {args.layer}, mean mse {mean_mse:.6g}")
@@ -452,33 +431,24 @@ def cmd_reconstruct(args):
 
 
 def cmd_synthesize(args):
+    _in_range(args, "count", 0)
     net = load_model(args.model)
-    os.makedirs(args.out_images, exist_ok=True)
-    params = {"model": args.model, "label": str(args.label), "count": str(args.count)}
-    header = _header(args.seed, params)
+    images = _ImageDir(args.out_images, _header(args, "model", "label", "count"))
     label = args.label if net.output_prior is not None else None
-    raw_rows, rejects = [], []
+    rejects = []
     for idx in row_chunks(args.count):
         seeds = args.seed + idx
         for seed, x, err in zip(seeds, *synthesize(net, seeds, label=label)):
+            name = f"synth_{seed:06d}"
             if err is not None:
                 # every walk error starts with the label of its layer, "layer N: "
                 layer, _, reason = str(err).partition(": ")
-                rejects.append((f"synth_{seed:06d}", int(seed), layer.removeprefix("layer "), reason))
+                rejects.append((name, int(seed), layer.removeprefix("layer "), reason))
                 continue
-            _write_pgm(os.path.join(args.out_images, f"synth_{seed:06d}.pgm"), header, _as_image(x))
-            raw_rows.append((f"synth_{seed:06d}", *[float(v) for v in x]))
-    made = len(raw_rows)
-    _write_csv(
-        os.path.join(args.out_images, "raw_values.csv"),
-        header,
-        ["id"] + [f"x{j:03d}" for j in range(net.n_in)],
-        raw_rows,
-    )
-    _write_csv(
-        os.path.join(args.out_images, "rejects.csv"), header, ["id", "seed", "layer", "reason"], rejects
-    )
-    print(f"synthesized {made}/{args.count} samples -> {args.out_images}")
+            images.add(name, x, name)
+    images.write_raw_values(["id"], net.n_in)
+    images.write_csv("rejects.csv", ["id", "seed", "layer", "reason"], rejects)
+    print(f"synthesized {len(images.raw_rows)}/{args.count} samples -> {args.out_images}")
     return 0
 
 
@@ -502,30 +472,21 @@ def cmd_outofset(args):
     both = args.features_a is not None and args.features_b is not None
     if single == both:
         raise ConfigError("pass either --features, or both --features-a and --features-b")
-    net_a, net_b = load_model(args.model_a), load_model(args.model_b)
-    top = min(net_a.depth, net_b.depth) - 1
-    if not 1 <= args.stat_layer <= top:
-        raise ConfigError(f"--stat-layer must be in 1..{top}")
-    params = {
-        "model_a": args.model_a,
-        "model_b": args.model_b,
-        "stat_layer": str(args.stat_layer),
-    }
-    if single:
-        rows = _outofset_rows(net_a, net_b, read_archive(args.features), args.stat_layer, "")
-    else:
-        rows = _outofset_rows(
-            net_a, net_b, read_archive(args.features_a), args.stat_layer, "a"
-        ) + _outofset_rows(net_a, net_b, read_archive(args.features_b), args.stat_layer, "b")
+    net_a, net_b = _load_models(args, ["model_a", "model_b"], "stat_layer", top=1)
+    archives = [(args.features, "")] if single else [(args.features_a, "a"), (args.features_b, "b")]
+    rows = [
+        row
+        for path, side in archives
+        for row in _outofset_rows(net_a, net_b, read_archive(path), args.stat_layer, side)
+    ]
     _write_csv(
         args.out,
-        _header(args.seed, params),
+        _header(args, "model_a", "model_b", "stat_layer"),
         ["id", "true_model", "stat_a", "stat_b", "decision"],
         rows,
     )
     if both:
-        decided = [r for r in rows if r[4]]
-        correct = sum(1 for r in decided if r[1] == r[4])
+        correct = sum(1 for r in rows if r[1] == r[4])
         accuracy = correct / len(rows) if rows else float("nan")
         print(f"outofset accuracy={accuracy:.4f} n={len(rows)}")
     else:
@@ -541,38 +502,23 @@ def _standardize_on(values, mask):
 
 
 def cmd_combine(args):
-    columns, rows = _read_csv(args.scores)
-    needed = ["id", "label", "ll0", "ll1"]
-    if any(c not in columns for c in needed):
-        raise JoinError(f"{args.scores}: needs columns {', '.join(needed)}")
-    col = {c: columns.index(c) for c in columns}
-    ids = [r[col["id"]] for r in rows]
+    _in_range(args, "sweep", 1)
+    scores = _read_table(args.scores, ["id", "label", "ll0", "ll1"])
+    ids = scores["id"]
     if len(set(ids)) != len(ids):
         raise JoinError(f"{args.scores}: duplicate ids")
-    try:
-        labels = np.array([int(r[col["label"]]) for r in rows])
-        s_gen = np.array(
-            [float(r[col["ll0"]]) - float(r[col["ll1"]]) for r in rows], dtype=np.float64
-        )
-    except ValueError as exc:
-        raise JoinError(f"{args.scores}: {exc}") from exc
+    labels = _numbers(args.scores, scores["label"], int)
+    s_gen = _numbers(args.scores, scores["ll0"]) - _numbers(args.scores, scores["ll1"])
 
-    ext_columns, ext_rows = _read_csv(args.external)
-    if "id" not in ext_columns:
-        raise JoinError(f"{args.external}: needs an id column")
-    ecol = {c: ext_columns.index(c) for c in ext_columns}
-    try:
-        if "score0" in ecol and "score1" in ecol:
-            ext_map = {
-                r[ecol["id"]]: float(r[ecol["score0"]]) - float(r[ecol["score1"]])
-                for r in ext_rows
-            }
-        elif "score" in ecol:
-            ext_map = {r[ecol["id"]]: float(r[ecol["score"]]) for r in ext_rows}
-        else:
-            raise JoinError(f"{args.external}: needs score or score0/score1 columns")
-    except ValueError as exc:
-        raise JoinError(f"{args.external}: {exc}") from exc
+    external = _read_table(args.external, ["id"])
+    if "score0" in external and "score1" in external:
+        score0, score1 = (_numbers(args.external, external[c]) for c in ("score0", "score1"))
+        ext = score0 - score1
+    elif "score" in external:
+        ext = _numbers(args.external, external["score"])
+    else:
+        raise JoinError(f"{args.external}: needs score or score0/score1 columns")
+    ext_map = dict(zip(external["id"], ext))
     missing = [s for s in ids if s not in ext_map]
     if missing or len(ext_map) != len(ids):
         raise JoinError(
@@ -599,14 +545,14 @@ def cmd_combine(args):
     z_ext = _standardize_on(s_ext[keep], val_mask[keep])
     kept_labels = labels[keep]
 
-    params = {"scores": args.scores, "external": args.external, "sweep": str(args.sweep)}
     out_rows = []
     for k in range(args.sweep + 1):
         w = k / args.sweep
         combined = (1.0 - w) * z_gen + w * z_ext
         pred = np.where(combined > 0.0, 0, 1)
         out_rows.append((w, float(np.mean(pred == kept_labels))))
-    _write_csv(args.out, _header(args.seed, params), ["weight", "accuracy"], out_rows)
+    header = _header(args, "scores", "external", "sweep")
+    _write_csv(args.out, header, ["weight", "accuracy"], out_rows)
     best = max(out_rows, key=lambda r: r[1])
     print(
         f"combine: n={int(keep.sum())} best accuracy {best[1]:.4f} at w={best[0]:.3f} -> {args.out}"
@@ -625,55 +571,48 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"pbn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(fn, summary):
+        p = sub.add_parser(fn.__name__.removeprefix("cmd_"), help=summary)
         p.add_argument("--seed", type=int, default=0, help="determinism seed")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("extract", help="WAV directory to feature archive + split manifest")
+    p = command(cmd_extract, "WAV directory to feature archive + split manifest")
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--out", required=True, help="feature archive path")
     p.add_argument("--out-split", default=None, help="split manifest path")
     p.add_argument("--n-train", type=int, default=500)
     p.add_argument("--n-val", type=int, default=150)
     p.add_argument("--binary", action="store_true", help="write the binary archive form")
-    common(p)
-    p.set_defaults(fn=cmd_extract)
 
-    p = sub.add_parser("train", help="fit a model on a feature archive")
+    p = command(cmd_train, "fit a model on a feature archive")
     p.add_argument("--features", required=True)
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-history", default=None)
     p.add_argument("--split", default=None, help="split manifest from extract")
     p.add_argument("--pretrain", action="store_true", help="run the discriminative phase first")
-    common(p)
-    p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="score a feature archive under a model")
+    p = command(cmd_eval, "score a feature archive under a model")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out-scores", required=True)
     p.add_argument("--stat-layer", type=int, default=1)
-    common(p)
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("reconstruct", help="reconstruct samples from a hidden layer")
+    p = command(cmd_reconstruct, "reconstruct samples from a hidden layer")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--out-images", required=True)
     p.add_argument("--count", type=int, default=0, help="how many samples (0 = all)")
-    common(p)
-    p.set_defaults(fn=cmd_reconstruct)
 
-    p = sub.add_parser("synthesize", help="draw synthetic samples from a model")
+    p = command(cmd_synthesize, "draw synthetic samples from a model")
     p.add_argument("--model", required=True)
     p.add_argument("--label", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--out-images", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_synthesize)
 
-    p = sub.add_parser("outofset", help="assign samples to the better-reconstructing model")
+    p = command(cmd_outofset, "assign samples to the better-reconstructing model")
     p.add_argument("--model-a", required=True)
     p.add_argument("--model-b", required=True)
     p.add_argument("--features", default=None, help="one archive, decisions only")
@@ -681,17 +620,13 @@ def build_parser():
     p.add_argument("--features-b", default=None, help="archive known to belong to model B")
     p.add_argument("--out", required=True)
     p.add_argument("--stat-layer", type=int, default=1)
-    common(p)
-    p.set_defaults(fn=cmd_outofset)
 
-    p = sub.add_parser("combine", help="sweep generative/external score combination")
+    p = command(cmd_combine, "sweep generative/external score combination")
     p.add_argument("--scores", required=True, help="score table from eval")
     p.add_argument("--external", required=True, help="CSV of external per-sample scores")
     p.add_argument("--sweep", type=int, default=20, help="grid has sweep+1 weights in [0,1]")
     p.add_argument("--out", required=True)
     p.add_argument("--val-ids", default=None, help="ids (one per line) for standardization")
-    common(p)
-    p.set_defaults(fn=cmd_combine)
 
     return parser
 

@@ -34,10 +34,6 @@ class LikelihoodUndefinedError(PbnError):
         self.layer = layer
 
 
-class UnclassifiableError(PbnError):
-    """Every label hypothesis has an undefined likelihood."""
-
-
 class IngestionError(PbnError):
     """Input data could not be ingested (bad WAV, malformed archive, ...)."""
 

@@ -449,16 +449,6 @@ class Network:
             scores[idx, y] = self._likelihood_terms(interior, trace.zs[-1][idx], labels).total
         return scores[0] if np.ndim(x_raw) == 1 else scores
 
-    def classify(self, x_raw):
-        """Most likely label; ties resolve to the lowest index."""
-        from .errors import UnclassifiableError
-
-        try:
-            scores = self.class_scores(x_raw)
-        except LikelihoodUndefinedError as exc:
-            raise UnclassifiableError(f"every hypothesis is undefined: {exc}") from exc
-        return int(np.argmax(scores))
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -605,9 +595,15 @@ def network_from_dict(doc):
     return Network(layers, output_prior=output_prior, standardize=standardize)
 
 
-def save_model(net, path):
-    """Write the canonical JSON form; identical networks give identical bytes."""
-    text = json.dumps(network_to_dict(net), sort_keys=True, separators=(",", ":"))
+def save_model(net, path, meta=None):
+    """Write the canonical JSON form; identical networks and ``meta`` give identical bytes.
+
+    ``meta``, when given, is stored under the "meta" key; loading ignores it.
+    """
+    doc = network_to_dict(net)
+    if meta is not None:
+        doc["meta"] = meta
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

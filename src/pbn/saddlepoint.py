@@ -81,14 +81,14 @@ class SaddleSolution:
     """The saddle point of one target, or of each column of a stack.
 
     For a stack every array gains a leading column axis; ``residual``
-    and ``objective`` hold one value per column and ``objective_path``
-    one list per column; a failed column is NaN, with its error in
-    ``errors``.  ``curvature_weights`` holds k''(alpha), the weights of
-    the curvature S = W' diag(k'') W.  ``curvature`` is the map's kept
-    GramFactor when every column has unit weights, else a GramStack of
-    each column's S and its Cholesky factor, which builds S^-1 only if
-    the gradient asks for it.  ``iterations`` is the largest column
-    count, ``column_iterations`` has each one.
+    and ``objective`` hold one value per column; a failed column is NaN,
+    with its error in ``errors``.  ``curvature_weights`` holds
+    k''(alpha), the weights of the curvature S = W' diag(k'') W.
+    ``curvature`` is the map's kept GramFactor when every column has
+    unit weights, else a GramStack of each column's S and its Cholesky
+    factor, which builds S^-1 only if the gradient asks for it.
+    ``iterations`` is the largest column count, ``column_iterations``
+    has each one.
     """
 
     h_hat: np.ndarray
@@ -98,7 +98,6 @@ class SaddleSolution:
     curvature: object
     curvature_weights: np.ndarray
     iterations: int
-    objective_path: list
     objective: object
     column_iterations: np.ndarray
     errors: list
@@ -113,7 +112,6 @@ class SaddleSolution:
         """The solution of the columns ``idx``; an integer gives one column's own solution."""
         one = np.ndim(idx) == 0
         cols = np.atleast_1d(idx)
-        paths = [self.objective_path[i] for i in cols]
         curv = self.curvature
         return SaddleSolution(
             h_hat=self.h_hat[idx],
@@ -123,7 +121,6 @@ class SaddleSolution:
             curvature=curv.take(idx) if isinstance(curv, GramStack) else curv,
             curvature_weights=self.curvature_weights[idx],
             iterations=int(np.max(self.column_iterations[cols], initial=0)),
-            objective_path=paths[0] if one else paths,
             objective=self.objective[idx].item() if one else self.objective[idx],
             column_iterations=self.column_iterations[idx],
             errors=[self.errors[i] for i in cols],
@@ -211,7 +208,6 @@ def _solve_columns(map_, prior, z, max_iter, tol, label):
     residual = np.full(n_cols, np.nan)
     objective = np.full(n_cols, np.nan)
     iterations = np.zeros(n_cols, dtype=int)
-    paths = [[] for _ in range(n_cols)]
     errors = [None] * n_cols
     converged = []  # (columns, strict curvature factor) per iteration that finished some
 
@@ -242,8 +238,6 @@ def _solve_columns(map_, prior, z, max_iter, tol, label):
         obj = np.sum(cgf, axis=1) - np.vecdot(h, zc)
         # an objective change this small is rounding, not descent
         flat = FLAT_ULPS * EPS * (np.sum(np.abs(cgf), axis=1) + np.vecdot(np.abs(h), np.abs(zc)))
-        for col, value in zip(cols, obj):
-            paths[col].append(float(value))
         rmax = np.max(np.abs(resid), axis=1)
         done = np.isfinite(rmax) & (rmax <= tol * scale[cols])
         if done.any():
@@ -328,7 +322,6 @@ def _solve_columns(map_, prior, z, max_iter, tol, label):
         curvature=_assemble(map_, converged, n_cols, errors),
         curvature_weights=k2_out,
         iterations=int(np.max(iterations, initial=0)),
-        objective_path=paths,
         objective=objective,
         column_iterations=iterations,
         errors=errors,
@@ -355,8 +348,3 @@ def _assemble(map_, converged, n_cols, errors):
 def log_feature_density(map_, prior, z_tilde, *, label="saddle"):
     """Second order approximate log density of the feature z = W'x at z~."""
     return solve_saddle(map_, prior, z_tilde, label=label).log_density
-
-
-def conditional_mean(map_, prior, z_tilde, *, label="saddle"):
-    """Approximate E[x | W'x = z~], the activation at the saddle point."""
-    return solve_saddle(map_, prior, z_tilde, label=label).x_hat

@@ -93,6 +93,14 @@ class TrainConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise TrainingError("epochs must be nonnegative")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise TrainingError("batch_size must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise TrainingError("learning_rate must be finite and positive")
+        if not (np.isfinite(self.l2) and self.l2 >= 0.0):
+            raise TrainingError("l2 must be finite and nonnegative")
         if self.optimizer not in ("sgd", "adam"):
             raise TrainingError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.dropout < 1.0:

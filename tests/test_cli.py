@@ -191,6 +191,14 @@ class TestExtract:
         assert err.startswith("error: id 'bed/a,b'")
         assert not arch.exists()
 
+    @pytest.mark.parametrize("flag", ["--n-train", "--n-val"])
+    def test_negative_split_size_exits_2(self, wav_tree, tmp_path, capsys, flag):
+        arch = tmp_path / "features.csv"
+        rc, out, err = run(capsys, "extract", "--wav-dir", wav_tree, "--out", str(arch), flag, "-1")
+        assert (rc, out) == (2, "")
+        assert err == f"error: {flag} must be at least 0\n"
+        assert not arch.exists()
+
     def test_missing_dir_is_usage_error(self, tmp_path, capsys):
         rc, _, err = run(
             capsys, "extract", "--wav-dir", "/no/such/dir", "--out", str(tmp_path / "x.csv")
@@ -369,6 +377,34 @@ class TestTrain:
         doc = json.loads(open(model).read())
         assert all(np.all(np.isfinite(layer["map"]["weights"])) for layer in doc["layers"])
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("batch_size=-1", "batch_size must be positive"),
+            ("epochs=-2", "epochs must be nonnegative"),
+            ("pretrain_epochs=-1", "epochs must be nonnegative"),
+            ("learning_rate=-1", "learning_rate must be finite and positive"),
+            ("pretrain_learning_rate=0", "learning_rate must be finite and positive"),
+            ("learning_rate=nan", "learning_rate must be finite and positive"),
+            ("l2=-1", "l2 must be finite and nonnegative"),
+            ("pretrain_l2=inf", "l2 must be finite and nonnegative"),
+        ],
+    )
+    def test_out_of_range_training_config_exits_2(
+        self, tmp_path, toy_archive, toy_config, capsys, line, reason
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(open(toy_config).read() + line + "\n")
+        model = tmp_path / "m.json"
+        rc, out, err = run(
+            capsys,
+            "train", "--features", toy_archive, "--config", str(cfg),
+            "--out-model", str(model), "--pretrain",
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"error: {reason}\n"
+        assert not model.exists()
+
     def test_malformed_archive_exits_2(self, tmp_path, capsys):
         data = Dataset(np.zeros((2, 3)), np.array([0, 1]), ["a/0", "b/1"])
         path = str(tmp_path / "arch.pbnf")
@@ -528,6 +564,17 @@ class TestReconstruct:
         assert rc == 2
         assert "--layer" in err
 
+    def test_negative_count_exits_2(self, tmp_path, toy_archive, toy_model, capsys):
+        out_dir = tmp_path / "x"
+        rc, out, err = run(
+            capsys,
+            "reconstruct", "--model", toy_model, "--features", toy_archive,
+            "--layer", "1", "--out-images", str(out_dir), "--count", "-3",
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: --count must be at least 0\n"
+        assert not out_dir.exists()
+
 
 class TestSynthesize:
     def linear_model(self, tmp_path):
@@ -583,6 +630,17 @@ class TestSynthesize:
             "synth_000005,5,1,saddle point not reached in 200 iterations",
             "synth_000007,7,1,saddle point not reached in 200 iterations",
         ]
+
+    def test_negative_count_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "syn"
+        rc, out, err = run(
+            capsys,
+            "synthesize", "--model", self.linear_model(tmp_path), "--count", "-2",
+            "--out-images", str(out_dir),
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: --count must be at least 0\n"
+        assert not out_dir.exists()
 
     def test_seed_changes_output(self, tmp_path, capsys):
         model = self.linear_model(tmp_path)
@@ -716,6 +774,20 @@ class TestCombine:
         assert len(table) == 11
         assert table[1.0] == 1.0
         assert max(table.values()) >= max(table[0.0], table[1.0])
+
+    @pytest.mark.parametrize("sweep", ["0", "-1"])
+    def test_sweep_below_one_exits_2(self, tmp_path, capsys, sweep):
+        scores = self.score_table(tmp_path)
+        external = self.external_table(tmp_path, [(f"s{i:02d}", i % 2) for i in range(10)])
+        out = tmp_path / "sweep.csv"
+        rc, text, err = run(
+            capsys,
+            "combine", "--scores", scores, "--external", external,
+            "--sweep", sweep, "--out", str(out),
+        )
+        assert (rc, text) == (2, "")
+        assert err == "error: --sweep must be at least 1\n"
+        assert not out.exists()
 
     def test_id_mismatch_raises(self, tmp_path, capsys):
         scores = self.score_table(tmp_path)

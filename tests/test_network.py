@@ -12,7 +12,6 @@ from pbn.errors import (
     LikelihoodUndefinedError,
     ReconstructionError,
     ShapeMismatchError,
-    UnclassifiableError,
 )
 from pbn.linops import DenseMap
 from pbn.network import (
@@ -215,17 +214,6 @@ class TestClassification:
         for y in range(2):
             assert scores[y] == net.log_likelihood(x, label=y).total
 
-    def test_classify_is_argmax(self):
-        rng = np.random.default_rng(7)
-        net = small_shift_net(rng)
-        hits = 0
-        for _ in range(10):
-            x = rng.standard_normal(8)
-            scores = net.class_scores(x)
-            assert net.classify(x) == int(np.argmax(scores))
-            hits += 1
-        assert hits == 10
-
     def test_undefined_interior_is_unclassifiable(self):
         # A first layer whose prior demands positive inputs fails on a
         # negative sample, taking every hypothesis down with it.
@@ -240,8 +228,9 @@ class TestClassification:
         ]
         net = Network(layers, output_prior=OutputPriorConfig(200.0, 1.0, 2))
         x = -np.abs(rng.standard_normal(6))
-        with pytest.raises(UnclassifiableError):
-            net.classify(x)
+        with pytest.raises(LikelihoodUndefinedError) as ei:
+            net.class_scores(x)
+        assert ei.value.layer == 1
         with pytest.raises(LikelihoodUndefinedError) as ei:
             net.log_likelihood(x, label=0)
         assert ei.value.layer == 1
@@ -250,7 +239,7 @@ class TestClassification:
         rng = np.random.default_rng(9)
         net = linear_chain(rng, (6, 3))
         with pytest.raises(ConfigError):
-            net.classify(np.zeros(6))
+            net.class_scores(np.zeros(6))
 
 
 class TestInteriorTraceErrors:

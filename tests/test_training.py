@@ -477,7 +477,7 @@ class TestEvaluate:
         spec = LayerSpec(DenseMap(w), np.zeros(2), "truncated_gaussian", "shift")
         net = Network([spec], output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2))
         good = np.array([1.0, 2.0])
-        label = net.classify(good)
+        label = int(np.argmax(net.class_scores(good)))
         data = Dataset(np.vstack([good, [-1.0, -1.0]]), np.array([label, 0]))
         assert evaluate(net, data) == pytest.approx(0.5)
 
