@@ -142,11 +142,13 @@ def split_dataset(data, seed, n_train=500, n_val=150):
 
     Rows of each class are ordered by id (falling back to position) so
     the split depends only on the sample set, then shuffled with one
-    generator and dealt n_train/n_val/rest.  A class smaller than
-    n_train + n_val is an ingestion error.
+    generator and dealt n_train/n_val/rest.  A negative count, or a
+    class smaller than n_train + n_val, is an ingestion error.
     """
     if data.labels is None:
         raise IngestionError("splitting needs labeled data")
+    if n_train < 0 or n_val < 0:
+        raise IngestionError(f"split counts must be nonnegative, got n_train={n_train}, n_val={n_val}")
     rng = np.random.default_rng(seed)
     splits = {"train": [], "val": [], "test": []}
     for cls in sorted(set(int(c) for c in data.labels)):

@@ -9,11 +9,14 @@ never expands dimension) and exposes the pair
 on one vector or on each row of a (B, n) stack, together with the two
 gradient collectors training needs: the gradient of s' forward(x) with
 respect to the raw parameters (summed over the rows of a stack), and
-the projection of an arbitrary dense d/dW onto the parameters.  Maps
-are immutable; ``with_params`` builds a sibling that shares the wiring
-indices, so a training loop can swap parameters without re-deriving
-the sparsity pattern of a convolution.  ``GramFactor`` factors one
-weighted Gram matrix, formed as one symmetric product (syrk), and keeps
+the projection of an arbitrary dense d/dW onto the parameters.  A map
+keeps its dense matrix and unit Gram factor once built.  A sibling from
+``with_params`` shares the wiring indices and keeps its parameters for
+life; one from ``with_shared_params`` reads a vector that the training
+loop updates in place, and ``refresh`` then writes the new parameters
+into the kept dense matrix and drops the kept Gram factor.
+``GramFactor`` factors one weighted Gram matrix, formed as one
+symmetric product (syrk), in the buffer that product wrote, and keeps
 its explicit inverse once asked, so W S^-1 is one matrix product;
 ``GramStack`` factors one per row of a weight stack, solves with all of
 them in one batched call, and forms W S^-1 only when asked.
@@ -23,8 +26,8 @@ import functools
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotri
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import DomainError, ShapeMismatchError, SingularityError
 
@@ -40,6 +43,19 @@ def _readonly(a):
     out = np.array(a, dtype=np.float64)
     out.flags.writeable = False
     return out
+
+
+def _mirror_lower(a):
+    """Copy the lower triangle of the square array ``a`` onto its upper triangle, in place.
+
+    Each block of 64 columns copies its panel below the diagonal block
+    as one transposed slice; only the diagonal blocks take temporaries.
+    """
+    for j in range(0, len(a), 64):
+        e = j + 64
+        d = a[j:e, j:e]
+        d[...] = np.tril(d) + np.tril(d, -1).T
+        a[j:e, e:] = a[e:, j:e].T
 
 
 class LinearMap:
@@ -58,21 +74,56 @@ class LinearMap:
         raise NotImplementedError
 
     def materialize(self):
-        """Dense n_out x n_in matrix A = W' with forward(x) = A @ x, bit for bit."""
+        """Dense n_out x n_in matrix A = W' with forward(x) = A @ x, bit for bit.
+
+        It is built on first use and kept (read-only); ``refresh`` writes
+        new parameters into it.
+        """
+        return self._dense
+
+    def _fill(self, a):
+        """Write the parameters into the dense matrix ``a``."""
         raise NotImplementedError
 
     @functools.cached_property
     def gram(self):
         """The unit-weight GramFactor of S = W'W, built on first use and kept.
 
-        Like ``materialize()`` it depends on the parameters alone, and a
-        map's parameters never change (``with_params`` builds a new map
-        with empty caches), so a kept factor can never go stale.
+        Like ``materialize()`` it depends on the parameters alone.  A map
+        built by ``with_params`` keeps its parameters for life; a map
+        built by ``with_shared_params`` drops the factor in ``refresh``
+        after every update, so a kept factor can never go stale.
         """
         return GramFactor(self)
 
     def with_params(self, params):
         raise NotImplementedError
+
+    def with_shared_params(self, params):
+        """A sibling map whose parameters are the read-only view ``params`` itself, not a copy.
+
+        Its owner writes new values through the view's writeable base and
+        then calls ``refresh`` before the map is used again.
+        """
+        if params.flags.writeable:
+            raise ValueError("shared parameters must be a read-only view")
+        twin = self.with_params(params)
+        twin._params = params
+        return twin
+
+    def refresh(self):
+        """Bring the kept caches up to date after the parameters changed in place.
+
+        The kept dense matrix takes the new parameters where it stands
+        (a convolution's zero pattern never changes), and the kept Gram
+        factor is dropped, to be built again on first use.
+        """
+        vars(self).pop("gram", None)
+        a = vars(self).get("_dense")
+        if a is not None:
+            a.flags.writeable = True
+            self._fill(a)
+            a.flags.writeable = False
 
     def param_grad(self, x, s):
         """d(s' W' x)/dparams for vectors x (n_in) and s (n_out).
@@ -120,8 +171,8 @@ class DenseMap(LinearMap):
     def _dense(self):
         return _readonly(self._params.T)
 
-    def materialize(self):
-        return self._dense
+    def _fill(self, a):
+        np.copyto(a, self._params.T)
 
     def with_params(self, params):
         p = np.asarray(params, dtype=np.float64)
@@ -203,14 +254,14 @@ class ConvMap(LinearMap):
 
     @functools.cached_property
     def _dense(self):
-        dense_idx, _, par_idx = self._wiring
         a = np.zeros((self.n_out, self.n_in))
-        a.ravel()[dense_idx] = self._params.ravel()[par_idx]
+        self._fill(a)
         a.flags.writeable = False
         return a
 
-    def materialize(self):
-        return self._dense
+    def _fill(self, a):
+        dense_idx, _, par_idx = self._wiring
+        a.ravel()[dense_idx] = self._params.ravel()[par_idx]
 
     def with_params(self, params):
         p = np.asarray(params, dtype=np.float64)
@@ -235,10 +286,14 @@ class GramFactor:
     the saddle point objective (w = k'' at the saddle) and, with unit
     weights, as the plain Gram W'W used to seed the solver.  It is
     formed as the symmetric product B B' with B = W' diag(w)^(1/2)
-    (W' itself for unit weights), which BLAS runs as syrk.  Weights
-    must be strictly positive and finite.  A failed factorization, or a
-    pivot collapsing to zero relative to the trace, raises
-    SingularityError carrying the provided label.
+    (W' itself for unit weights), which BLAS runs as syrk, and LAPACK
+    potrf factors it in the buffer that product wrote: S is exactly
+    symmetric, so its transpose is the Fortran-ordered matrix potrf
+    takes.  Weights must be strictly positive and finite.  A failed
+    factorization, a non-finite S, or a pivot collapsing to zero
+    relative to the trace, raises SingularityError carrying the
+    provided label.  Every entry of a Gram matrix is bounded by its
+    diagonal, so a finite trace means a finite S.
 
     The unit-weight factor of a map is kept on the map (``LinearMap.gram``)
     and so lives exactly as long as the map's parameters.  A factor
@@ -249,26 +304,31 @@ class GramFactor:
 
     def __init__(self, map_, weights=None, label="gram"):
         self._a = a = map_.materialize()
+        self._scale = None
         if weights is not None:
             w = np.asarray(weights, dtype=np.float64)
             if w.shape != (map_.n_in,):
                 raise ShapeMismatchError(f"{label}: weights shape {w.shape} != ({map_.n_in},)")
             if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
                 raise DomainError(f"{label}: gram weights must be positive and finite")
-            a = a * np.sqrt(w)
+            self._scale = np.sqrt(w)
+            a = a * self._scale
         s = a @ a.T
-        m = map_.n_out
-        try:
-            c, lower = cho_factor(s, lower=True)
-        except (LinAlgError, ValueError) as exc:
-            raise SingularityError(f"{label}: gram matrix is not positive definite") from exc
+        trace = np.trace(s)
+        c, info = dpotrf(s.T, lower=1, clean=0, overwrite_a=1)
+        if info != 0 or not np.isfinite(trace):
+            raise SingularityError(f"{label}: gram matrix is not positive definite")
         piv = np.diagonal(c)
-        if np.any(piv * piv < 1e-12 * np.trace(s) / m):
+        if np.any(piv * piv < 1e-12 * trace / map_.n_out):
             raise SingularityError(f"{label}: gram matrix is numerically singular")
-        s.flags.writeable = False
-        self.matrix = s
-        self._factor = (c, lower)
+        self._factor = (c, True)
         self.logdet = float(2.0 * np.sum(np.log(piv)))
+
+    @property
+    def matrix(self):
+        """S itself, formed again by the same product: the factor took over its first buffer."""
+        b = self._a if self._scale is None else self._a * self._scale
+        return b @ b.T
 
     def solve(self, b):
         """Solve S u = b for a vector or a stack of columns."""
@@ -280,13 +340,15 @@ class GramFactor:
 
     @functools.cached_property
     def inv(self):
-        """S^-1 (n_out x n_out, symmetric, read-only), computed on first use and kept."""
-        c, _ = self._factor
-        lower, info = dpotri(c, lower=True)
+        """S^-1 (n_out x n_out, symmetric, read-only), computed on first use and kept.
+
+        potri writes the lower triangle into a copy of the factor, which
+        the solves still read, and the triangle is mirrored in place.
+        """
+        inv, info = dpotri(self._factor[0], lower=1)
         if info != 0:
             raise SingularityError(f"gram inverse failed: LAPACK potri info {info}")
-        inv = np.tril(lower)
-        inv += np.tril(inv, -1).T
+        _mirror_lower(inv)
         inv.flags.writeable = False
         return inv
 

@@ -35,8 +35,10 @@ The unit Gram factor W'W that seeds every solve is a constant of the
 map, so it is built once per map and kept there (``LinearMap.gram``).
 Whenever the curvature weights k'' are exactly 1 (always, under the
 Gaussian prior) the curvature is that same factor, and the solution
-carries it instead of a rebuilt copy.  Maps are immutable and a
-parameter update builds new maps, so no solve can see a stale factor.
+carries it instead of a rebuilt copy.  A map's parameters change only
+in place in a training skeleton, whose update ends with the map's
+``refresh``: it rewrites the kept dense matrix and drops the kept
+factor, so no solve can see a stale one.
 
 A (B, n_out) stack of targets is solved as one stacked Newton
 iteration, one column per target.  Each column keeps its own line

@@ -45,6 +45,8 @@ import numpy as np
 from .errors import TrainingError
 from .linops import DenseMap
 from .network import (
+    LayerSpec,
+    Network,
     label_signal,
     output_shift,
     output_shift_curvature,
@@ -198,31 +200,30 @@ def objective(net, data, l2=0.0):
     lls = np.concatenate(lls) if lls else np.zeros(0)
     if lls.size == 0:
         raise TrainingError("no sample in the batch has a defined likelihood")
-    value = float(np.sum(lls)) / lls.size - l2 * _weight_norm(net)
+    norm = float(sum(np.sum(spec.map.params**2) for spec in net.layers))
+    value = float(np.sum(lls)) / lls.size - l2 * norm
     return value, lls.size / len(data)
 
 
-def _weight_norm(net):
-    return float(sum(np.sum(spec.map.params**2) for spec in net.layers))
-
-
-def _batch(net, data, idx, l2, batch_grad):
+def _batch(net, weights, data, idx, l2, batch_grad):
     """Mean gradient and objective over the defined samples of one minibatch.
 
     ``batch_grad(net, x, labels)`` returns the weight and bias
     gradients summed over the defined samples of the rows ``x``, and
-    one objective value per defined sample.  Returns (weight grads,
-    bias grads, penalized objective, defined-sample count).
+    one objective value per defined sample.  ``weights`` is the part of
+    the parameter vector that holds the layer parameters (biases are
+    not decayed).  Returns (gradient in the layout of the parameter
+    vector, penalized objective, defined-sample count).
     """
     labels = None if data.labels is None else data.labels[idx]
     grads_w, grads_b, values = batch_grad(net, data.x[idx], labels)
     defined = len(values)
     if defined == 0:
         raise TrainingError("no sample in the batch has a defined likelihood")
-    grads_w = [g / defined - 2.0 * l2 * spec.map.params for g, spec in zip(grads_w, net.layers)]
-    grads_b = [g / defined for g in grads_b]
-    value = float(np.sum(values)) / defined - l2 * _weight_norm(net)
-    return grads_w, grads_b, value, defined
+    grad = np.concatenate([g.ravel() for g in grads_w + grads_b]) / defined
+    grad[: weights.size] -= 2.0 * l2 * weights
+    value = float(np.sum(values)) / defined - l2 * float(np.sum(weights**2))
+    return grad, value, defined
 
 
 # ---------------------------------------------------------------------------
@@ -315,30 +316,23 @@ class _Sgd:
     def __init__(self, lr):
         self.lr = lr
 
-    def step(self, params, grads):
-        return [p + self.lr * g for p, g in zip(params, grads)]
+    def step(self, theta, grad):
+        theta += self.lr * grad
 
 
 class _Adam:
     def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = None
-        self.v = None
+        self.m = self.v = 0.0
 
-    def step(self, params, grads):
-        if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+    def step(self, theta, grad):
         self.t += 1
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1**self.t)
-            v_hat = self.v[i] / (1 - self.beta2**self.t)
-            out.append(p + self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
-        return out
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
+        m_hat = self.m / (1 - self.beta1**self.t)
+        v_hat = self.v / (1 - self.beta2**self.t)
+        theta += self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _make_optimizer(config):
@@ -347,26 +341,59 @@ def _make_optimizer(config):
     return _Sgd(config.learning_rate)
 
 
-def _all_finite(arrays):
-    return all(np.all(np.isfinite(a)) for a in arrays)
+def _layer_arrays(net):
+    """Every layer's parameters, then every layer's bias: the layout of the parameter vector."""
+    return [spec.map.params for spec in net.layers] + [spec.bias for spec in net.layers]
 
 
-def _checkpoint(net):
-    """A copy of ``net`` with the same parameters and none of its caches.
+def _unflatten(flat, like):
+    """Views of ``flat`` with the shapes of the arrays ``like``, in order."""
+    ends = np.cumsum([a.size for a in like])
+    return [v.reshape(a.shape) for v, a in zip(np.split(flat, ends[:-1]), like)]
 
-    Holding the network itself would keep its dense matrices and Gram
-    factors alive next to those of the network being trained.
+
+def _skeleton(net):
+    """(skeleton, theta): a copy of ``net``, validated once, to be trained in place.
+
+    Every layer's parameters and bias in the skeleton are read-only
+    views of the vector theta, laid out as ``_layer_arrays``; an update
+    writes theta in one operation and then refreshes each map.
     """
-    return net.with_layer_params(
-        [spec.map.params for spec in net.layers], [spec.bias for spec in net.layers]
-    )
+    arrays = _layer_arrays(net)
+    theta = np.concatenate([a.ravel() for a in arrays])
+    frozen = theta.view()
+    frozen.flags.writeable = False
+    views = _unflatten(frozen, arrays)
+    layers = []
+    for spec, w, b in zip(net.layers, views, views[net.depth :]):
+        layer = LayerSpec(spec.map.with_shared_params(w), b, spec.input_prior, spec.activation)
+        layer.bias = b
+        layers.append(layer)
+    return Network(layers, net.output_prior, net.standardize), theta
+
+
+def _checkpoint(theta):
+    """A copy of the parameter vector, all a checkpoint holds.
+
+    Every update refreshes the skeleton's caches in place, so there is
+    no cache to keep; the run builds one network from the kept vector
+    when it returns.
+    """
+    return theta.copy()
 
 
 def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
-    """Minibatch ascent; ``rng`` shuffles every epoch (and drives any dropout)."""
+    """Minibatch ascent; ``rng`` shuffles every epoch (and drives any dropout).
+
+    ``net`` is left as it is; the run trains a skeleton copy in place
+    and returns a new network built from the best checkpoint, or ``net``
+    itself when no epoch completed.
+    """
+    skeleton, theta = _skeleton(net)
+    weights = theta[: sum(spec.map.params.size for spec in net.layers)]
     opt = _make_optimizer(config)
     history = []
-    best_net, best_acc = net, -1.0
+    best, best_acc = None, -1.0
     reason = None
 
     for epoch in range(1, config.epochs + 1):
@@ -376,27 +403,24 @@ def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
         for start in range(0, len(order), size):
             idx = order[start : start + size]
             try:
-                grads_w, grads_b, value, defined = _batch(net, data, idx, config.l2, batch_grad)
+                grad, value, defined = _batch(skeleton, weights, data, idx, config.l2, batch_grad)
             except TrainingError as exc:
                 if epoch == 1 and start == 0:
                     raise
                 reason = str(exc)
                 break
-            if not (np.isfinite(value) and _all_finite(grads_w) and _all_finite(grads_b)):
+            if not (np.isfinite(value) and np.all(np.isfinite(grad))):
                 reason = "non-finite objective or gradient"
                 break
-            flat = list(grads_w) + list(grads_b)
-            params = [spec.map.params for spec in net.layers] + [
-                spec.bias for spec in net.layers
-            ]
-            updated = opt.step(params, flat)
-            net = net.with_layer_params(updated[: net.depth], updated[net.depth :])
+            opt.step(theta, grad)
+            for spec in skeleton.layers:
+                spec.map.refresh()
             value_sum += value * defined
             defined_sum += defined
             attempted_sum += len(idx)
         if reason is not None:
             break
-        val_acc = None if val_data is None else val_fn(net, val_data)
+        val_acc = None if val_data is None else val_fn(skeleton, val_data)
         history.append(
             dict(
                 epoch=epoch,
@@ -406,8 +430,11 @@ def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
             )
         )
         if val_data is None or val_acc >= best_acc:
-            best_acc, best_net = val_acc, _checkpoint(net)
-    return TrainResult(network=best_net, history=history, aborted=reason is not None, reason=reason)
+            best_acc, best = val_acc, _checkpoint(theta)
+    if best is not None:
+        views = _unflatten(best, _layer_arrays(net))
+        net = net.with_layer_params(views[: net.depth], views[net.depth :])
+    return TrainResult(network=net, history=history, aborted=reason is not None, reason=reason)
 
 
 def train(net, data, config, val_data=None):

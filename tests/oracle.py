@@ -13,6 +13,12 @@ reconstruction code.  Tests compare the batched results with these.
 Two front-end pieces are kept the same way: ``logmel`` with one FFT and
 one filterbank product per frame, and ``conv_wiring``, the tap indices
 of a ``ConvMap`` built from full ``np.indices`` grids.
+
+So is the epoch loop that trained a new network per step: ``run_epochs``
+builds a validated network with new maps after every optimizer step,
+keeps its optimizer state as one array per layer parameter and bias,
+and checkpoints a network.  It takes the place of
+``pbn.training._run_epochs`` and uses that module's batch gradients.
 """
 
 import math
@@ -24,6 +30,7 @@ from pbn.errors import (
     LikelihoodUndefinedError,
     ReconstructionError,
     SingularityError,
+    TrainingError,
 )
 from pbn.features import _BANK, _WINDOW_FN, ENERGY_FLOOR, HOP, N_BANDS, N_FFT, N_FRAMES, WINDOW
 from pbn.linops import GramFactor
@@ -36,6 +43,7 @@ from pbn.network import (
     output_shift_slope,
 )
 from pbn.priors import activation_prior
+from pbn.training import TrainResult
 
 
 class Solution:
@@ -233,3 +241,105 @@ def conv_wiring(conv):
     in_idx = np.ravel_multi_index((ci[ok], iy[ok], ix[ok]), conv.in_shape)
     par_idx = np.ravel_multi_index((co[ok], ci[ok], dy[ok], dx[ok]), conv.params.shape)
     return out_idx * conv.n_in + in_idx, in_idx * conv.n_out + out_idx, par_idx
+
+
+class _Sgd:
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, params, grads):
+        return [p + self.lr * g for p, g in zip(params, grads)]
+
+
+class _Adam:
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = None
+        self.v = None
+
+    def step(self, params, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        out = []
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
+            m_hat = self.m[i] / (1 - self.beta1**self.t)
+            v_hat = self.v[i] / (1 - self.beta2**self.t)
+            out.append(p + self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        return out
+
+
+def _weight_norm(net):
+    return float(sum(np.sum(spec.map.params**2) for spec in net.layers))
+
+
+def _batch(net, data, idx, l2, batch_grad):
+    labels = None if data.labels is None else data.labels[idx]
+    grads_w, grads_b, values = batch_grad(net, data.x[idx], labels)
+    defined = len(values)
+    if defined == 0:
+        raise TrainingError("no sample in the batch has a defined likelihood")
+    grads_w = [g / defined - 2.0 * l2 * spec.map.params for g, spec in zip(grads_w, net.layers)]
+    grads_b = [g / defined for g in grads_b]
+    value = float(np.sum(values)) / defined - l2 * _weight_norm(net)
+    return grads_w, grads_b, value, defined
+
+
+def _all_finite(arrays):
+    return all(np.all(np.isfinite(a)) for a in arrays)
+
+
+def _checkpoint(net):
+    return net.with_layer_params(
+        [spec.map.params for spec in net.layers], [spec.bias for spec in net.layers]
+    )
+
+
+def run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
+    """Minibatch ascent that rebuilds the network after every step."""
+    opt = _Adam(config.learning_rate) if config.optimizer == "adam" else _Sgd(config.learning_rate)
+    history = []
+    best_net, best_acc = net, -1.0
+    reason = None
+
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(len(data))
+        size = config.batch_size or len(data)
+        value_sum, defined_sum, attempted_sum = 0.0, 0, 0
+        for start in range(0, len(order), size):
+            idx = order[start : start + size]
+            try:
+                grads_w, grads_b, value, defined = _batch(net, data, idx, config.l2, batch_grad)
+            except TrainingError as exc:
+                if epoch == 1 and start == 0:
+                    raise
+                reason = str(exc)
+                break
+            if not (np.isfinite(value) and _all_finite(grads_w) and _all_finite(grads_b)):
+                reason = "non-finite objective or gradient"
+                break
+            flat = list(grads_w) + list(grads_b)
+            params = [spec.map.params for spec in net.layers] + [spec.bias for spec in net.layers]
+            updated = opt.step(params, flat)
+            net = net.with_layer_params(updated[: net.depth], updated[net.depth :])
+            value_sum += value * defined
+            defined_sum += defined
+            attempted_sum += len(idx)
+        if reason is not None:
+            break
+        val_acc = None if val_data is None else val_fn(net, val_data)
+        history.append(
+            dict(
+                epoch=epoch,
+                objective=value_sum / max(defined_sum, 1),
+                val_accuracy=val_acc,
+                efficiency=defined_sum / max(attempted_sum, 1),
+            )
+        )
+        if val_data is None or val_acc >= best_acc:
+            best_acc, best_net = val_acc, _checkpoint(net)
+    return TrainResult(network=best_net, history=history, aborted=reason is not None, reason=reason)

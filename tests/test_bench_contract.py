@@ -1,9 +1,11 @@
-"""What the benchmark's trace mode needs from ``pbn``.
+"""What the benchmark needs from ``pbn``.
 
-``bench/tracer.py`` wraps the package's functions by name and reads two
-integers from each saddle solve.  A renamed function or a changed
-solution type would leave ``--trace 1`` reporting zeros, so the contract
-is checked here, where every change runs it.
+``bench/tracer.py`` wraps the package's functions by name, reads two
+integers from each saddle solve and the map shape from each Gram
+factor.  A renamed function or a changed solution type would leave
+``--trace 1`` reporting zeros, so the contract is checked here, where
+every change runs it.  ``bench/checks.py`` moves the stock network's
+parameters with ``Network.with_layer_params`` for its gradient check.
 """
 
 import os
@@ -17,7 +19,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import tracer  # noqa: E402
 
 from pbn.errors import ReconstructionError  # noqa: E402
-from pbn.linops import DenseMap  # noqa: E402
+from pbn.linops import DenseMap, GramFactor  # noqa: E402
+from pbn.network import network_from_dict, network_to_dict, wordpair_network  # noqa: E402
 from pbn.priors import TRUNCATED_GAUSSIAN  # noqa: E402
 from pbn.saddlepoint import solve_saddle  # noqa: E402
 
@@ -40,3 +43,26 @@ def test_saddle_attributes_of_a_batched_solve():
 def test_saddle_attributes_of_a_failed_solve():
     exc = ReconstructionError("layer 2: no descent direction", iterations=7, residual=1.0)
     assert tracer._saddle_attrs((), {"label": "layer 2"}, None, exc) == (2, 7)
+
+
+def test_gram_attributes_of_a_real_factor(monkeypatch):
+    spans = tracer.Tracer()
+    init = spans.wrap("linops.gram_factor", GramFactor.__init__, tracer._gram_attrs)
+    monkeypatch.setattr(GramFactor, "__init__", init)
+    map_ = wordpair_network(np.random.default_rng(0)).layers[0].map
+    assert map_.gram is map_.gram  # built once, by the package's own call
+    assert (spans.a, spans.b) == ([900], [405])
+
+
+def test_moved_parameters_make_the_network_they_describe():
+    net = wordpair_network(np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    params = [s.map.params + 1e-3 * rng.standard_normal(s.map.params.shape) for s in net.layers]
+    biases = [s.bias + 1e-3 for s in net.layers]
+    doc = network_to_dict(net)
+    for layer, p, b in zip(doc["layers"], params, biases):
+        layer["map"]["weights"], layer["bias"] = p.tolist(), b.tolist()
+    moved, loaded = net.with_layer_params(params, biases), network_from_dict(doc)
+    assert network_to_dict(moved) == doc
+    x = rng.standard_normal(900)
+    np.testing.assert_array_equal(moved.class_scores(x), loaded.class_scores(x))

@@ -254,6 +254,12 @@ class TestSplit:
         with pytest.raises(IngestionError, match="needs"):
             split_dataset(self.manifest(600), seed=0)
 
+    @pytest.mark.parametrize("n_train, n_val", [(-1, 1), (1, -1)])
+    def test_negative_counts_raise(self, n_train, n_val):
+        # a negative n_train once dealt train rows that the test split held too
+        with pytest.raises(IngestionError, match="nonnegative"):
+            split_dataset(self.manifest(3), seed=0, n_train=n_train, n_val=n_val)
+
     def test_custom_counts(self):
         splits = split_dataset(self.manifest(10), seed=1, n_train=6, n_val=2)
         assert len(splits["train"]) == 12

@@ -7,11 +7,19 @@ seed, and every unit-weight curvature of a solve, reads it anew), and a
 fresh S^-1 and W S^-1 on every use; curvature factors with other
 weights are built per solve either way.  Results must agree bit for
 bit, because both paths run the same arithmetic.
+
+A parameter update, by a new network or in place on a training
+skeleton, must leave no consumer reading an old factor or dense matrix;
+and the factor formed in the syrk buffer must equal the copying
+cho_factor formula it replaced.
 """
 
 import numpy as np
+import pytest
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotri
 
-from pbn import Dataset, TrainConfig, gradient, train
+from pbn import Dataset, TrainConfig, gradient, train, training
 from pbn.linops import GramFactor, LinearMap
 from pbn.network import network_from_dict, network_to_dict, wordpair_network
 from pbn.reconstruct import reconstruct_from_layer, reconstruction_statistic
@@ -59,6 +67,10 @@ def test_kept_factors_match_per_sample_oracle(monkeypatch):
     assert_all_equal(cached, results(wordpair(), x))
 
 
+def rebuilt(net):
+    return network_from_dict(network_to_dict(net))
+
+
 def test_parameter_update_never_sees_a_stale_factor():
     net = wordpair()
     x = sample()
@@ -68,8 +80,36 @@ def test_parameter_update_never_sees_a_stale_factor():
     biases = [spec.bias + 0.01 for spec in net.layers]
     updated = net.with_layer_params(params, biases)
     after = results(updated, x)
-    assert_all_equal(after, results(network_from_dict(network_to_dict(updated)), x))
+    assert_all_equal(after, results(rebuilt(updated), x))
     assert not np.array_equal(after[0], before[0])
+
+
+def test_in_place_update_never_sees_a_stale_cache():
+    skeleton, theta = training._skeleton(wordpair())
+    x = sample()
+    before = results(skeleton, x)  # builds every map's dense matrix, factor and W S^-1
+    theta *= 1.0 + 0.1 * np.random.default_rng(7).random(theta.size)
+    for spec in skeleton.layers:
+        spec.map.refresh()
+    after = results(skeleton, x)
+    assert_all_equal(after, results(rebuilt(skeleton), x))
+    assert not np.array_equal(after[0], before[0])
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+def test_factor_matches_the_copying_formula(layer):
+    """The factor formed in the syrk buffer against cho_factor, potri and a np.tril mirror."""
+    map_ = wordpair().layers[layer].map
+    got = GramFactor(map_)
+    a = map_.materialize()
+    c, _ = cho_factor(a @ a.T, lower=True)
+    lower, info = dpotri(c, lower=True)
+    inv = np.tril(lower)
+    inv += np.tril(inv, -1).T
+    assert info == 0
+    np.testing.assert_array_equal(got.inv, inv)
+    np.testing.assert_array_equal(got.w_s_inv, a.T @ inv)
+    assert got.logdet == float(2.0 * np.sum(np.log(np.diagonal(c))))
 
 
 def test_unit_factor_built_once_per_map(monkeypatch):

@@ -305,6 +305,14 @@ class TestGramFactor:
         with pytest.raises(DomainError):
             GramFactor(m, np.array([1.0, np.inf, 1.0]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
+    def test_non_finite_gram_is_not_positive_definite(self, bad):
+        w = np.random.default_rng(3).standard_normal((6, 3))
+        w[2, 1] = bad  # 1e200 overflows S
+        with pytest.raises(SingularityError, match="layer 2: gram matrix is not positive definite"):
+            GramFactor(DenseMap(w), label="layer 2")
+
     def test_singular_map_raises_with_label(self):
         w = np.zeros((4, 2))
         w[:, 0] = [1.0, 2.0, 0.0, 0.0]

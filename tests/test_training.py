@@ -1,4 +1,5 @@
 import numpy as np
+import oracle
 import pytest
 from scipy.special import logsumexp
 
@@ -20,6 +21,7 @@ from pbn import (
     train,
     training,
 )
+from pbn.network import wordpair_network
 from pbn.priors import activation_prior
 
 FD_STEP = 1e-5
@@ -335,6 +337,84 @@ class TestTrainingLoop:
         for got, want in zip(result.network.layers, net.layers):
             np.testing.assert_array_equal(got.map.params, want.map.params)
             np.testing.assert_array_equal(got.bias, want.bias)
+
+
+def fit_both(monkeypatch, fit, net, *args):
+    """(result, skeleton) of ``fit`` on the in-place loop, then the result of the oracle loop.
+
+    Also checks that the in-place run left ``net`` as it was.
+    """
+    skeletons = []
+    make_skeleton = training._skeleton
+
+    def spy(n):
+        skeleton, theta = make_skeleton(n)
+        skeletons.append(skeleton)
+        return skeleton, theta
+
+    monkeypatch.setattr(training, "_skeleton", spy)
+    before = [(s.map.params.copy(), s.bias.copy(), s.map.materialize().copy()) for s in net.layers]
+    got = fit(net, *args)
+    for spec, arrays in zip(net.layers, before):
+        for a, b in zip((spec.map.params, spec.bias, spec.map.materialize()), arrays):
+            np.testing.assert_array_equal(a, b)
+    monkeypatch.setattr(training, "_run_epochs", oracle.run_epochs)
+    return got, skeletons[0], fit(net, *args)
+
+
+def assert_same_run(got, skeleton, want, objective_rel=0.0):
+    assert (got.aborted, got.reason) == (want.aborted, want.reason)
+    assert len(got.history) == len(want.history) > 0
+    for row, ref in zip(got.history, want.history):
+        assert row["objective"] == pytest.approx(ref["objective"], rel=objective_rel, abs=0.0)
+        assert {**row, "objective": None} == {**ref, "objective": None}
+    for spec, ref, skel in zip(got.network.layers, want.network.layers, skeleton.layers):
+        np.testing.assert_array_equal(spec.map.params, ref.map.params)
+        np.testing.assert_array_equal(spec.bias, ref.bias)
+        for mine, theirs in [
+            (spec.map.params, skel.map.params),
+            (spec.bias, skel.bias),
+            (spec.map.materialize(), skel.map.materialize()),
+        ]:
+            assert not np.shares_memory(mine, theirs)
+
+
+class TestInPlaceLoop:
+    """The loop that trains one skeleton in place against the rebuild-per-step oracle."""
+
+    @staticmethod
+    def wordpair_data(seed, n):
+        rng = np.random.default_rng(seed)
+        return Dataset(rng.standard_normal((n, 900)), rng.integers(0, 2, size=n))
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_warm_start_with_adam(self, monkeypatch, dropout):
+        net = wordpair_network(np.random.default_rng(50))
+        cfg = TrainConfig(
+            epochs=2, learning_rate=1e-3, batch_size=8, optimizer="adam", seed=3, dropout=dropout
+        )
+        data, val = self.wordpair_data(51, 20), self.wordpair_data(52, 8)
+        got, skeleton, want = fit_both(monkeypatch, pretrain_discriminative, net, data, cfg, val)
+        assert_same_run(got, skeleton, want)
+
+    # The L2 term sums the squared weights over the one parameter vector,
+    # where the oracle adds one sum per layer: only that objective may differ.
+    @pytest.mark.parametrize("l2, objective_rel", [(0.0, 0.0), (1e-3, 1e-12)])
+    def test_likelihood_phase_with_sgd(self, monkeypatch, l2, objective_rel):
+        net = wordpair_network(np.random.default_rng(53))
+        cfg = TrainConfig(epochs=2, learning_rate=1e-8, batch_size=4, l2=l2, seed=4)
+        data, val = self.wordpair_data(54, 8), self.wordpair_data(55, 4)
+        got, skeleton, want = fit_both(monkeypatch, train, net, data, cfg, val)
+        assert_same_run(got, skeleton, want, objective_rel)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_aborted_phase_returns_its_last_checkpoint(self, monkeypatch):
+        net = blob_net(np.random.default_rng(40))
+        data = blob_data(np.random.default_rng(41), n_per=10)
+        cfg = TrainConfig(epochs=4, learning_rate=1e200, optimizer="sgd", seed=2)
+        got, skeleton, want = fit_both(monkeypatch, pretrain_discriminative, net, data, cfg)
+        assert got.aborted
+        assert_same_run(got, skeleton, want)
 
 
 class TestPretrain:
