@@ -51,13 +51,12 @@ from .network import (
 )
 from .priors import GAUSSIAN, TRUNCATED_GAUSSIAN, UNIFORM, activation_prior, get_prior
 from .reconstruct import (
-    backstep,
     invert_output_shift,
     reconstruct_from_layer,
     reconstruction_statistic,
     synthesize,
 )
-from .saddlepoint import SaddleSolution, log_feature_density, solve_saddle
+from .saddlepoint import SaddleSolution, solve_saddle
 from .training import (
     Dataset,
     TrainConfig,
@@ -97,7 +96,6 @@ __all__ = [
     "TrainingError",
     "UNIFORM",
     "activation_prior",
-    "backstep",
     "build_network",
     "evaluate",
     "evaluate_logits",
@@ -109,7 +107,6 @@ __all__ = [
     "label_signal",
     "load_model",
     "load_wav",
-    "log_feature_density",
     "logmel",
     "mel_filterbank",
     "network_from_dict",

@@ -328,6 +328,8 @@ def cmd_train(args):
         val_data = val_data if len(val_data) else None
     else:
         train_data, val_data = data, None
+    if not len(train_data):
+        raise TrainingError("the training set is empty")
     net = build_from_config(cfg, np.random.default_rng(args.seed), train_data.x)
 
     phases = [("pretrain", "pretrain_", pretrain_discriminative)] if args.pretrain else []
@@ -412,7 +414,7 @@ def cmd_reconstruct(args):
     mse_rows = []
     for idx in row_chunks(count):
         zs = net.forward_pass(data.x[idx])[1]
-        x_hats = reconstruct_from_layer(net, args.layer, zs[args.layer - 1])
+        x_hats, _ = reconstruct_from_layer(net, args.layer, zs[args.layer - 1])
         for i, x_hat in zip(idx, x_hats):
             sample_id = data.ids[i]
             mse = float(np.mean((data.x[i] - x_hat) ** 2))

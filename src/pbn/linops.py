@@ -332,7 +332,8 @@ class GramFactor:
 
     def solve(self, b):
         """Solve S u = b for a vector or a stack of columns."""
-        return cho_solve(self._factor, np.asarray(b, dtype=np.float64))
+        # the factor is finite by construction, and so is every right-hand side
+        return cho_solve(self._factor, np.asarray(b, dtype=np.float64), check_finite=False)
 
     def solve_rows(self, r):
         """Solve S u = r for one vector or for each row of a (B, n_out) stack."""
@@ -377,8 +378,8 @@ class GramStack:
     """
 
     def __init__(self, a, matrix, chol, logdet, failures):
-        """Take over the arrays of a stack, or of one row (one matrix, a 0-d logdet)."""
-        bad = np.reshape([f is not None for f in failures], np.shape(logdet))
+        """Take over the arrays of a stack."""
+        bad = np.array([f is not None for f in failures], dtype=bool)
         # a failed row solves with the identity and reports NaN
         matrix[bad] = chol[bad] = np.eye(matrix.shape[-1])
         logdet[bad] = np.nan
@@ -418,10 +419,9 @@ class GramStack:
         return cls(a, s, c, logdet, failures)
 
     def take(self, idx):
-        """The factors of the rows ``idx``; an integer gives one row's factor."""
-        failures = [self.failures[i] for i in np.atleast_1d(idx)]
-        matrix, chol, logdet = (np.array(v[idx]) for v in (self.matrix, self.chol, self.logdet))
-        return GramStack(self._a, matrix, chol, logdet, failures)
+        """The factors of the rows ``idx``, an index array."""
+        failures = [self.failures[i] for i in idx]
+        return GramStack(self._a, self.matrix[idx], self.chol[idx], self.logdet[idx], failures)
 
     def solve_rows(self, r):
         """Solve S_b u_b = r_b for each row r_b of r."""

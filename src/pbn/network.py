@@ -21,12 +21,13 @@ to z_L directly.
 Every term is exposed separately in LikelihoodTerms so experiments can
 report or recombine them without re-deriving the decomposition.
 
-Every pass takes one raw input or a (B, n_in) batch of them, one row
-per sample, and runs each layer on the whole batch at once.  A sample
-whose likelihood is undefined is marked with its layer and reason and
-drops out of the later layers; it never fails the batch, and the other
-samples' results do not depend on it.  A single input raises its
-LikelihoodUndefinedError instead.
+Every pass takes a (B, n_in) batch of raw inputs, one row per sample,
+and runs each layer on the whole batch at once.  A sample whose
+likelihood is undefined is marked with its layer and reason and drops
+out of the later layers; it never fails the batch, and the other
+samples' results do not depend on it.  Only ``log_likelihood`` also
+takes one raw input, as a one-row batch, and raises its
+LikelihoodUndefinedError.
 """
 
 import json
@@ -196,14 +197,13 @@ class LikelihoodTerms:
 
     @property
     def total(self):
-        total = (
+        return (
             sum(self.log_priors)
             + sum(self.neg_log_features)
             + sum(self.log_jacobians)
             + self.log_output_prior
             + self.log_standardize
         )
-        return float(total) if np.ndim(total) == 0 else total
 
     def row(self, i):
         """The terms of one sample of a batch."""
@@ -336,15 +336,16 @@ class Network:
         return self.forward_pass(x_raw)[1][-1]
 
     def interior_trace(self, x_raw):
-        """Forward pass plus the per-layer saddle solutions of one input or a batch.
+        """Forward pass plus the per-layer saddle solutions of a (B, n_in) batch.
 
         A row whose layer input leaves its prior support, or whose
         feature target has no saddle point, is marked undefined with a
         LikelihoodUndefinedError tagged with the 1-based layer, and
-        drops out of the later layers.  A single input raises it.
+        drops out of the later layers.
         """
-        single = np.ndim(x_raw) == 1
-        xs, zs, slopes = self.forward_pass(np.atleast_2d(x_raw))
+        if np.ndim(x_raw) != 2:
+            raise ShapeMismatchError(f"input shape {np.shape(x_raw)} != (B, {self.n_in})")
+        xs, zs, slopes = self.forward_pass(x_raw)
         undefined = [None] * len(xs[0])
         live = np.arange(len(xs[0]))
         solutions, rows = [], []
@@ -370,8 +371,6 @@ class Network:
                     undefined[r] = LikelihoodUndefinedError(l, reason)
                     undefined[r].__cause__ = exc
             live = live[[exc is None for exc in failures]]
-        if single and undefined[0] is not None:
-            raise undefined[0]
         return InteriorTrace(xs, zs, slopes, solutions, rows, undefined)
 
     # -- likelihood ---------------------------------------------------------
@@ -414,28 +413,32 @@ class Network:
         )
 
     def log_likelihood(self, x_raw, label=None, trace=None):
-        """Exact decomposed log-likelihood of one raw input, or of a batch, under a label.
+        """Exact decomposed log-likelihood of a batch, one label per row.
 
-        For a batch, ``label`` holds one label per row and the terms
-        cover the rows whose likelihood is defined (``trace.defined``),
-        in order.
+        The terms cover the rows whose likelihood is defined
+        (``trace.defined``), in order.  One raw input (n_in,) with one
+        label is the one-row batch: its terms are floats, and an
+        undefined likelihood raises its LikelihoodUndefinedError.
         """
+        single = np.ndim(x_raw) == 1
         if trace is None:
-            trace = self.interior_trace(x_raw)
+            trace = self.interior_trace(np.atleast_2d(x_raw))
+        if single and trace.undefined[0] is not None:
+            raise trace.undefined[0]
         idx = np.flatnonzero(trace.defined)
         labels = None if label is None else np.atleast_1d(label)[idx]
         terms = self._likelihood_terms(
             self._interior_terms(trace, idx), trace.zs[-1][idx], labels
         )
-        return terms.row(0) if np.ndim(x_raw) == 1 else terms
+        return terms.row(0) if single else terms
 
     def class_scores(self, x_raw, trace=None):
-        """Total log-likelihood under every label hypothesis: (n_classes,), or (B, n_classes).
+        """Total log-likelihood of a batch under every label hypothesis: (B, n_classes).
 
         The interior is label-independent, so all hypotheses share one
-        trace and one set of interior terms; ``class_scores(x)[y]`` is
-        exactly ``log_likelihood(x, label=y).total``.  In a batch, the
-        rows of undefined samples are NaN.
+        trace and one set of interior terms; ``class_scores(x)[:, y]`` is
+        exactly ``log_likelihood(x, label=[y] * B).total`` on the defined
+        rows.  The rows of undefined samples are NaN.
         """
         if self.output_prior is None:
             raise ConfigError("classification needs an output prior")
@@ -447,7 +450,7 @@ class Network:
         for y in range(self.n_classes):
             labels = np.full(idx.size, y)
             scores[idx, y] = self._likelihood_terms(interior, trace.zs[-1][idx], labels).total
-        return scores[0] if np.ndim(x_raw) == 1 else scores
+        return scores
 
 
 # ---------------------------------------------------------------------------
@@ -609,5 +612,9 @@ def save_model(net, path, meta=None):
 
 
 def load_model(path):
+    """The network of a model file; a file that is not one raises ConfigError."""
     with open(path) as fh:
-        return network_from_dict(json.load(fh))
+        try:
+            return network_from_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"{path}: not a pbn model ({type(exc).__name__}: {exc})") from exc

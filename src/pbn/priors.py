@@ -98,11 +98,6 @@ def _bracketed_newton(f_df, y, lo, hi, *, max_iter=140, tol=1e-13):
     raise PbnError("activation inverse did not converge")
 
 
-def _per_row(values):
-    """A per-row result as a Python scalar for one vector, an array for a stack."""
-    return values.item() if values.ndim == 0 else values
-
-
 class ScalarPrior:
     """Interface shared by the three maximum-entropy priors."""
 
@@ -131,7 +126,7 @@ class ScalarPrior:
 
     # -- densities ------------------------------------------------------
     def log_density(self, x):
-        """Log prior density of a vector, or of each row of a stack of them.
+        """Log prior density of each row of a stack, as an array (0-d for one vector).
 
         -inf where any element leaves the support.
         """
@@ -141,7 +136,7 @@ class ScalarPrior:
         raise NotImplementedError
 
     def in_support(self, x):
-        """Whether a vector, or each row of a stack of them, lies in the open support."""
+        """Whether each row of a stack lies in the open support, as an array (0-d for one vector)."""
         raise NotImplementedError
 
     def sample(self, rng, n):
@@ -184,13 +179,13 @@ class GaussianPrior(ScalarPrior):
         x = np.asarray(x, dtype=np.float64)
         with np.errstate(invalid="ignore", over="ignore"):
             out = -0.5 * x.shape[-1] * LOG_2PI - 0.5 * np.vecdot(x, x)
-        return _per_row(np.where(self.in_support(x), out, -np.inf))
+        return np.where(self.in_support(x), out, -np.inf)
 
     def grad_log_density(self, x):
         return -np.asarray(x, dtype=np.float64)
 
     def in_support(self, x):
-        return _per_row(np.all(np.isfinite(x), axis=-1))
+        return np.all(np.isfinite(x), axis=-1)
 
     def sample(self, rng, n):
         return rng.standard_normal(n)
@@ -357,14 +352,14 @@ class TruncatedGaussianPrior(ScalarPrior):
         n = x.shape[-1]
         with np.errstate(invalid="ignore", over="ignore"):
             out = n * (math.log(2.0) - 0.5 * LOG_2PI) - 0.5 * np.vecdot(x, x)
-        return _per_row(np.where(self.in_support(x), out, -np.inf))
+        return np.where(self.in_support(x), out, -np.inf)
 
     def grad_log_density(self, x):
         return -np.asarray(x, dtype=np.float64)
 
     def in_support(self, x):
         x = np.asarray(x)
-        return _per_row(np.all((x > 0.0) & (x < np.inf), axis=-1))
+        return np.all((x > 0.0) & (x < np.inf), axis=-1)
 
     def sample(self, rng, n):
         return np.abs(rng.standard_normal(n))
@@ -485,14 +480,14 @@ class UniformPrior(ScalarPrior):
         )
 
     def log_density(self, x):
-        return _per_row(np.where(self.in_support(x), 0.0, -np.inf))
+        return np.where(self.in_support(x), 0.0, -np.inf)
 
     def grad_log_density(self, x):
         return np.zeros_like(np.asarray(x, dtype=np.float64))
 
     def in_support(self, x):
         x = np.asarray(x)
-        return _per_row(np.all((x > 0.0) & (x < 1.0), axis=-1))
+        return np.all((x > 0.0) & (x < 1.0), axis=-1)
 
     def sample(self, rng, n):
         return rng.uniform(1e-12, 1.0 - 1e-12, n)

@@ -11,17 +11,16 @@ each conditional mean satisfies its saddle constraint exactly.
 A reconstructed preactivation need not be reachable by the layer below
 (its feasible cone is a strict subset once a prior has bounded
 support), so any backstep can fail; callers count such failures rather
-than treating them as crashes.  Every walk takes one vector or a
-(B, n) stack: a stack walks all rows at once, and a row that fails
-comes back NaN, while a single vector raises its ReconstructionError
-(or DomainError, for a value outside an activation range).
+than treating them as crashes.  Every walk takes a (B, n) stack and
+walks all rows at once; a row that fails comes back NaN, with its
+ReconstructionError (or DomainError, for a value outside an activation
+range) in the walk's error list.
 """
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeMismatchError
 from .network import (
-    INNER_ACTIVATIONS,
     label_signal,
     output_shift_slope,
     output_shift,
@@ -47,15 +46,6 @@ def invert_output_shift(x_out, signal, c, level):
     # z + C (sigma(3z) - 1/2) = y, the label offset moved to the right-hand side
     f_df = lambda z: (output_shift(z, 0.0, c, level), output_shift_slope(z, c))
     return _bracketed_newton(f_df, y, y - 0.5 * c - 1.0, y + 0.5 * c + 1.0)
-
-
-def _single(values, errors, single):
-    """A batch result as is, or the one row of a single input, raising its error."""
-    if not single:
-        return values
-    if errors[0] is not None:
-        raise errors[0]
-    return values[0]
 
 
 def _conditional_means(net, layer, z_layer, trace=None):
@@ -109,51 +99,31 @@ def _walk_down(net, layer, x, errors):
     return net.destandardize(x), errors
 
 
-def backstep(spec, x_next, *, label="backstep"):
-    """One layer of reconstruction: from x_{l+1} back to an estimate of x_l.
-
-    Inverts the layer's mean activation (exact, with a strict open-range
-    check) and conditions the layer prior on the resulting feature.  A
-    (B, n_out) stack gives NaN rows where a row fails; one vector raises.
-    """
-    if spec.activation not in INNER_ACTIVATIONS:
-        raise ConfigError("backstep needs a mean activation; shift layers are inverted per label")
-    x = np.asarray(x_next, dtype=np.float64)
-    n_out = spec.map.n_out
-    if x.ndim not in (1, 2) or x.shape[-1] != n_out:
-        raise ShapeMismatchError(f"{label}: expected ({n_out},) or (B, {n_out}), got {x.shape}")
-    out, errors = _backstep(spec, np.atleast_2d(x), label)
-    return _single(out, errors, x.ndim == 1)
-
-
 def reconstruct_from_layer(net, layer, z_layer):
-    """Reconstruct a raw input from the preactivation of a 1-based layer.
+    """Reconstruct raw inputs from a (B, n) stack of preactivations of a 1-based layer.
 
-    ``z_layer`` is one preactivation or a (B, n) stack of them; a stack
-    gives NaN rows where the walk fails, one preactivation raises.
+    Returns (rows, errors): NaN rows where the walk failed, with that
+    walk's error (None for a row that succeeded).
     """
     if not 1 <= layer <= net.depth:
         raise DomainError(f"layer {layer} outside 1..{net.depth}")
     n_out = net.layers[layer - 1].map.n_out
     z = np.asarray(z_layer, dtype=np.float64)
-    if z.ndim not in (1, 2) or z.shape[-1] != n_out:
-        raise ShapeMismatchError(f"layer {layer} emits ({n_out},), got {z.shape}")
-    x, errors = _walk_down(net, layer, *_conditional_means(net, layer, np.atleast_2d(z)))
-    return _single(x, errors, z.ndim == 1)
+    if z.ndim != 2 or z.shape[1] != n_out:
+        raise ShapeMismatchError(f"layer {layer} emits (B, {n_out}), got {z.shape}")
+    return _walk_down(net, layer, *_conditional_means(net, layer, z))
 
 
-def synthesize(net, seed, label=None):
+def synthesize(net, seeds, label=None):
     """Draw raw-space samples by inverting the whole network.
 
     The output is drawn standard normal, mapped back through the output
     shift under the requested label, then reconstructed layer by layer.
-    Deterministic in the seed: an integer seed gives one sample and
-    raises its failure; a sequence of seeds gives (rows, errors), one
-    row per seed, NaN where the walk failed, with that walk's error
-    (None for a row that succeeded).
+    Deterministic in the seeds: returns (rows, errors), one row per
+    seed, NaN where the walk failed, with that walk's error (None for a
+    row that succeeded).
     """
-    seeds = [int(s) for s in np.atleast_1d(seed)]
-    u = np.array([np.random.default_rng(s).standard_normal(net.n_out) for s in seeds])
+    u = np.array([np.random.default_rng(int(s)).standard_normal(net.n_out) for s in seeds])
     if net.output_prior is None:
         if label is not None:
             raise ConfigError("network has no output prior; drop the label")
@@ -165,8 +135,7 @@ def synthesize(net, seed, label=None):
         z_last = invert_output_shift(
             u, label_signal(label, cfg.n_classes, cfg.level), cfg.c, cfg.level
         )
-    x, errors = _walk_down(net, net.depth, *_conditional_means(net, net.depth, z_last))
-    return _single(x, errors, True) if np.ndim(seed) == 0 else (x, errors)
+    return _walk_down(net, net.depth, *_conditional_means(net, net.depth, z_last))
 
 
 def reconstruction_statistic(net, x_raw, layer, trace=None):
@@ -176,16 +145,16 @@ def reconstruction_statistic(net, x_raw, layer, trace=None):
     -log MSE in raw units, floored at MSE 1e-12 so perfect round trips
     cap near 27.63.  Larger means the sample is better explained.  A
     (B, n_in) batch gives one statistic per row, NaN where the walk
-    fails; one input raises.  Given the batch's interior ``trace``, the
-    walk starts from the conditional means it already holds.
+    fails.  Given the batch's interior ``trace``, the walk starts from
+    the conditional means it already holds.
     """
     if not 1 <= layer <= net.depth - 1:
         raise DomainError(f"statistic layer {layer} outside 1..{net.depth - 1}")
     x = np.asarray(x_raw, dtype=np.float64)
-    rows = np.atleast_2d(x)
-    zs = trace.zs if trace is not None else net.forward_pass(rows)[1]
+    if x.ndim != 2:
+        raise ShapeMismatchError(f"input shape {x.shape} != (B, {net.n_in})")
+    zs = trace.zs if trace is not None else net.forward_pass(x)[1]
     start, errors = _conditional_means(net, layer, zs[layer - 1], trace)
-    x_hat, errors = _walk_down(net, layer, start, errors)
-    mse = np.mean((rows - x_hat) ** 2, axis=1)
-    stat = -np.log(np.maximum(mse, MSE_FLOOR))
-    return float(_single(stat, errors, x.ndim == 1)) if x.ndim == 1 else stat
+    x_hat, _ = _walk_down(net, layer, start, errors)
+    mse = np.mean((x - x_hat) ** 2, axis=1)
+    return -np.log(np.maximum(mse, MSE_FLOOR))

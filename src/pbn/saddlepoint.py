@@ -47,8 +47,7 @@ stops once it has converged: nothing computed for the other columns
 touches it afterwards, so a column's solution does not depend on its
 batch beyond the summation order of the shared matrix products.  A
 column that fails carries its error in ``SaddleSolution.errors`` and
-never fails the batch.  A single target is the one-column case, and
-its failure is raised.
+never fails the batch.
 """
 
 import math
@@ -80,10 +79,10 @@ EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class SaddleSolution:
-    """The saddle point of one target, or of each column of a stack.
+    """The saddle point of each column of a stack of targets.
 
-    For a stack every array gains a leading column axis; ``residual``
-    and ``objective`` hold one value per column; a failed column is NaN,
+    Every array has a leading column axis; ``residual`` and
+    ``objective`` hold one value per column; a failed column is NaN,
     with its error in ``errors``.  ``curvature_weights`` holds
     k''(alpha), the weights of the curvature S = W' diag(k'') W.
     ``curvature`` is the map's kept GramFactor when every column has
@@ -111,21 +110,19 @@ class SaddleSolution:
         return self.objective - 0.5 * self.curvature.logdet - 0.5 * n_out * LOG_2PI
 
     def take(self, idx):
-        """The solution of the columns ``idx``; an integer gives one column's own solution."""
-        one = np.ndim(idx) == 0
-        cols = np.atleast_1d(idx)
+        """The solution of the columns ``idx``, an index array."""
         curv = self.curvature
         return SaddleSolution(
             h_hat=self.h_hat[idx],
             alpha=self.alpha[idx],
             x_hat=self.x_hat[idx],
-            residual=self.residual[idx].item() if one else self.residual[idx],
+            residual=self.residual[idx],
             curvature=curv.take(idx) if isinstance(curv, GramStack) else curv,
             curvature_weights=self.curvature_weights[idx],
-            iterations=int(np.max(self.column_iterations[cols], initial=0)),
-            objective=self.objective[idx].item() if one else self.objective[idx],
+            iterations=int(np.max(self.column_iterations[idx], initial=0)),
+            objective=self.objective[idx],
             column_iterations=self.column_iterations[idx],
-            errors=[self.errors[i] for i in cols],
+            errors=[self.errors[i] for i in idx],
         )
 
 
@@ -172,8 +169,8 @@ def _direction(map_, weights, resid):
 def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"):
     """Newton iteration on B(h), damped by objective backtracking.
 
-    ``z_tilde`` is one target (n_out,) or a (B, n_out) stack, solved
-    column by column in one stacked iteration.  The step is
+    ``z_tilde`` is a (B, n_out) stack of targets, solved column by
+    column in one stacked iteration.  The step is
     S^-1 (z~ - W' lambda(W h)); it is halved until the objective
     decreases by more than its rounding.  Near the solution the
     objective bottoms out in floating point before the residual test
@@ -182,25 +179,11 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
     shrinks the residual.  Which of two rounded objectives is lower thus
     never decides a step, and neither does the batch a column sits in.
     A column whose residual turns non-finite fails before any solve
-    with it.
-
-    A single target returns its own solution and raises its failure; a
-    stack returns every column, failed ones marked in ``errors``.
+    with it.  Every column is returned, failed ones marked in ``errors``.
     """
     z = np.asarray(z_tilde, dtype=np.float64)
-    if z.ndim not in (1, 2) or z.shape[-1] != map_.n_out:
-        raise ShapeMismatchError(
-            f"{label}: target shape {z.shape} != ({map_.n_out},) or (B, {map_.n_out})"
-        )
-    sol = _solve_columns(map_, prior, np.atleast_2d(z), max_iter, tol, label)
-    if z.ndim == 2:
-        return sol
-    if sol.errors[0] is not None:
-        raise sol.errors[0]
-    return sol.take(0)
-
-
-def _solve_columns(map_, prior, z, max_iter, tol, label):
+    if z.ndim != 2 or z.shape[1] != map_.n_out:
+        raise ShapeMismatchError(f"{label}: target shape {z.shape} != (B, {map_.n_out})")
     n_cols, m = z.shape
     a = map_.materialize()
     h_out = np.full((n_cols, m), np.nan)
@@ -346,7 +329,3 @@ def _assemble(map_, converged, n_cols, errors):
     failures = [None if err is None else str(err) for err in errors]
     return GramStack(map_.materialize(), matrix, chol, logdet, failures)
 
-
-def log_feature_density(map_, prior, z_tilde, *, label="saddle"):
-    """Second order approximate log density of the feature z = W'x at z~."""
-    return solve_saddle(map_, prior, z_tilde, label=label).log_density

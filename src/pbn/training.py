@@ -122,16 +122,18 @@ class TrainResult:
 
 
 def gradient(net, x_raw, label=None, trace=None):
-    """Gradient of the log-likelihood of one sample, or summed over a batch.
+    """Gradient of the log-likelihood summed over a batch.
 
-    Returns (weight grads, bias grads, log-likelihood).  One sample
-    raises LikelihoodUndefinedError when it has no likelihood.  For a
+    Returns (weight grads, bias grads, log-likelihood).  For a
     (B, n_in) batch with one label per row, the gradients are summed
     over the samples whose likelihood is defined (``trace.defined``) and
-    the log-likelihood has one value per defined sample.
+    the log-likelihood has one value per defined sample.  One sample
+    (n_in,) with one label is the one-row batch of ``log_likelihood``:
+    its log-likelihood is a float, and an undefined sample raises
+    LikelihoodUndefinedError.
     """
     if trace is None:
-        trace = net.interior_trace(x_raw)
+        trace = net.interior_trace(np.atleast_2d(x_raw))
     ll = net.log_likelihood(x_raw, label=label, trace=trace).total
     idx = np.flatnonzero(trace.defined)
     depth = net.depth
@@ -389,6 +391,8 @@ def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
     and returns a new network built from the best checkpoint, or ``net``
     itself when no epoch completed.
     """
+    if not len(data):
+        raise TrainingError("the training set is empty")
     skeleton, theta = _skeleton(net)
     weights = theta[: sum(spec.map.params.size for spec in net.layers)]
     opt = _make_optimizer(config)

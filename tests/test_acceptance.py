@@ -19,7 +19,6 @@ from pbn import (
     build_network,
     get_prior,
     gradient,
-    log_feature_density,
     objective,
     pretrain_discriminative,
     reconstruct_from_layer,
@@ -98,14 +97,14 @@ def test_criterion_03_saddle_residuals():
             w = DenseMap(rng.normal(size=(n, m)) * 0.7)
             x = prior.sample(rng, n)
             z_tilde = w.forward(x)
-            sol = solve_saddle(w, prior, z_tilde)
-            assert sol.residual <= 1e-9 * (1.0 + np.max(np.abs(z_tilde)))
+            sol = solve_saddle(w, prior, z_tilde[None])
+            assert sol.residual[0] <= 1e-9 * (1.0 + np.max(np.abs(z_tilde)))
         for _ in range(100):
             n = int(rng.integers(2, 6))
             w = DenseMap(rng.normal(size=(n, n)) + 2.0 * np.eye(n))
             x = prior.sample(rng, n)
-            sol = solve_saddle(w, prior, w.forward(x))
-            assert sol.residual <= 1e-9 * (1.0 + np.max(np.abs(w.forward(x))))
+            sol = solve_saddle(w, prior, w.forward(x)[None])
+            assert sol.residual[0] <= 1e-9 * (1.0 + np.max(np.abs(w.forward(x))))
     report(3, "3000 feasible + 300 square instances, zero failures, residuals in tolerance")
 
 
@@ -149,7 +148,7 @@ def test_criterion_05_spa_vs_quadrature():
         prior = get_prior(kind)
         m = DenseMap(weights.reshape(-1, 1))
         for z in (mean - sd, mean, mean + sd):
-            spa = float(np.exp(log_feature_density(m, prior, np.array([z]))))
+            spa = float(np.exp(solve_saddle(m, prior, np.array([[z]])).log_density[0]))
             ref = float(np.interp(z, grid, exact))
             assert abs(spa - ref) <= 0.05 * ref
         lo, hi = mean - 5 * sd, mean + 5 * sd
@@ -158,7 +157,7 @@ def test_criterion_05_spa_vs_quadrature():
         else:
             lo = max(lo, 0.05)
         zs = np.linspace(lo, hi, 301)
-        dens = [float(np.exp(log_feature_density(m, prior, np.array([z])))) for z in zs]
+        dens = np.exp(solve_saddle(m, prior, zs[:, None]).log_density)
         mass = float(np.trapezoid(dens, zs))
         assert 0.95 <= mass <= 1.05
     report(5, "N<=4, M=1 TG/uniform sums: density within 5%, mass within [0.95, 1.05]")
@@ -246,7 +245,7 @@ def test_criterion_07_hidden_variable_recovery():
         x = rng.normal(size=12)
         zs = net.forward_pass(x)[1]
         for k in range(1, 5):
-            x_hat = reconstruct_from_layer(net, k, zs[k - 1])
+            x_hat = reconstruct_from_layer(net, k, zs[k - 1][None])[0]
             zs_hat = net.forward_pass(x_hat)[1]
             gap = np.max(np.abs(zs_hat[k - 1] - zs[k - 1])) / (
                 1.0 + np.max(np.abs(zs[k - 1]))
@@ -354,8 +353,9 @@ def test_criterion_09_out_of_set_toy():
     for data, own_is_a in ((_pair_data(rng_test, 0, 20), True),
                            (_pair_data(rng_test, 4, 20), False)):
         for i in range(len(data)):
-            stat_a = reconstruction_statistic(nets["a"], data.x[i], 1)
-            stat_b = reconstruction_statistic(nets["b"], data.x[i], 1)
+            stat_a = reconstruction_statistic(nets["a"], data.x[i][None], 1)[0]
+            stat_b = reconstruction_statistic(nets["b"], data.x[i][None], 1)[0]
+            assert np.isfinite(stat_a) and np.isfinite(stat_b)  # no walk failed
             total += 1
             if (stat_a >= stat_b) == own_is_a:
                 correct += 1

@@ -26,8 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbn import gradient, reconstruct_from_layer, reconstruction_statistic
-from pbn.errors import DomainError, LikelihoodUndefinedError, ReconstructionError
+from pbn import gradient, reconstruct_from_layer, reconstruction_statistic, solve_saddle
+from pbn.errors import DomainError, LikelihoodUndefinedError, ReconstructionError, ShapeMismatchError
 from pbn.linops import DenseMap
 from pbn.network import LayerSpec, Network, OutputPriorConfig, build_network
 from pbn.priors import TruncatedGaussianPrior
@@ -173,14 +173,16 @@ def check_reconstruction(name, seed, kinds, layer):
     net = NETS[name](seed % 7)
     x, _ = batch(name, seed, kinds)
     zs = net.forward_pass(x)[1]
-    got = reconstruct_from_layer(net, layer, zs[layer - 1])
+    got, errors = reconstruct_from_layer(net, layer, zs[layer - 1])
     stats = reconstruction_statistic(net, x, layer, trace=net.interior_trace(x))
     for i, row in enumerate(x):
         try:
             want = oracle.reconstruct_from_layer(net, layer, zs[layer - 1][i])
-        except (DomainError, ReconstructionError):
+        except (DomainError, ReconstructionError) as exc:
             assert np.all(np.isnan(got[i])) and np.isnan(stats[i])
+            assert type(errors[i]) is type(exc)
             continue
+        assert errors[i] is None
         close(got[i], want)
         close(stats[i], oracle.reconstruction_statistic(net, row, layer), STATISTIC_RTOL)
 
@@ -192,7 +194,7 @@ def results(net, x):
     return [
         net.class_scores(x, trace=trace),
         reconstruction_statistic(net, x, 1, trace=trace),
-        reconstruct_from_layer(net, 2, zs[1]),
+        reconstruct_from_layer(net, 2, zs[1])[0],
     ]
 
 
@@ -231,8 +233,7 @@ def test_one_sample_is_the_one_row_batch(name):
     grads_w, _, ll = gradient(net, x, label=labels)
     summed = [np.zeros_like(g) for g in grads_w]
     for i, row in enumerate(x):
-        np.testing.assert_array_equal(net.class_scores(row), net.class_scores(row[None])[0])
-        close(scores[i], net.class_scores(row))
+        close(scores[i], net.class_scores(row[None])[0])
         close(ll[i], net.log_likelihood(row, label=int(labels[i])).total)
         gw, _, _ = gradient(net, row, label=int(labels[i]))
         summed = [a + b for a, b in zip(summed, gw)]
@@ -244,6 +245,24 @@ def test_a_single_undefined_sample_raises_its_layer():
     net = tg_net(1)
     x, _ = batch("tg", 5, ["negative"])
     with pytest.raises(LikelihoodUndefinedError) as ei:
-        net.interior_trace(x[0])
+        net.log_likelihood(x[0], label=0)
     assert ei.value.layer == 1
     assert net.interior_trace(x).undefined[0].layer == 1
+
+
+def test_one_sample_is_not_a_stack():
+    # only log_likelihood, and gradient through it, take one sample
+    net = tg_net(2)
+    x, _ = batch("tg", 7, ["plain"])
+    row, zs = x[0], net.forward_pass(x[0])[1]
+    layer = net.layers[0]
+    calls = [
+        lambda: solve_saddle(layer.map, layer.input_prior, zs[0] - layer.bias),
+        lambda: net.interior_trace(row),
+        lambda: net.class_scores(row),
+        lambda: reconstruct_from_layer(net, 1, zs[0]),
+        lambda: reconstruction_statistic(net, row, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeMismatchError):
+            call()

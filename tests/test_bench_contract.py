@@ -5,9 +5,12 @@ integers from each saddle solve and the map shape from each Gram
 factor.  A renamed function or a changed solution type would leave
 ``--trace 1`` reporting zeros, so the contract is checked here, where
 every change runs it.  ``bench/checks.py`` moves the stock network's
-parameters with ``Network.with_layer_params`` for its gradient check.
+parameters with ``Network.with_layer_params`` for its gradient check,
+and calls ``gradient`` and ``log_likelihood`` on one sample: the finite
+differences it takes of the float ``total`` go into JSON notes.
 """
 
+import functools
 import os
 import sys
 
@@ -18,11 +21,19 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import tracer  # noqa: E402
 
-from pbn.errors import ReconstructionError  # noqa: E402
+from pbn.errors import LikelihoodUndefinedError, ReconstructionError  # noqa: E402
 from pbn.linops import DenseMap, GramFactor  # noqa: E402
-from pbn.network import network_from_dict, network_to_dict, wordpair_network  # noqa: E402
+from pbn.network import (  # noqa: E402
+    LayerSpec,
+    Network,
+    OutputPriorConfig,
+    network_from_dict,
+    network_to_dict,
+    wordpair_network,
+)
 from pbn.priors import TRUNCATED_GAUSSIAN  # noqa: E402
 from pbn.saddlepoint import solve_saddle  # noqa: E402
+from pbn.training import gradient  # noqa: E402
 
 
 @pytest.mark.parametrize("target", tracer._targets(), ids=lambda t: f"{t[0]}:{t[2]}")
@@ -64,5 +75,34 @@ def test_moved_parameters_make_the_network_they_describe():
         layer["map"]["weights"], layer["bias"] = p.tolist(), b.tolist()
     moved, loaded = net.with_layer_params(params, biases), network_from_dict(doc)
     assert network_to_dict(moved) == doc
-    x = rng.standard_normal(900)
+    x = rng.standard_normal((1, 900))
     np.testing.assert_array_equal(moved.class_scores(x), loaded.class_scores(x))
+
+
+def test_one_sample_gradient_has_the_shape_of_every_layer():
+    net = wordpair_network(np.random.default_rng(1))
+    x = np.random.default_rng(2).standard_normal(900)
+    grads_w, _, _ = gradient(net, x, label=1)
+    assert [g.shape for g in grads_w] == [s.map.params.shape for s in net.layers]
+
+
+def test_one_sample_likelihood_is_the_float_of_its_one_row_batch():
+    net = wordpair_network(np.random.default_rng(1))
+    x = np.random.default_rng(2).standard_normal(900)
+    total = net.log_likelihood(x, label=1).total
+    assert type(total) is float
+    assert total == net.log_likelihood(x[None], label=[1]).total[0]
+
+
+def test_one_undefined_sample_raises_from_both_calls():
+    # a negative input leaves the truncated-Gaussian prior of the first layer
+    layers = [
+        LayerSpec(DenseMap(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])), np.zeros(2), "truncated_gaussian", "tg"),
+        LayerSpec(DenseMap(np.eye(2)), np.zeros(2), "truncated_gaussian", "shift"),
+    ]
+    net = Network(layers, output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2))
+    x = np.array([1.0, -1.0, 1.0])
+    for call in (net.log_likelihood, functools.partial(gradient, net)):
+        with pytest.raises(LikelihoodUndefinedError) as ei:
+            call(x, label=0)
+        assert ei.value.layer == 1

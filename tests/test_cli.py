@@ -418,6 +418,26 @@ class TestTrain:
         assert err.startswith("error: ")
         assert "malformed archive" in err
 
+    @pytest.mark.filterwarnings("error")  # and no numpy warning on the way
+    @pytest.mark.parametrize("trigger", ["empty archive", "no train rows"])
+    def test_empty_training_set_exits_2(self, tmp_path, toy_archive, toy_config, capsys, trigger):
+        model = tmp_path / "m.json"
+        argv = ["train", "--config", toy_config, "--out-model", str(model)]
+        if trigger == "empty archive":
+            features = str(tmp_path / "empty.csv")
+            write_archive_text(features, Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int), []))
+        else:
+            data = read_archive(toy_archive)
+            split = tmp_path / "split.csv"
+            rows = "".join(f"{s},{int(y)},val\n" for s, y in zip(data.ids, data.labels))
+            split.write_text("id,label,split\n" + rows)
+            features = toy_archive
+            argv += ["--split", str(split)]
+        rc, out, err = run(capsys, *argv, "--features", features)
+        assert (rc, out) == (2, "")
+        assert err == "error: the training set is empty\n"
+        assert not model.exists()
+
     def test_config_defaults_resolve(self):
         cfg = parse_config(None)
         assert cfg["arch"] == "wordpair"
@@ -496,6 +516,29 @@ class TestEval:
                     "--out-scores", str(tmp_path / "s.csv"),
                 ]
             )
+
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("{not json", "JSONDecodeError"),
+            ('{"format":"pbn-model"}', "KeyError: 'layers'"),
+            ('{"format":"pbn-model","layers":[{"bias":[0.0]}]}', "KeyError: 'map'"),
+            ('{"format":"pbn-model","layers":5}', "TypeError"),
+            ("[]", "AttributeError"),
+        ],
+        ids=["not-json", "no-layers", "layer-without-map", "layers-not-a-list", "not-an-object"],
+    )
+    def test_damaged_model_exits_2(self, tmp_path, toy_archive, capsys, text, reason):
+        model = tmp_path / "damaged.json"
+        model.write_text(text)
+        rc, out, err = run(
+            capsys,
+            "eval", "--model", str(model), "--features", toy_archive,
+            "--out-scores", str(tmp_path / "s.csv"),
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {model}: not a pbn model ({reason}")
 
 
 class TestReconstruct:

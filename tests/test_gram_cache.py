@@ -37,18 +37,18 @@ def wordpair(seed=5):
 
 
 def sample(seed=6):
-    return np.random.default_rng(seed).standard_normal(900)
+    return np.random.default_rng(seed).standard_normal((1, 900))
 
 
 def results(net, x):
-    """Every consumer of the kept factors, on one sample."""
+    """Every consumer of the kept factors, on a one-row batch."""
     zs = net.forward_pass(x)[1]
-    grads_w, grads_b, ll = gradient(net, x, label=0)
+    grads_w, grads_b, ll = gradient(net, x, label=[0])
     return [
         net.class_scores(x),
-        np.array([reconstruction_statistic(net, x, 1)]),
-        reconstruct_from_layer(net, 4, zs[3]),
-        np.array([ll]),
+        reconstruction_statistic(net, x, 1),
+        reconstruct_from_layer(net, 4, zs[3])[0],
+        ll,
         *grads_w,
         *grads_b,
     ]

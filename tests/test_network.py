@@ -210,7 +210,7 @@ class TestClassification:
         rng = np.random.default_rng(6)
         net = small_shift_net(rng)
         x = rng.standard_normal(8)
-        scores = net.class_scores(x)
+        scores = net.class_scores(x[None])[0]
         for y in range(2):
             assert scores[y] == net.log_likelihood(x, label=y).total
 
@@ -228,9 +228,10 @@ class TestClassification:
         ]
         net = Network(layers, output_prior=OutputPriorConfig(200.0, 1.0, 2))
         x = -np.abs(rng.standard_normal(6))
-        with pytest.raises(LikelihoodUndefinedError) as ei:
-            net.class_scores(x)
-        assert ei.value.layer == 1
+        trace = net.interior_trace(x[None])
+        assert isinstance(trace.undefined[0], LikelihoodUndefinedError)
+        assert trace.undefined[0].layer == 1
+        assert np.all(np.isnan(net.class_scores(x[None], trace=trace)))
         with pytest.raises(LikelihoodUndefinedError) as ei:
             net.log_likelihood(x, label=0)
         assert ei.value.layer == 1
@@ -239,7 +240,7 @@ class TestClassification:
         rng = np.random.default_rng(9)
         net = linear_chain(rng, (6, 3))
         with pytest.raises(ConfigError):
-            net.class_scores(np.zeros(6))
+            net.class_scores(np.zeros((1, 6)))
 
 
 class TestInteriorTraceErrors:
@@ -259,16 +260,16 @@ class TestInteriorTraceErrors:
         net = small_shift_net(np.random.default_rng(10))
         monkeypatch.setattr(network, "solve_saddle", self.failing_solve(TypeError("bug"), 1))
         with pytest.raises(TypeError):
-            net.interior_trace(np.random.default_rng(11).standard_normal(8))
+            net.interior_trace(np.random.default_rng(11).standard_normal((1, 8)))
 
     def test_solver_failure_is_undefined_at_its_layer(self, monkeypatch):
         net = small_shift_net(np.random.default_rng(10))
         failure = ReconstructionError("layer 2: saddle point not reached")
         monkeypatch.setattr(network, "solve_saddle", self.failing_solve(failure, 2))
-        with pytest.raises(LikelihoodUndefinedError) as ei:
-            net.interior_trace(np.random.default_rng(11).standard_normal(8))
-        assert ei.value.layer == 2
-        assert ei.value.__cause__ is failure
+        undefined = net.interior_trace(np.random.default_rng(11).standard_normal((1, 8))).undefined[0]
+        assert isinstance(undefined, LikelihoodUndefinedError)
+        assert undefined.layer == 2
+        assert undefined.__cause__ is failure
 
 
 class TestValidation:

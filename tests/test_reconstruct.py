@@ -15,7 +15,7 @@ from pbn.network import (
     output_shift,
 )
 from pbn.reconstruct import (
-    backstep,
+    _backstep,
     invert_output_shift,
     reconstruct_from_layer,
     reconstruction_statistic,
@@ -78,10 +78,11 @@ class TestExactRecovery:
     def test_square_chain_recovers_input(self):
         rng = np.random.default_rng(42)
         net = square_net(rng)
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((1, 5))
         zs = net.forward_pass(x)[1]
         for k in (1, 2):
-            back = reconstruct_from_layer(net, k, zs[k - 1])
+            back, errors = reconstruct_from_layer(net, k, zs[k - 1])
+            assert errors == [None]
             assert_allclose(back, x, atol=1e-6)
 
     def test_reforward_reproduces_features(self):
@@ -93,10 +94,11 @@ class TestExactRecovery:
             dict(type="dense", units=3, activation="linear"),
         ]
         net = build_network(8, cfgs, rng)
-        x = rng.standard_normal(8)
+        x = rng.standard_normal((1, 8))
         zs = net.forward_pass(x)[1]
         for k in (1, 2):
-            x_hat = reconstruct_from_layer(net, k, zs[k - 1])
+            x_hat, errors = reconstruct_from_layer(net, k, zs[k - 1])
+            assert errors == [None]
             zs_hat = net.forward_pass(x_hat)[1]
             assert_allclose(zs_hat[k - 1], zs[k - 1], rtol=1e-6, atol=1e-8)
 
@@ -112,9 +114,9 @@ class TestExactRecovery:
             )
         ]
         net = Network(layers, standardize=(mu, sigma))
-        x = rng.standard_normal(5) * sigma + mu
+        x = rng.standard_normal((1, 5)) * sigma + mu
         zs = net.forward_pass(x)[1]
-        assert_allclose(reconstruct_from_layer(net, 1, zs[0]), x, atol=1e-6)
+        assert_allclose(reconstruct_from_layer(net, 1, zs[0])[0], x, atol=1e-6)
 
 
 class TestBacksteps:
@@ -127,31 +129,27 @@ class TestBacksteps:
 
     def test_backstep_range_check(self):
         net = self.ted_pair()
-        with pytest.raises(DomainError):
-            backstep(net.layers[0], np.array([1.5]))  # outside (0, 1)
-        with pytest.raises(ConfigError):
-            shift_layer = LayerSpec(
-                DenseMap(np.eye(2)), np.zeros(2), "gaussian", "shift"
-            )
-            backstep(shift_layer, np.array([0.5, 0.5]))
+        x, errors = _backstep(net.layers[0], np.array([[1.5], [0.5]]), "layer 1")
+        assert isinstance(errors[0], DomainError)  # outside (0, 1)
+        assert np.all(np.isnan(x[0])) and errors[1] is None
 
     def test_feasible_walk_succeeds(self):
         net = self.ted_pair()
-        x = reconstruct_from_layer(net, 2, np.array([1.2]))
-        assert x.shape == (2,)
+        x, errors = reconstruct_from_layer(net, 2, np.array([[1.2]]))
+        assert x.shape == (1, 2) and errors == [None]
         assert np.all((x > 0.0) & (x < 1.0))
 
     def test_infeasible_backstep_raises(self):
         # z_2 = 1.99 forces the layer-1 feature to about 200, far
         # outside the (0, 2) cone.
         net = self.ted_pair()
-        with pytest.raises(ReconstructionError):
-            reconstruct_from_layer(net, 2, np.array([1.99]))
+        x, errors = reconstruct_from_layer(net, 2, np.array([[1.99]]))
+        assert isinstance(errors[0], ReconstructionError) and np.all(np.isnan(x))
 
     def test_infeasible_top_target_raises(self):
         net = self.ted_pair()
-        with pytest.raises(ReconstructionError):
-            reconstruct_from_layer(net, 2, np.array([5.0]))
+        x, errors = reconstruct_from_layer(net, 2, np.array([[5.0]]))
+        assert isinstance(errors[0], ReconstructionError) and np.all(np.isnan(x))
 
 
 def shift_net(rng):
@@ -182,32 +180,33 @@ class TestSynthesize:
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(10)
         net = shift_net(rng)
-        a = synthesize(net, seed=123, label=0)
-        b = synthesize(net, seed=123, label=0)
+        a, errors = synthesize(net, [123], label=0)
+        b, _ = synthesize(net, [123], label=0)
         np.testing.assert_array_equal(a, b)
-        assert a.shape == (6,)
+        assert a.shape == (1, 6) and errors == [None]
 
     def test_labels_differ(self):
         rng = np.random.default_rng(11)
         net = shift_net(rng)
-        a = synthesize(net, seed=5, label=0)
-        b = synthesize(net, seed=5, label=1)
+        a, _ = synthesize(net, [5], label=0)
+        b, _ = synthesize(net, [5], label=1)
         assert not np.allclose(a, b)
 
     def test_label_contract(self):
         rng = np.random.default_rng(12)
         net = shift_net(rng)
         with pytest.raises(ConfigError):
-            synthesize(net, seed=1)
+            synthesize(net, [1])
         plain = plain_linear_net(np.random.default_rng(13))
         with pytest.raises(ConfigError):
-            synthesize(plain, seed=1, label=0)
-        assert synthesize(plain, seed=1).shape == (5,)
+            synthesize(plain, [1], label=0)
+        assert synthesize(plain, [1])[0].shape == (1, 5)
 
     def test_synthesized_sample_is_classifiable(self):
         rng = np.random.default_rng(14)
         net = shift_net(rng)
-        x = synthesize(net, seed=2, label=1)
+        (x,), (error,) = synthesize(net, [2], label=1)
+        assert error is None
         assert np.isfinite(net.log_likelihood(x, label=1).total)
 
 
@@ -215,9 +214,9 @@ class TestReconstructionStatistic:
     def test_perfect_round_trip_hits_floor_cap(self):
         rng = np.random.default_rng(20)
         net = square_net(rng)
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((1, 5))
         stat = reconstruction_statistic(net, x, 1)
-        assert_allclose(stat, -np.log(1e-12), rtol=1e-12)
+        assert_allclose(stat, [-np.log(1e-12)], rtol=1e-12)
 
     def test_matches_direct_mse(self):
         rng = np.random.default_rng(21)
@@ -226,16 +225,16 @@ class TestReconstructionStatistic:
             dict(type="dense", units=2, activation="linear"),
         ]
         net = build_network(9, cfgs, rng)
-        x = rng.standard_normal(9)
+        x = rng.standard_normal((1, 9))
         zs = net.forward_pass(x)[1]
-        x_hat = reconstruct_from_layer(net, 1, zs[0])
+        x_hat, _ = reconstruct_from_layer(net, 1, zs[0])
         want = -np.log(max(float(np.mean((x - x_hat) ** 2)), 1e-12))
-        assert_allclose(reconstruction_statistic(net, x, 1), want, rtol=1e-12)
+        assert_allclose(reconstruction_statistic(net, x, 1), [want], rtol=1e-12)
 
     def test_layer_range_enforced(self):
         rng = np.random.default_rng(22)
         net = square_net(rng)  # depth 2: only layer 1 is valid
         with pytest.raises(DomainError):
-            reconstruction_statistic(net, np.zeros(5), 0)
+            reconstruction_statistic(net, np.zeros((1, 5)), 0)
         with pytest.raises(DomainError):
-            reconstruction_statistic(net, np.zeros(5), 2)
+            reconstruction_statistic(net, np.zeros((1, 5)), 2)

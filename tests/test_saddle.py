@@ -11,7 +11,7 @@ from scipy.stats import multivariate_normal
 from pbn.errors import DomainError, ReconstructionError, ShapeMismatchError
 from pbn.linops import DenseMap, GramFactor
 from pbn.priors import GAUSSIAN, TRUNCATED_GAUSSIAN, UNIFORM, TruncatedGaussianPrior, get_prior
-from pbn.saddlepoint import log_feature_density, solve_saddle
+from pbn.saddlepoint import solve_saddle
 
 
 class TestGaussianExactness:
@@ -25,20 +25,20 @@ class TestGaussianExactness:
         exact = multivariate_normal(mean=np.zeros(4), cov=a @ a.T)
         for _ in range(10):
             z = a @ rng.standard_normal(9)
-            got = log_feature_density(m, GAUSSIAN, z)
+            got = solve_saddle(m, GAUSSIAN, z[None]).log_density[0]
             assert_allclose(got, exact.logpdf(z), rtol=1e-10)
 
     def test_converges_immediately(self):
         rng = np.random.default_rng(0)
         m = DenseMap(rng.standard_normal((7, 3)))
-        sol = solve_saddle(m, GAUSSIAN, rng.standard_normal(3))
+        sol = solve_saddle(m, GAUSSIAN, rng.standard_normal((1, 3)))
         assert sol.iterations == 0
 
     def test_conditional_mean_is_least_squares(self):
         rng = np.random.default_rng(1)
         m = DenseMap(rng.standard_normal((8, 3)))
         z = rng.standard_normal(3)
-        got = solve_saddle(m, GAUSSIAN, z).x_hat
+        got = solve_saddle(m, GAUSSIAN, z[None]).x_hat[0]
         want, *_ = np.linalg.lstsq(m.materialize(), z, rcond=None)
         assert_allclose(got, want, atol=1e-9)
 
@@ -57,7 +57,7 @@ class TestQuadratureCrossCheck:
         m = DenseMap(weights[:, None])
         mean, sd = sum_moments(kind, weights)
         for z in (mean - sd, mean, mean + sd):
-            approx = np.exp(log_feature_density(m, prior, np.array([z])))
+            approx = np.exp(solve_saddle(m, prior, np.array([[z]])).log_density[0])
             exact = np.interp(z, grid, ref)
             assert abs(approx - exact) <= 0.05 * exact, f"{kind} at z={z}"
 
@@ -72,7 +72,7 @@ class TestExactRecovery:
         for prior in (TRUNCATED_GAUSSIAN, UNIFORM):
             x0 = prior.sample(rng, 5)
             z = m.forward(x0)
-            assert_allclose(solve_saddle(m, prior, z).x_hat, x0, atol=1e-6)
+            assert_allclose(solve_saddle(m, prior, z[None]).x_hat[0], x0, atol=1e-6)
 
 
 class TestFeasibleBatch:
@@ -85,10 +85,10 @@ class TestFeasibleBatch:
         tol = 1e-9
         for _ in range(100):
             z = m.forward(prior.sample(rng, 7))
-            sol = solve_saddle(m, prior, z, tol=tol)
-            assert sol.residual <= tol * (1.0 + np.max(np.abs(z)))
-            assert_allclose(m.forward(sol.x_hat), z, atol=1e-7)
-            assert prior.in_support(sol.x_hat)
+            sol = solve_saddle(m, prior, z[None], tol=tol)
+            assert sol.residual[0] <= tol * (1.0 + np.max(np.abs(z)))
+            assert_allclose(m.forward(sol.x_hat[0]), z, atol=1e-7)
+            assert prior.in_support(sol.x_hat[0])
 
     def test_objective_path_decreases(self, monkeypatch):
         # The solver evaluates cgf_derivs once per Newton iterate, at
@@ -105,7 +105,7 @@ class TestFeasibleBatch:
             return real(alpha)
 
         monkeypatch.setattr(TRUNCATED_GAUSSIAN, "cgf_derivs", recording)
-        sol = solve_saddle(m, TRUNCATED_GAUSSIAN, m.forward(x0))
+        sol = solve_saddle(m, TRUNCATED_GAUSSIAN, m.forward(x0)[None])
         path = np.array([np.sum(TRUNCATED_GAUSSIAN.cgf(a)) - np.sum(a @ x0) for a in alphas])
         assert len(path) == sol.iterations + 1 > 1
         assert np.all(np.diff(path) < 0.0)
@@ -114,21 +114,21 @@ class TestFeasibleBatch:
 class TestInfeasibleTargets:
     def test_negative_target_outside_positive_cone(self):
         m = DenseMap(np.ones((2, 1)))
-        with pytest.raises(ReconstructionError):
-            solve_saddle(m, TRUNCATED_GAUSSIAN, np.array([-1.0]))
+        sol = solve_saddle(m, TRUNCATED_GAUSSIAN, np.array([[-1.0]]))
+        assert isinstance(sol.errors[0], ReconstructionError)
 
     def test_target_beyond_bounded_range(self):
         # Two unit weights on (0, 1) inputs can sum to at most 2.
         m = DenseMap(np.ones((2, 1)))
-        with pytest.raises(ReconstructionError):
-            solve_saddle(m, UNIFORM, np.array([5.0]))
+        sol = solve_saddle(m, UNIFORM, np.array([[5.0]]))
+        assert isinstance(sol.errors[0], ReconstructionError)
 
     def test_error_carries_diagnostics(self):
         m = DenseMap(np.ones((2, 1)))
-        with pytest.raises(ReconstructionError) as ei:
-            solve_saddle(m, UNIFORM, np.array([5.0]))
-        assert ei.value.iterations is not None
-        assert ei.value.residual is not None
+        err = solve_saddle(m, UNIFORM, np.array([[5.0]])).errors[0]
+        assert isinstance(err, ReconstructionError)
+        assert err.iterations is not None
+        assert err.residual is not None
 
 
 class FragileTruncatedGaussian(TruncatedGaussianPrior):
@@ -148,9 +148,9 @@ class TestNonFiniteResidual:
         solves = []
         real = GramFactor.solve
         monkeypatch.setattr(GramFactor, "solve", lambda f, b: solves.append(b) or real(f, b))
-        with pytest.raises(ReconstructionError, match="non-finite residual") as ei:
-            solve_saddle(m, FragileTruncatedGaussian(), np.array([9.0]))
-        assert ei.value.iterations == 0
+        err = solve_saddle(m, FragileTruncatedGaussian(), np.array([[9.0]])).errors[0]
+        assert isinstance(err, ReconstructionError) and "non-finite residual" in str(err)
+        assert err.iterations == 0
         assert len(solves) == 1  # the seed; no Newton direction was solved for
 
     def test_fails_only_its_own_column(self):
@@ -158,9 +158,9 @@ class TestNonFiniteResidual:
         z = np.array([[9.0], [1.0]])
         sol = solve_saddle(m, FragileTruncatedGaussian(), z)
         assert isinstance(sol.errors[0], ReconstructionError) and np.isnan(sol.x_hat[0]).all()
-        alone = solve_saddle(m, TRUNCATED_GAUSSIAN, z[1])
+        alone = solve_saddle(m, TRUNCATED_GAUSSIAN, z[1:])
         assert sol.errors[1] is None
-        assert_allclose(sol.x_hat[1], alone.x_hat, rtol=1e-12)
+        assert_allclose(sol.x_hat[1], alone.x_hat[0], rtol=1e-12)
         assert sol.column_iterations[1] == alone.iterations
 
 
@@ -168,16 +168,11 @@ class TestValidation:
     def test_shape_and_domain_checks(self):
         m = DenseMap(np.eye(3))
         with pytest.raises(ShapeMismatchError):
-            solve_saddle(m, GAUSSIAN, np.zeros(2))
-        with pytest.raises(DomainError):
-            solve_saddle(m, GAUSSIAN, np.array([0.0, np.nan, 0.0]))
-
-    def test_precomputed_solution_is_reused(self):
-        rng = np.random.default_rng(3)
-        m = DenseMap(rng.standard_normal((6, 2)))
-        z = m.forward(UNIFORM.sample(rng, 6))
-        sol = solve_saddle(m, UNIFORM, z)
-        assert sol.log_density == log_feature_density(m, UNIFORM, z)
+            solve_saddle(m, GAUSSIAN, np.zeros((1, 2)))
+        with pytest.raises(ShapeMismatchError):
+            solve_saddle(m, GAUSSIAN, np.zeros(3))  # one target is not a stack
+        sol = solve_saddle(m, GAUSSIAN, np.array([[0.0, np.nan, 0.0]]))
+        assert isinstance(sol.errors[0], DomainError)
 
     @pytest.mark.parametrize("prior", [GAUSSIAN, TRUNCATED_GAUSSIAN, UNIFORM], ids=lambda p: p.kind)
     def test_log_density_is_the_explicit_formula_bit_for_bit(self, prior):
@@ -185,14 +180,14 @@ class TestValidation:
         rng = np.random.default_rng(13)
         m = DenseMap(rng.standard_normal((9, 3)))
         z = m.forward(prior.sample(rng, 9))
-        sol = solve_saddle(m, prior, z)
+        sol = solve_saddle(m, prior, z[None])
         want = (
-            float(np.sum(prior.cgf(sol.alpha)))
-            - float(sol.h_hat @ z)
-            - 0.5 * sol.curvature.logdet
+            float(np.sum(prior.cgf(sol.alpha[0])))
+            - float(sol.h_hat[0] @ z)
+            - 0.5 * np.reshape(sol.curvature.logdet, -1)[0]
             - 0.5 * m.n_out * math.log(2.0 * math.pi)
         )
-        assert sol.log_density == want
+        assert sol.log_density[0] == want
 
 
 class TestCurvature:
@@ -220,4 +215,5 @@ class TestCurvature:
         assert sol.curvature.logdet[0] == m.gram.logdet
         assert_allclose(sol.curvature.w_s_inv[0], m.gram.w_s_inv, rtol=1e-15)
         for b, z in enumerate((100.0, 1.0)):
-            assert sol.take(b).log_density == solve_saddle(m, TRUNCATED_GAUSSIAN, np.array([z])).log_density
+            alone = solve_saddle(m, TRUNCATED_GAUSSIAN, np.array([[z]]))
+            assert sol.take([b]).log_density == alone.log_density

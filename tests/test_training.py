@@ -237,6 +237,13 @@ class TestTrainingLoop:
         after, _ = objective(result.network, data)
         assert after > before
 
+    @pytest.mark.parametrize("fit", [train, pretrain_discriminative])
+    def test_empty_training_set_raises(self, fit):
+        net = tg_shift_net(np.random.default_rng(30), dims=(5, 3, 2))
+        data = Dataset(np.zeros((0, 5)), np.zeros(0, dtype=int))
+        with pytest.raises(TrainingError, match="the training set is empty"):
+            fit(net, data, TrainConfig(epochs=1, seed=0))
+
     def test_deterministic_given_seed(self):
         rng_a = np.random.default_rng(31)
         rng_b = np.random.default_rng(31)
@@ -557,7 +564,7 @@ class TestEvaluate:
         spec = LayerSpec(DenseMap(w), np.zeros(2), "truncated_gaussian", "shift")
         net = Network([spec], output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2))
         good = np.array([1.0, 2.0])
-        label = int(np.argmax(net.class_scores(good)))
+        label = int(np.argmax(net.class_scores(good[None])[0]))
         data = Dataset(np.vstack([good, [-1.0, -1.0]]), np.array([label, 0]))
         assert evaluate(net, data) == pytest.approx(0.5)
 
