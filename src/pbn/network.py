@@ -612,7 +612,8 @@ def save_model(net, path, meta=None):
 
 
 def load_model(path):
-    """The network of a model file; a file that is not one raises ConfigError."""
+    """The network of a model file; any ValueError, KeyError, TypeError or
+    AttributeError from the loader (a damaged document) raises ConfigError."""
     with open(path) as fh:
         try:
             return network_from_dict(json.load(fh))

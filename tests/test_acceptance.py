@@ -98,12 +98,14 @@ def test_criterion_03_saddle_residuals():
             x = prior.sample(rng, n)
             z_tilde = w.forward(x)
             sol = solve_saddle(w, prior, z_tilde[None])
+            assert sol.errors == [None]
             assert sol.residual[0] <= 1e-9 * (1.0 + np.max(np.abs(z_tilde)))
         for _ in range(100):
             n = int(rng.integers(2, 6))
             w = DenseMap(rng.normal(size=(n, n)) + 2.0 * np.eye(n))
             x = prior.sample(rng, n)
             sol = solve_saddle(w, prior, w.forward(x)[None])
+            assert sol.errors == [None]
             assert sol.residual[0] <= 1e-9 * (1.0 + np.max(np.abs(w.forward(x))))
     report(3, "3000 feasible + 300 square instances, zero failures, residuals in tolerance")
 
@@ -245,7 +247,8 @@ def test_criterion_07_hidden_variable_recovery():
         x = rng.normal(size=12)
         zs = net.forward_pass(x)[1]
         for k in range(1, 5):
-            x_hat = reconstruct_from_layer(net, k, zs[k - 1][None])[0]
+            (x_hat,), errors = reconstruct_from_layer(net, k, zs[k - 1][None])
+            assert errors == [None]
             zs_hat = net.forward_pass(x_hat)[1]
             gap = np.max(np.abs(zs_hat[k - 1] - zs[k - 1])) / (
                 1.0 + np.max(np.abs(zs[k - 1]))

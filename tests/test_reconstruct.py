@@ -116,7 +116,9 @@ class TestExactRecovery:
         net = Network(layers, standardize=(mu, sigma))
         x = rng.standard_normal((1, 5)) * sigma + mu
         zs = net.forward_pass(x)[1]
-        assert_allclose(reconstruct_from_layer(net, 1, zs[0])[0], x, atol=1e-6)
+        x_hat, errors = reconstruct_from_layer(net, 1, zs[0])
+        assert errors == [None]
+        assert_allclose(x_hat, x, atol=1e-6)
 
 
 class TestBacksteps:
@@ -188,8 +190,9 @@ class TestSynthesize:
     def test_labels_differ(self):
         rng = np.random.default_rng(11)
         net = shift_net(rng)
-        a, _ = synthesize(net, [5], label=0)
-        b, _ = synthesize(net, [5], label=1)
+        a, errors_a = synthesize(net, [5], label=0)
+        b, errors_b = synthesize(net, [5], label=1)
+        assert errors_a == errors_b == [None]
         assert not np.allclose(a, b)
 
     def test_label_contract(self):
@@ -227,7 +230,8 @@ class TestReconstructionStatistic:
         net = build_network(9, cfgs, rng)
         x = rng.standard_normal((1, 9))
         zs = net.forward_pass(x)[1]
-        x_hat, _ = reconstruct_from_layer(net, 1, zs[0])
+        x_hat, errors = reconstruct_from_layer(net, 1, zs[0])
+        assert errors == [None]
         want = -np.log(max(float(np.mean((x - x_hat) ** 2)), 1e-12))
         assert_allclose(reconstruction_statistic(net, x, 1), [want], rtol=1e-12)
 

@@ -32,7 +32,7 @@ class TestGaussianExactness:
         rng = np.random.default_rng(0)
         m = DenseMap(rng.standard_normal((7, 3)))
         sol = solve_saddle(m, GAUSSIAN, rng.standard_normal((1, 3)))
-        assert sol.iterations == 0
+        assert sol.errors == [None] and sol.iterations == 0
 
     def test_conditional_mean_is_least_squares(self):
         rng = np.random.default_rng(1)
@@ -72,7 +72,9 @@ class TestExactRecovery:
         for prior in (TRUNCATED_GAUSSIAN, UNIFORM):
             x0 = prior.sample(rng, 5)
             z = m.forward(x0)
-            assert_allclose(solve_saddle(m, prior, z[None]).x_hat[0], x0, atol=1e-6)
+            sol = solve_saddle(m, prior, z[None])
+            assert sol.errors == [None]
+            assert_allclose(sol.x_hat[0], x0, atol=1e-6)
 
 
 class TestFeasibleBatch:
@@ -86,6 +88,7 @@ class TestFeasibleBatch:
         for _ in range(100):
             z = m.forward(prior.sample(rng, 7))
             sol = solve_saddle(m, prior, z[None], tol=tol)
+            assert sol.errors == [None]
             assert sol.residual[0] <= tol * (1.0 + np.max(np.abs(z)))
             assert_allclose(m.forward(sol.x_hat[0]), z, atol=1e-7)
             assert prior.in_support(sol.x_hat[0])
@@ -106,6 +109,7 @@ class TestFeasibleBatch:
 
         monkeypatch.setattr(TRUNCATED_GAUSSIAN, "cgf_derivs", recording)
         sol = solve_saddle(m, TRUNCATED_GAUSSIAN, m.forward(x0)[None])
+        assert sol.errors == [None]
         path = np.array([np.sum(TRUNCATED_GAUSSIAN.cgf(a)) - np.sum(a @ x0) for a in alphas])
         assert len(path) == sol.iterations + 1 > 1
         assert np.all(np.diff(path) < 0.0)
