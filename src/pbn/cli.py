@@ -72,10 +72,16 @@ def _header(args, *names, config=None):
     """The comment line that opens every text output.
 
     It carries the version, the seed, and the hash of ``config``, or of
-    the named arguments as strings when no config is given.
+    the named arguments as strings when no config is given.  A path
+    argument (every string one) counts by its base name, so the same run
+    from two checkouts writes the same bytes.
     """
     if config is None:
-        config = {name: str(getattr(args, name)) for name in names}
+        values = {name: getattr(args, name) for name in names}
+        config = {
+            name: os.path.basename(os.path.normpath(v)) if isinstance(v, str) else str(v)
+            for name, v in values.items()
+        }
     return f"# pbn v{__version__} seed={args.seed} config={_config_hash(config)}"
 
 

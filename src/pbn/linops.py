@@ -7,17 +7,17 @@ never expands dimension) and exposes the pair
     adjoint(h) = W  h      (n_out -> n_in)
 
 on one vector or on each row of a (B, n) stack, together with the two
-gradient collectors training needs: the gradient of s' forward(x) with
-respect to the raw parameters (summed over the rows of a stack), and
-the projection of an arbitrary dense d/dW onto the parameters.  A map
-keeps its dense matrix and unit Gram factor once built.  A sibling from
-``with_params`` shares the wiring indices and keeps its parameters for
-life; one from ``with_shared_params`` reads a vector that the training
-loop updates in place, and ``refresh`` then writes the new parameters
-into the kept dense matrix and drops the kept Gram factor.
-``GramFactor`` factors one weighted Gram matrix, formed as one
-symmetric product (syrk), in the buffer that product wrote, and keeps
-its explicit inverse once asked, so W S^-1 is one matrix product;
+gradient collectors training needs: ``fold``, the projection of X'S
+onto the parameters for row stacks X and S, which multiplies only the
+blocks of X'S where a convolution has taps, and the projection of an
+arbitrary dense d/dW.  A map keeps its dense matrix, unit Gram factor
+and log-det gradient once built.  A sibling from ``with_params`` shares
+the wiring indices and keeps its parameters for life; one from
+``with_shared_params`` reads a vector that the training loop updates in
+place, and ``refresh`` then writes the new parameters into the kept
+dense matrix and drops the other caches.  ``GramFactor`` factors one
+weighted Gram matrix, formed as one symmetric product (syrk), in the
+buffer that product wrote, and keeps its explicit inverse once asked;
 ``GramStack`` factors one per row of a weight stack, solves with all of
 them in one batched call, and forms W S^-1 only when asked.
 """
@@ -96,6 +96,17 @@ class LinearMap:
         """
         return GramFactor(self)
 
+    @functools.cached_property
+    def logdet_grad(self):
+        """d(log det W'W)/dparams / 2, the fold of W S^-1, kept and dropped with ``gram``.
+
+        The map keeps it, not the factor, so that a factor holds no
+        reference back to its map.
+        """
+        g = self.fold(self.materialize(), self.gram.inv)
+        g.flags.writeable = False
+        return g
+
     def with_params(self, params):
         raise NotImplementedError
 
@@ -116,24 +127,23 @@ class LinearMap:
 
         The kept dense matrix takes the new parameters where it stands
         (a convolution's zero pattern never changes), and the kept Gram
-        factor is dropped, to be built again on first use.
+        factor and log-det gradient are dropped, to be built on first use.
         """
         vars(self).pop("gram", None)
+        vars(self).pop("logdet_grad", None)
         a = vars(self).get("_dense")
         if a is not None:
             a.flags.writeable = True
             self._fill(a)
             a.flags.writeable = False
 
-    def param_grad(self, x, s):
-        """d(s' W' x)/dparams for vectors x (n_in) and s (n_out).
+    def fold(self, left, right):
+        """``collect_matrix_grad(left' right)`` for (K, n_in) and (K, n_out) row stacks.
 
-        For (B, n_in) and (B, n_out) stacks the result is the sum over
-        the rows: one product X'S, folded once.
+        The fold of x and s stacks is d(sum of s' W' x)/dparams.  It
+        multiplies only the blocks of left' right that hold parameters.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        return self.collect_matrix_grad(x.T @ s)
+        raise NotImplementedError
 
     def collect_matrix_grad(self, g):
         """Fold a dense gradient d/dW of shape (n_in, n_out) onto the parameters."""
@@ -180,6 +190,9 @@ class DenseMap(LinearMap):
             raise ShapeMismatchError(f"params shape {p.shape} != {self._params.shape}")
         return DenseMap(p)
 
+    def fold(self, left, right):
+        return left.T @ right
+
     def collect_matrix_grad(self, g):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.n_in, self.n_out):
@@ -202,6 +215,8 @@ class ConvMap(LinearMap):
     single gather/scatter passes.  Each (output, input) pair is hit by
     exactly one tap (two taps of one output differ in their input pixel
     or channel), so the matrix is one assignment, with no accumulation.
+    The outputs of one output row read one contiguous span of inputs,
+    so ``fold`` multiplies one block per output row (the wiring's plan).
     """
 
     def __init__(self, weights, in_shape, strides, *, _wiring=None):
@@ -230,22 +245,48 @@ class ConvMap(LinearMap):
         self._params = _readonly(k)
         self._wiring = self._build_wiring() if _wiring is None else _wiring
 
-    def _build_wiring(self):
+    def _taps(self):
+        """Open indices over (c_out, h_out, w_out, c_in, kh, kw), tap inputs, in-image mask."""
         c_out, c_in, kh, kw = self._params.shape
         _, h, w = self.in_shape
         sy, sx = self.strides
         _, h_out, w_out = self.out_shape
-        # one open index per axis of (c_out, h_out, w_out, c_in, kh, kw); the
-        # flat indices broadcast over them and one mask keeps in-image taps
         shape = (c_out, h_out, w_out, c_in, kh, kw)
-        co, ty, tx, ci, dy, dx = np.ix_(*(np.arange(n) for n in shape))
+        grid = np.ix_(*(np.arange(n) for n in shape))
+        _, ty, tx, ci, dy, dx = grid
         iy = ty * sy + dy - (kh - 1) // 2
         ix = tx * sx + dx - (kw - 1) // 2
-        ok = np.broadcast_to((iy >= 0) & (iy < h) & (ix >= 0) & (ix < w), shape)
+        inside = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
+        return shape, grid, (ci * h + iy) * w + ix, inside
+
+    def _build_wiring(self):
+        # the flat indices broadcast over the open ones; the mask keeps in-image taps
+        shape, (co, ty, tx, ci, dy, dx), in_grid, inside = self._taps()
+        c_out, h_out, w_out, c_in, kh, kw = shape
+        ok = np.broadcast_to(inside, shape)
         out_idx = np.broadcast_to((co * h_out + ty) * w_out + tx, shape)[ok]
-        in_idx = np.broadcast_to((ci * h + iy) * w + ix, shape)[ok]
+        in_idx = np.broadcast_to(in_grid, shape)[ok]
         par_idx = np.broadcast_to(((co * c_in + ci) * kh + dy) * kw + dx, shape)[ok]
-        return out_idx * self.n_in + in_idx, in_idx * self.n_out + out_idx, par_idx
+        # the last slot takes the fold's plan on first use, for every sibling
+        return out_idx * self.n_in + in_idx, in_idx * self.n_out + out_idx, par_idx, []
+
+    def _fold_plan(self):
+        """The fold's blocks: per output row ty, its outputs by the inputs lo..hi its taps read.
+
+        Returns (blocks, each tap's entry in the blocks laid end to end, their total size).
+        """
+        shape, (co, ty, tx, *_), in_grid, inside = self._taps()
+        c_out, h_out, w_out = shape[:3]
+        axes = (0, 2, 3, 4, 5)
+        lo = np.min(np.where(inside, in_grid, self.n_in), axis=axes, keepdims=True)
+        hi = np.max(np.where(inside, in_grid, -1), axis=axes, keepdims=True) + 1
+        sizes = c_out * w_out * (hi - lo)
+        ends = np.cumsum(sizes).reshape(lo.shape)
+        at = ends - sizes
+        pos = np.broadcast_to(at + (co * w_out + tx) * (hi - lo) + in_grid - lo, shape)
+        outs = ((co * h_out + ty) * w_out + tx).reshape(c_out, h_out, w_out)
+        blocks = [(lo.flat[t], hi.flat[t], outs[:, t].ravel(), at.flat[t]) for t in range(h_out)]
+        return blocks, pos[np.broadcast_to(inside, shape)], int(ends.flat[-1])
 
     @property
     def fan_in(self):
@@ -260,7 +301,7 @@ class ConvMap(LinearMap):
         return a
 
     def _fill(self, a):
-        dense_idx, _, par_idx = self._wiring
+        dense_idx, _, par_idx, _ = self._wiring
         a.ravel()[dense_idx] = self._params.ravel()[par_idx]
 
     def with_params(self, params):
@@ -269,11 +310,23 @@ class ConvMap(LinearMap):
             raise ShapeMismatchError(f"params shape {p.shape} != {self._params.shape}")
         return ConvMap(p, self.in_shape, self.strides, _wiring=self._wiring)
 
+    def fold(self, left, right):
+        _, _, par_idx, plan = self._wiring
+        if not plan:
+            plan.extend(self._fold_plan())
+        blocks, pos, size = plan
+        out = np.empty(size)
+        for lo, hi, cols, at in blocks:
+            block = out[at : at + cols.size * (hi - lo)].reshape(cols.size, hi - lo)
+            np.matmul(right[:, cols].T, left[:, lo:hi], out=block)
+        flat = np.bincount(par_idx, weights=out[pos], minlength=self._params.size)
+        return flat.reshape(self._params.shape)
+
     def collect_matrix_grad(self, g):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.n_in, self.n_out):
             raise ShapeMismatchError(f"matrix grad shape {g.shape} != {(self.n_in, self.n_out)}")
-        _, grad_idx, par_idx = self._wiring
+        _, grad_idx, par_idx, _ = self._wiring
         vals = np.ravel(g)[grad_idx]
         flat = np.bincount(par_idx, weights=vals, minlength=self._params.size)
         return flat.reshape(self._params.shape)
@@ -297,9 +350,10 @@ class GramFactor:
 
     The unit-weight factor of a map is kept on the map (``LinearMap.gram``)
     and so lives exactly as long as the map's parameters.  A factor
-    keeps S^-1 (``inv``, from the Cholesky factor by LAPACK potri) and
-    W S^-1 (``w_s_inv``, one matrix product with it) once a caller has
-    asked for them; ``solve`` stays a pair of triangular solves.
+    keeps S^-1 (``inv``, from the Cholesky factor by LAPACK potri) once
+    a caller has asked for it; the map folds it with W onto its
+    parameters (``LinearMap.logdet_grad``), so no dense W S^-1 is
+    formed.  ``solve`` stays a pair of triangular solves.
     """
 
     def __init__(self, map_, weights=None, label="gram"):
@@ -352,13 +406,6 @@ class GramFactor:
         _mirror_lower(inv)
         inv.flags.writeable = False
         return inv
-
-    @functools.cached_property
-    def w_s_inv(self):
-        """W S^-1 (n_in x n_out, read-only), computed on first use and kept."""
-        p = self._a.T @ self.inv
-        p.flags.writeable = False
-        return p
 
 
 class GramStack:

@@ -327,7 +327,7 @@ class Network:
             zs.append(z)
             slope = None
             if spec.activation in INNER_ACTIVATIONS:
-                _, x, slope = activation_prior(spec.activation).cgf_derivs(z)
+                x, slope = activation_prior(spec.activation).activation_derivs(z)
             slopes.append(slope)
         return xs, zs, slopes
 

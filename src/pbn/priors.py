@@ -10,10 +10,11 @@ no special case and gives a 0-d result:
 * ``activation_deriv`` k''(a), its variance (always strictly positive),
 * ``cgf_third_deriv``  k'''(a), needed for curvature gradients.
 
-``cgf_derivs`` returns k, k' and k'' of one array together, each bit for
-bit what its own function gives.  The truncated Gaussian computes the
-three in one pass over its branches, with one inverse Mills ratio; every
-Newton iterate of a saddle solve and every forward pass needs them so.
+``activation_derivs`` returns k' and k'' of one array together, and
+``cgf_derivs`` returns k, k' and k'', each bit for bit what its own
+function gives.  The truncated Gaussian computes k' and k'' in one pass
+over its branches, with one inverse Mills ratio: every forward pass
+needs the pair, and every Newton iterate of a saddle solve needs k too.
 
 Three priors are provided:
 
@@ -117,9 +118,13 @@ class ScalarPrior:
     def cgf_third_deriv(self, a):
         raise NotImplementedError
 
+    def activation_derivs(self, a):
+        """(k'(a), k''(a)), each bit for bit what its own function gives."""
+        return self.activation(a), self.activation_deriv(a)
+
     def cgf_derivs(self, a):
         """(k(a), k'(a), k''(a)), each bit for bit what its own function gives."""
-        return self.cgf(a), self.activation(a), self.activation_deriv(a)
+        return self.cgf(a), *self.activation_derivs(a)
 
     def activation_inverse(self, y):
         raise NotImplementedError
@@ -281,17 +286,17 @@ def _tg_closed_k(a):
 
 
 def _tg_tail(t):
-    """k, k' and k'' at a = -t below _TG_TAIL."""
+    """k' and k'' at a = -t below _TG_TAIL."""
     # 1 - r k' = u_1 (u_2 - u_1), and u_2 - u_1 = u_1 (t + 2 u_2 - u_3) / (t + u_3)
     u1, u2, u3, _ = _tg_fraction(t)
-    return _tg_tail_k(t), u1, u1 * u1 * (t + 2.0 * u2 - u3) / (t + u3)
+    return u1, u1 * u1 * (t + 2.0 * u2 - u3) / (t + u3)
 
 
 def _tg_closed(a):
-    """k, k' and k'' at a at or above _TG_TAIL, from one inverse Mills ratio."""
+    """k' and k'' at a at or above _TG_TAIL, from one inverse Mills ratio."""
     r = _mills(a)
     k1 = a + r
-    return _tg_closed_k(a), k1, 1.0 - r * k1
+    return k1, 1.0 - r * k1
 
 
 def _tg_tail_k3(t):
@@ -317,7 +322,7 @@ class TruncatedGaussianPrior(ScalarPrior):
 
     Below a = -5, k is log erfcx(-a/sqrt(2)) and the three derivatives
     come from the continued fraction of k' (``_tg_fraction``).  k' and
-    k'' are read off the fused ``cgf_derivs``, so each formula is
+    k'' are read off the fused ``activation_derivs``, so each formula is
     written once.
     """
 
@@ -328,15 +333,15 @@ class TruncatedGaussianPrior(ScalarPrior):
         return _tg_split(a, _tg_tail_k, _tg_closed_k)
 
     def activation(self, a):
-        return self.cgf_derivs(a)[1]
+        return self.activation_derivs(a)[0]
 
     def activation_deriv(self, a):
-        return self.cgf_derivs(a)[2]
+        return self.activation_derivs(a)[1]
 
     def cgf_third_deriv(self, a):
         return _tg_split(a, _tg_tail_k3, _tg_closed_k3)
 
-    def cgf_derivs(self, a):
+    def activation_derivs(self, a):
         return _tg_split(a, _tg_tail, _tg_closed)
 
     def activation_inverse(self, y):
@@ -345,7 +350,7 @@ class TruncatedGaussianPrior(ScalarPrior):
             raise DomainError("tg activation inverse requires values in (0, inf)")
         # lambda(-1/y) < y < lambda(y + 1) holds for every y > 0 (Mills
         # ratio bound r(-t) < t + 1/t), so the bracket needs no search.
-        return _bracketed_newton(lambda a: self.cgf_derivs(a)[1:], y, -1.0 / y, y + 1.0)
+        return _bracketed_newton(self.activation_derivs, y, -1.0 / y, y + 1.0)
 
     def log_density(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -475,9 +480,7 @@ class UniformPrior(ScalarPrior):
         if not np.all(np.isfinite(y)) or np.any(y <= 0.0) or np.any(y >= 1.0):
             raise DomainError("ted activation inverse requires values in (0, 1)")
         # lambda(-1/y) < y and lambda(1/(1-y)) > y hold for all y in (0, 1).
-        return _bracketed_newton(
-            lambda a: (self.activation(a), self.activation_deriv(a)), y, -1.0 / y, 1.0 / (1.0 - y)
-        )
+        return _bracketed_newton(self.activation_derivs, y, -1.0 / y, 1.0 / (1.0 - y))
 
     def log_density(self, x):
         return np.where(self.in_support(x), 0.0, -np.inf)

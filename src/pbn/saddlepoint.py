@@ -29,16 +29,18 @@ stopped or the one its Newton direction is solved with.  The solution
 keeps those weights (``curvature_weights``), and its curvature keeps
 each column's S and Cholesky factor: the log determinant comes from the
 factor, and S^-1 is built only when the likelihood gradient reads
-W S^-1.
+W S_b^-1 for each column.
 
 The unit Gram factor W'W that seeds every solve is a constant of the
 map, so it is built once per map and kept there (``LinearMap.gram``).
 Whenever the curvature weights k'' are exactly 1 (always, under the
 Gaussian prior) the curvature is that same factor, and the solution
-carries it instead of a rebuilt copy.  A map's parameters change only
-in place in a training skeleton, whose update ends with the map's
-``refresh``: it rewrites the kept dense matrix and drops the kept
-factor, so no solve can see a stale one.
+carries it instead of a rebuilt copy; the likelihood gradient then
+reads the map's kept fold of W S^-1 (``LinearMap.logdet_grad``), not a
+dense W S^-1.  A map's parameters change only in place in a training
+skeleton, whose update ends with the map's ``refresh``: it rewrites the
+kept dense matrix and drops the kept factor, so no solve can see a
+stale one.
 
 A (B, n_out) stack of targets is solved as one stacked Newton
 iteration, one column per target.  Each column keeps its own line

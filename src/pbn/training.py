@@ -13,16 +13,22 @@ likelihood:
   -lambda(alpha)(h^ + u/2)' + [(k''' q) - (k'' v)] h^'/2 + diag(k'') W S^-1
   with v = W u, everything evaluated at the saddle alpha = W h^.
 
-Summed over a batch the first two weight terms are matrix products and
-every map's collector is linear, so each layer folds one dense matrix
-onto its parameters per batch.  Where k''' is exactly zero (always,
-under the Gaussian prior) u and v vanish and q is never needed; with
-the kept unit factor the last term is then B W S^-1, where W S^-1 is
-one matrix product of W with the factor's kept explicit inverse.  The
-k'' at the saddle are the solve's curvature weights and the activation
-slopes k''(z) come from the forward pass, so the sweep evaluates only
-k''' anew.  It skips the input gradient of the first layer, which
-nothing reads.
+Summed over a batch, the first two weight terms and the input term
+x z~bar' are one product L'R of row stacks: x and x^ against z~bar and
+-(h^ + u/2), plus the k''' rows against h^.  ``LinearMap.fold`` projects
+it onto the parameters, and for a convolution multiplies only the
+blocks of L'R that hold taps.  Where every k'' is exactly 1 (always,
+under the Gaussian prior) the curvature is the map's unit factor and
+the last term is B times the map's kept fold of W S^-1
+(``LinearMap.logdet_grad``), so no dense W S^-1 is formed; other
+weights fold diag(k'') W S_b^-1 summed over the rows of the curvature
+stack.  Where k''' is exactly zero (always, under the Gaussian prior) u
+and v vanish and q is never needed; a unit factor with k''' != 0 (a tg
+layer whose saddle preactivations all pass 9) forms W S^-1 for that
+batch only.  The k'' at the saddle are the solve's curvature weights
+and the activation slopes k''(z) come from the forward pass, so the
+sweep evaluates only k''' anew.  It skips the input gradient of the
+first layer, which nothing reads.
 
 Samples whose likelihood is undefined (prior support or infeasible
 feature targets) are skipped and counted; the reported efficiency is
@@ -35,7 +41,8 @@ network is at fault, and there is nothing to keep.
 Both training modes ascend: the discriminative warm start maximizes the
 softmax log-probability of labels under the logits z_L, the generative
 phase maximizes the mean log-likelihood; both subtract an optional L2
-weight penalty (biases are not decayed).
+weight penalty (biases are not decayed).  The warm start's weight
+gradient is the fold of each layer's inputs against its z bar.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrainingError
-from .linops import DenseMap
+from .linops import DenseMap, GramFactor
 from .network import (
     LayerSpec,
     Network,
@@ -159,34 +166,43 @@ def gradient(net, x_raw, label=None, trace=None):
             k2z = trace.slopes[l - 1][idx]
             bar_z = bar_x * k2z + activation_prior(spec.activation).cgf_third_deriv(z) / k2z
 
-        half, feature = _feature_term(spec, trace.solution(l, idx)) if idx.size else (0.0, 0.0)
+        half, left, right, det = (0.0, [], [], 0.0)
+        if idx.size:
+            half, left, right, det = _feature_term(spec, trace.solution(l, idx))
         bar_z_tilde = bar_z + half
         grads_b[l - 1] = np.sum(bar_z, axis=0)
-        grads_w[l - 1] = spec.map.collect_matrix_grad(x.T @ bar_z_tilde + feature)
+        left, right = np.concatenate([x, *left]), np.concatenate([bar_z_tilde, *right])
+        grads_w[l - 1] = spec.map.fold(left, right) + det
         if l > 1:
             bar_x = spec.map.adjoint(bar_z_tilde) + prior.grad_log_density(x)
     return grads_w, grads_b, ll
 
 
 def _feature_term(spec, sol):
-    """(h^ + u/2 per row, the explicit d/dW of -log p^ summed over rows) of one layer."""
+    """(h^ + u/2 per row, left, right, det) of one layer.
+
+    The explicit d/dW of -log p^ summed over the rows is the fold of the
+    row stacks left and right plus det, its log-det term.
+    """
     a = spec.map.materialize()  # n_out x n_in
     k2 = sol.curvature_weights
     k3 = spec.input_prior.cgf_third_deriv(sol.alpha)
-    p = sol.curvature.w_s_inv  # n_in x n_out, shared or one per row
-    if p.ndim == 2:
-        feature = np.sum(k2, axis=0)[:, None] * p
+    unit = isinstance(sol.curvature, GramFactor)  # every k'' is 1
+    if unit:
+        det = len(k2) * spec.map.logdet_grad
     else:
-        feature = np.einsum("bi,bij->ij", k2, p)
-    half = sol.h_hat
+        p = sol.curvature.w_s_inv  # one n_in x n_out matrix per row
+        det = spec.map.collect_matrix_grad(np.einsum("bi,bij->ij", k2, p))
+    half, left, right = sol.h_hat, [], []
     if np.any(k3 != 0.0):
+        if unit:
+            p = a.T @ sol.curvature.inv  # W S^-1, for this batch only
         q = np.einsum("ki,...ik->...i", a, p)
         # u = S^-1 W'(k''' q) = (W S^-1)'(k''' q), as S^-1 is symmetric
         u = ((k3 * q)[:, None, :] @ p)[:, 0]
         half = half + 0.5 * u
-        feature += 0.5 * (k3 * q - k2 * (u @ a)).T @ sol.h_hat
-    feature -= sol.x_hat.T @ half
-    return half, feature
+        left, right = [0.5 * (k3 * q - k2 * (u @ a))], [sol.h_hat]
+    return half, [sol.x_hat, *left], [-half, *right], det
 
 
 def objective(net, data, l2=0.0):
@@ -278,7 +294,7 @@ def _pretrain_batch(net, x_raw, labels, rng, dropout):
         if l < net.depth:
             bar_z = bar_x * slopes[l - 1]
         x = xs[l - 1] if mask is None else xs[l - 1] * mask
-        grads_w[l - 1] = spec.map.param_grad(x, bar_z)
+        grads_w[l - 1] = spec.map.fold(x, bar_z)
         grads_b[l - 1] = np.sum(bar_z, axis=0)
         if l > 1:
             bar_x = spec.map.adjoint(bar_z)

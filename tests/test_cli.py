@@ -1,6 +1,7 @@
 import ctypes
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -470,6 +471,24 @@ class TestEval:
             )
             assert rc == 0
             blobs.append(read_bytes(scores))
+        assert blobs[0] == blobs[1]
+
+    def test_the_same_run_from_two_directories_writes_the_same_bytes(
+        self, tmp_path, toy_archive, toy_model, wav_tree, capsys
+    ):
+        # every path argument is hashed into the header by its base name only
+        blobs = []
+        for root, slash in ((tmp_path / "one", ""), (tmp_path / "two" / "deeper", "/")):
+            shutil.copytree(wav_tree, root / "wavs")
+            shutil.copy(toy_model, root / "model.json")
+            for argv in (
+                ["extract", "--wav-dir", f"{root / 'wavs'}{slash}", "--out", str(root / "f.csv"),
+                 "--n-train", "4", "--n-val", "2"],
+                ["eval", "--model", str(root / "model.json"), "--features", toy_archive,
+                 "--out-scores", str(root / "scores.csv")],
+            ):
+                assert run(capsys, *argv, "--seed", "1")[0] == 0
+            blobs.append([read_bytes(root / name) for name in ("f.csv", "f_split.csv", "scores.csv")])
         assert blobs[0] == blobs[1]
 
     def test_bad_stat_layer(self, tmp_path, toy_archive, toy_model, capsys):

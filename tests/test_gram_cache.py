@@ -1,12 +1,13 @@
 """The kept unit Gram factor against the per-sample factor it replaces.
 
 Every map keeps its unit-weight GramFactor (``LinearMap.gram``), and
-every factor keeps W S^-1 once asked.  The oracle below restores the
-per-solve construction: a fresh unit factor on every access (every
-seed, and every unit-weight curvature of a solve, reads it anew), and a
-fresh S^-1 and W S^-1 on every use; curvature factors with other
-weights are built per solve either way.  Results must agree bit for
-bit, because both paths run the same arithmetic.
+the fold of W S^-1 onto its parameters (``LinearMap.logdet_grad``) once
+asked.  The oracle below restores the per-solve construction: a fresh
+unit factor on every access (every seed, and every unit-weight
+curvature of a solve, reads it anew), and a fresh S^-1 and log-det fold
+on every use; curvature factors with other weights are built per solve
+either way.  Results must agree bit for bit, because both paths run the
+same arithmetic.
 
 A parameter update, by a new network or in place on a training
 skeleton, must leave no consumer reading an old factor or dense matrix;
@@ -29,7 +30,9 @@ def install_per_sample_oracle(monkeypatch):
     monkeypatch.setattr(LinearMap, "gram", property(lambda map_: GramFactor(map_)))
     fresh_inv = GramFactor.inv.func
     monkeypatch.setattr(GramFactor, "inv", property(fresh_inv))
-    monkeypatch.setattr(GramFactor, "w_s_inv", property(lambda f: f._a.T @ fresh_inv(f)))
+    monkeypatch.setattr(
+        LinearMap, "logdet_grad", property(lambda m: m.fold(m.materialize(), fresh_inv(m.gram)))
+    )
 
 
 def wordpair(seed=5):
@@ -87,7 +90,7 @@ def test_parameter_update_never_sees_a_stale_factor():
 def test_in_place_update_never_sees_a_stale_cache():
     skeleton, theta = training._skeleton(wordpair())
     x = sample()
-    before = results(skeleton, x)  # builds every map's dense matrix, factor and W S^-1
+    before = results(skeleton, x)  # builds every map's dense matrix, factor and log-det fold
     theta *= 1.0 + 0.1 * np.random.default_rng(7).random(theta.size)
     for spec in skeleton.layers:
         spec.map.refresh()
@@ -98,7 +101,11 @@ def test_in_place_update_never_sees_a_stale_cache():
 
 @pytest.mark.parametrize("layer", [0, 1])
 def test_factor_matches_the_copying_formula(layer):
-    """The factor formed in the syrk buffer against cho_factor, potri and a np.tril mirror."""
+    """The factor formed in the syrk buffer against cho_factor, potri and a np.tril mirror.
+
+    Its log-det fold sums each entry of W S^-1 in a block product of its
+    own, so it is held to 1e-13 of the largest entry, not bit for bit.
+    """
     map_ = wordpair().layers[layer].map
     got = GramFactor(map_)
     a = map_.materialize()
@@ -108,7 +115,8 @@ def test_factor_matches_the_copying_formula(layer):
     inv += np.tril(inv, -1).T
     assert info == 0
     np.testing.assert_array_equal(got.inv, inv)
-    np.testing.assert_array_equal(got.w_s_inv, a.T @ inv)
+    want = map_.collect_matrix_grad(a.T @ inv)
+    assert np.max(np.abs(map_.fold(a, got.inv) - want)) <= 1e-13 * np.max(np.abs(want))
     assert got.logdet == float(2.0 * np.sum(np.log(np.diagonal(c))))
 
 

@@ -25,12 +25,10 @@ def make_conv(rng, cfg):
 
 
 def assert_kept_inverse_matches_triangular_solves(f, rtol):
-    """S^-1 and W S^-1 of a factor against cho_solve on its own Cholesky factor."""
-    m = f.matrix.shape[0]
-    pairs = [(f.inv, cho_solve(f._factor, np.eye(m))), (f.w_s_inv, cho_solve(f._factor, f._a).T)]
-    for got, want in pairs:
-        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
-        assert not got.flags.writeable
+    """S^-1 of a factor against cho_solve on its own Cholesky factor."""
+    want = cho_solve(f._factor, np.eye(f.matrix.shape[0]))
+    assert np.max(np.abs(f.inv - want)) <= rtol * np.max(np.abs(want))
+    assert not f.inv.flags.writeable
     np.testing.assert_array_equal(f.inv, f.inv.T)
 
 
@@ -165,16 +163,17 @@ class TestParameterGradients:
             ConvMap(rng.standard_normal((3, 2, 3, 3)), (2, 5, 4), (2, 2)),
         ]
 
-    def test_param_grad_directional(self):
+    def test_fold_directional(self):
         rng, maps = self.maps()
         for m in maps:
-            x = rng.standard_normal(m.n_in)
-            s = rng.standard_normal(m.n_out)
+            x = rng.standard_normal((3, m.n_in))
+            s = rng.standard_normal((3, m.n_out))
             d = rng.standard_normal(m.params.shape)
-            g = m.param_grad(x, s)
+            g = m.fold(x, s)
             assert g.shape == m.params.shape
+            # the fold of the rows is d/dparams of sum over rows of s' W' x
             moved = m.with_params(m.params + d)
-            delta = np.dot(s, moved.forward(x)) - np.dot(s, m.forward(x))
+            delta = np.sum(s * moved.forward(x)) - np.sum(s * m.forward(x))
             assert_allclose(delta, np.sum(g * d), rtol=1e-9, atol=1e-9)
 
     def test_collect_matrix_grad_directional(self):
@@ -188,12 +187,81 @@ class TestParameterGradients:
             assert_allclose(np.sum(g_mat * w_of_d), np.sum(g * d), rtol=1e-9, atol=1e-9)
 
     def test_grad_routes_agree(self):
-        # param_grad(x, s) must equal collect_matrix_grad(outer(x, s)).
+        # fold(x, s) must equal collect_matrix_grad(x' s).
         rng, maps = self.maps()
         for m in maps:
-            x = rng.standard_normal(m.n_in)
-            s = rng.standard_normal(m.n_out)
-            assert_allclose(m.param_grad(x, s), m.collect_matrix_grad(np.outer(x, s)), atol=1e-12)
+            x = rng.standard_normal((2, m.n_in))
+            s = rng.standard_normal((2, m.n_out))
+            assert_allclose(m.fold(x, s), m.collect_matrix_grad(x.T @ s), atol=1e-12)
+
+
+FOLD_RTOL = 1e-13
+
+
+def assert_fold_is_the_collected_product(m, left, right):
+    """fold(L, R) against collect(L'R) to FOLD_RTOL of the largest entry.
+
+    The fold sums each entry of L'R over the same rows as the dense
+    product, in a block product of its own; only the order of that sum
+    may differ.
+    """
+    want = m.collect_matrix_grad(left.T @ right)
+    got = m.fold(left, right)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= FOLD_RTOL * np.max(np.abs(want))
+
+
+class TestFold:
+    """The fold multiplies only the blocks of L'R that hold taps; the dense product is its oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        c_in=st.integers(1, 3),
+        c_out=st.integers(1, 3),
+        kh=st.integers(1, 6),
+        kw=st.integers(1, 6),
+        sy=st.integers(1, 8),
+        sx=st.integers(1, 8),
+        extra_h=st.integers(0, 9),
+        extra_w=st.integers(0, 9),
+        rows=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conv_sweep(self, c_in, c_out, kh, kw, sy, sx, extra_h, extra_w, rows, seed):
+        # even kernels, strides past the kernel, images smaller than it, a
+        # single output row, and stacks with more rows than the map has
+        # outputs
+        h, w = sy + extra_h, sx + extra_w
+        assume(c_out * (h // sy) * (w // sx) <= c_in * h * w)
+        rng = np.random.default_rng(seed)
+        m = ConvMap(rng.standard_normal((c_out, c_in, kh, kw)), (c_in, h, w), (sy, sx))
+        left = rng.standard_normal((rows, m.n_in))
+        assert_fold_is_the_collected_product(m, left, rng.standard_normal((rows, m.n_out)))
+
+    @pytest.mark.parametrize("cfg", WORDPAIR_CONVS, ids=["conv1", "conv2"])
+    @pytest.mark.parametrize("rows", [1, 16, "n_out"])
+    def test_wordpair_convs(self, cfg, rows):
+        # n_out rows: the log-det fold of W S^-1, with W' as the left stack
+        rng = np.random.default_rng(4)
+        m = make_conv(rng, cfg)
+        k = m.n_out if rows == "n_out" else rows
+        left = m.materialize() if rows == "n_out" else rng.standard_normal((k, m.n_in))
+        assert_fold_is_the_collected_product(m, left, rng.standard_normal((k, m.n_out)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 25), st.integers(1, 25), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_dense_maps(self, a, b, rows, seed):
+        rng = np.random.default_rng(seed)
+        m = DenseMap(rng.standard_normal((max(a, b), min(a, b))))
+        left = rng.standard_normal((rows, m.n_in))
+        assert_fold_is_the_collected_product(m, left, rng.standard_normal((rows, m.n_out)))
+
+    def test_siblings_share_the_plan_built_on_first_use(self):
+        m = make_conv(np.random.default_rng(5), WORDPAIR_CONVS[0])
+        twin = m.with_params(2.0 * m.params)
+        assert not m._wiring[3]  # a map that never folds builds no plan
+        twin.fold(np.ones((1, m.n_in)), np.ones((1, m.n_out)))
+        assert m._wiring[3] and m._wiring[3] is twin._wiring[3]
 
 
 class TestImmutability:

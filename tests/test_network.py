@@ -29,6 +29,7 @@ from pbn.network import (
     save_model,
     wordpair_network,
 )
+from pbn.priors import GaussianPrior, TruncatedGaussianPrior
 
 
 class TestOutputShift:
@@ -190,6 +191,21 @@ class TestWordpairArchitecture:
         ]
         acts = [s.activation for s in net.layers]
         assert acts == ["linear", "linear", "tg", "tg", "shift"]
+
+    def test_forward_pass_never_evaluates_k(self, monkeypatch):
+        # the activation and its slope are k' and k''; k itself is never read
+        net = wordpair_network(np.random.default_rng(5))
+        x = np.random.default_rng(6).standard_normal((3, 900))
+        want = net.forward_pass(x)
+
+        def no_k(self, a):
+            raise AssertionError("the forward pass evaluated k")
+
+        for prior in (GaussianPrior, TruncatedGaussianPrior):
+            monkeypatch.setattr(prior, "cgf", no_k)
+        for got, expected in zip(net.forward_pass(x), want):
+            for g, e in zip(got, expected):
+                np.testing.assert_array_equal(g, e)
 
     def test_likelihood_runs_end_to_end(self):
         rng = np.random.default_rng(5)

@@ -80,16 +80,19 @@ def test_fused_evaluation_is_each_function_bit_for_bit(prior):
     a = np.array(BRANCH_GRID + edges + [np.nan, np.inf, -np.inf])
     with np.errstate(all="ignore"):
         separate = [prior.cgf(a), prior.activation(a), prior.activation_deriv(a)]
-        fused = prior.cgf_derivs(a)
-        stacked = prior.cgf_derivs(a[::-1].reshape(-1, 1))
-        alone = [prior.cgf_derivs(v) for v in a]
-    assert len(fused) == 3
-    for i, (got, want) in enumerate(zip(fused, separate)):
-        np.testing.assert_array_equal(got, want)  # NaN matches NaN, and only NaN
-        np.testing.assert_array_equal(stacked[i][::-1, 0], want)
-        for v, one, w in zip(a, alone, want):
-            assert np.ndim(one[i]) == 0
-            assert one[i] == w or (np.isnan(one[i]) and np.isnan(w)), (v, i)
+    # cgf_derivs gives (k, k', k''); activation_derivs, for the forward pass, (k', k'')
+    for fuse, want_all in ((prior.cgf_derivs, separate), (prior.activation_derivs, separate[1:])):
+        with np.errstate(all="ignore"):
+            fused = fuse(a)
+            stacked = fuse(a[::-1].reshape(-1, 1))
+            alone = [fuse(v) for v in a]
+        assert len(fused) == len(want_all)
+        for i, (got, want) in enumerate(zip(fused, want_all)):
+            np.testing.assert_array_equal(got, want)  # NaN matches NaN, and only NaN
+            np.testing.assert_array_equal(stacked[i][::-1, 0], want)
+            for v, one, w in zip(a, alone, want):
+                assert np.ndim(one[i]) == 0
+                assert one[i] == w or (np.isnan(one[i]) and np.isnan(w)), (v, i)
 
 
 @pytest.mark.parametrize("prior", ALL_PRIORS, ids=lambda p: p.kind)

@@ -22,7 +22,7 @@ from pbn import (
     training,
 )
 from pbn.network import wordpair_network
-from pbn.priors import activation_prior
+from pbn.priors import TRUNCATED_GAUSSIAN, TruncatedGaussianPrior, activation_prior
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -109,6 +109,32 @@ def blob_net(rng, c=20.0):
     )
 
 
+def unit_curvature_tg_net(rng):
+    """A net whose tg-prior first layer has every saddle preactivation past 9, and rows for it.
+
+    k''(a) rounds to exactly 1.0 from about a = 9 on while k'''(a) stays
+    nonzero (8.2e-17 at a = 9), so the solve hands that layer the map's
+    unit factor although k''' != 0.  Each row is lambda(W h0) with
+    W h0 >= 9, whose saddle point is h0.
+    """
+    w = rng.uniform(0.5, 1.5, (5, 3))
+    layers = [
+        LayerSpec(DenseMap(w), np.zeros(3), "truncated_gaussian", "tg"),
+        LayerSpec(DenseMap(0.1 * rng.standard_normal((3, 2))), np.zeros(2), "truncated_gaussian", "shift"),
+    ]
+    net = Network(layers, output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2))
+    x = TRUNCATED_GAUSSIAN.activation(rng.uniform(6.0, 8.0, (3, 3)) @ w.T)
+    return net, Dataset(x, np.array([0, 1, 0]))
+
+
+def batched_and_oracle_gradients(net, data):
+    """The package's gradient of the whole batch and the sum of the oracle's, both flattened."""
+    gw, gb, _ = gradient(net, data.x, label=data.labels)
+    per_row = [oracle.gradient(net, row, label=int(y)) for row, y in zip(data.x, data.labels)]
+    want = [sum(parts) for parts in zip(*(w + b for w, b in per_row))]
+    return np.concatenate([g.ravel() for g in gw + gb]), np.concatenate([g.ravel() for g in want])
+
+
 class TestGradientOracle:
     def test_matches_fd_on_tg_shift_net(self):
         rng = np.random.default_rng(11)
@@ -141,6 +167,24 @@ class TestGradientOracle:
         )
         data = Dataset(rng.normal(size=(2, 16)))
         assert_gradients_close(analytic_batch_gradient(net, data), fd_batch_gradient(net, data))
+
+    def test_unit_factor_with_nonzero_third_derivative(self, monkeypatch):
+        net, data = unit_curvature_tg_net(np.random.default_rng(21))
+        sol = net.interior_trace(data.x).solution(1, np.arange(len(data)))
+        assert sol.curvature is net.layers[0].map.gram
+        assert np.all(TRUNCATED_GAUSSIAN.cgf_third_deriv(sol.alpha) != 0.0)
+        got, want = batched_and_oracle_gradients(net, data)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        assert_gradients_close(got / len(data), fd_batch_gradient(net, data))
+        # Past a = 9 the k''' terms are below rounding, so only a larger k'''
+        # shows whether the unit-factor path keeps them.  The oracle reads
+        # the same k'''; finite differences cannot, as it no longer
+        # matches k''.
+        monkeypatch.setattr(TruncatedGaussianPrior, "cgf_third_deriv", lambda self, a: np.full_like(a, 0.25))
+        sol = net.interior_trace(data.x).solution(1, np.arange(len(data)))
+        assert sol.curvature is net.layers[0].map.gram
+        got, want = batched_and_oracle_gradients(net, data)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_matches_fd_with_l2(self):
         rng = np.random.default_rng(14)
