@@ -648,8 +648,8 @@ _MALLOC_POLICY = ((-3, 32 * 1024 * 1024), (-1, 256 * 1024 * 1024))
 def _keep_freed_memory():
     """Keep this process's freed heap pages for reuse; True if the policy was applied.
 
-    Every training step allocates and frees multi-megabyte arrays (dense
-    conv matrices, parameter gradients, Gram factors).  By default glibc
+    Every training step allocates and frees multi-megabyte arrays (Gram
+    matrices and their inverses, parameter gradients).  By default glibc
     serves blocks above a threshold set by the largest block freed so far
     from fresh mmaps, and trims the heap top once twice that is free, so
     each step faults the same pages in again.  Under this policy blocks

@@ -175,7 +175,8 @@ def _check_records(data):
 
     An id must not contain ``,``, ``\n`` or ``\r`` (the text separators)
     and its UTF-8 encoding must fit the binary length field (65,535
-    bytes); a label must fit the binary int32.
+    bytes); a label must fit the binary int32; a feature value must be
+    finite, as ``read_archive`` refuses any other.
     """
     if data.ids is None or data.labels is None:
         raise IngestionError("archives need ids and labels")
@@ -192,6 +193,15 @@ def _check_records(data):
             )
     if np.any((data.labels < -(2**31)) | (data.labels >= 2**31)):
         raise IngestionError("labels must fit in 32 bits")
+    _check_finite(data, "archive")
+
+
+def _check_finite(data, where):
+    """Raise IngestionError naming the first record with a NaN or infinite feature value."""
+    bad = ~np.all(np.isfinite(data.x), axis=1)
+    if bad.any():
+        sample_id = data.ids[int(np.argmax(bad))]
+        raise IngestionError(f"{where}: record {sample_id[:40]!r} has a non-finite feature value")
 
 
 @functools.cache
@@ -273,12 +283,15 @@ def _read_archive_binary(path):
 def read_archive(path):
     """Read either archive form, sniffing the binary magic.
 
-    A truncated or malformed archive raises IngestionError.
+    A truncated or malformed archive, or a feature value that is NaN or
+    infinite, raises IngestionError.
     """
     with open(path, "rb") as fh:
         head = fh.read(len(_MAGIC))
     reader = _read_archive_binary if head == _MAGIC else _read_archive_text
     try:
-        return reader(path)
+        data = reader(path)
     except (struct.error, ValueError) as exc:
         raise IngestionError(f"{path}: malformed archive: {exc}") from exc
+    _check_finite(data, path)
+    return data

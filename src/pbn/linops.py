@@ -8,18 +8,24 @@ never expands dimension) and exposes the pair
 
 on one vector or on each row of a (B, n) stack, together with the two
 gradient collectors training needs: ``fold``, the projection of X'S
-onto the parameters for row stacks X and S, which multiplies only the
-blocks of X'S where a convolution has taps, and the projection of an
-arbitrary dense d/dW.  A map keeps its dense matrix, unit Gram factor
-and log-det gradient once built.  A sibling from ``with_params`` shares
-the wiring indices and keeps its parameters for life; one from
-``with_shared_params`` reads a vector that the training loop updates in
-place, and ``refresh`` then writes the new parameters into the kept
-dense matrix and drops the other caches.  ``GramFactor`` factors one
-weighted Gram matrix, formed as one symmetric product (syrk), in the
-buffer that product wrote, and keeps its explicit inverse once asked;
-``GramStack`` factors one per row of a weight stack, solves with all of
-them in one batched call, and forms W S^-1 only when asked.
+onto the parameters for row stacks X and S, and the projection of an
+arbitrary dense d/dW.  A dense map keeps W' as one matrix.  A
+convolution keeps only its output-row blocks: the outputs of one output
+row read one contiguous span of inputs, so W' with its rows grouped by
+output row (block order) is one dense block per output row over that
+span.  Its products, its unit Gram factor and its log-det gradient run
+block by block, and ``materialize`` builds the dense output-order W' on
+demand, as a reference.  A map keeps its stored matrix, unit Gram
+factor and log-det gradient once built.  A sibling from ``with_params``
+shares the wiring and block layout and keeps its parameters for life;
+one from ``with_shared_params`` reads a vector that the training loop
+updates in place, and ``refresh`` then writes the new parameters into
+the stored matrix and drops the other caches.  ``GramFactor`` factors
+one weighted Gram matrix in the buffer that formed it (one syrk
+product, or for a convolution's unit factor the products of the block
+pairs whose spans meet, in block order); ``GramStack`` factors one per
+row of a weight stack, solves with all of them in one batched call, and
+forms W S^-1 only when asked.
 """
 
 import functools
@@ -74,15 +80,11 @@ class LinearMap:
         raise NotImplementedError
 
     def materialize(self):
-        """Dense n_out x n_in matrix A = W' with forward(x) = A @ x, bit for bit.
-
-        It is built on first use and kept (read-only); ``refresh`` writes
-        new parameters into it.
-        """
-        return self._dense
+        """Dense n_out x n_in matrix A = W' in output order; forward(x) is A @ x up to rounding."""
+        raise NotImplementedError
 
     def _fill(self, a):
-        """Write the parameters into the dense matrix ``a``."""
+        """Write the parameters into the stored matrix ``a``."""
         raise NotImplementedError
 
     @functools.cached_property
@@ -103,9 +105,13 @@ class LinearMap:
         The map keeps it, not the factor, so that a factor holds no
         reference back to its map.
         """
-        g = self.fold(self.materialize(), self.gram.inv)
+        g = self._logdet_fold(self.gram)
         g.flags.writeable = False
         return g
+
+    def _logdet_fold(self, gram):
+        """The fold of W S^-1 for the unit factor ``gram`` of this map."""
+        return self.fold(self.materialize(), gram.inv)
 
     def with_params(self, params):
         raise NotImplementedError
@@ -125,13 +131,13 @@ class LinearMap:
     def refresh(self):
         """Bring the kept caches up to date after the parameters changed in place.
 
-        The kept dense matrix takes the new parameters where it stands
-        (a convolution's zero pattern never changes), and the kept Gram
+        The stored matrix takes the new parameters where it stands (a
+        convolution's block layout never changes), and the kept Gram
         factor and log-det gradient are dropped, to be built on first use.
         """
         vars(self).pop("gram", None)
         vars(self).pop("logdet_grad", None)
-        a = vars(self).get("_dense")
+        a = vars(self).get("_stored")
         if a is not None:
             a.flags.writeable = True
             self._fill(a)
@@ -177,8 +183,12 @@ class DenseMap(LinearMap):
     def fan_in(self):
         return self.n_in
 
+    def materialize(self):
+        """W' itself, built on first use and kept (read-only); ``refresh`` writes into it."""
+        return self._stored
+
     @functools.cached_property
-    def _dense(self):
+    def _stored(self):
         return _readonly(self._params.T)
 
     def _fill(self, a):
@@ -215,8 +225,13 @@ class ConvMap(LinearMap):
     single gather/scatter passes.  Each (output, input) pair is hit by
     exactly one tap (two taps of one output differ in their input pixel
     or channel), so the matrix is one assignment, with no accumulation.
-    The outputs of one output row read one contiguous span of inputs,
-    so ``fold`` multiplies one block per output row (the wiring's plan).
+
+    The map stores W' as its output-row blocks.  The outputs of output
+    row ty (by channel, then tx: block order) read one contiguous span
+    lo..hi of inputs, so block ty is a dense (c_out * w_out, hi - lo)
+    array, and the blocks lie end to end in one buffer.  The layout
+    comes from the geometry alone and is built on first use into the
+    wiring's last slot, which every sibling shares.
     """
 
     def __init__(self, weights, in_shape, strides, *, _wiring=None):
@@ -267,13 +282,21 @@ class ConvMap(LinearMap):
         out_idx = np.broadcast_to((co * h_out + ty) * w_out + tx, shape)[ok]
         in_idx = np.broadcast_to(in_grid, shape)[ok]
         par_idx = np.broadcast_to(((co * c_in + ci) * kh + dy) * kw + dx, shape)[ok]
-        # the last slot takes the fold's plan on first use, for every sibling
+        # the last slot takes the block layout on first use, for every sibling
         return out_idx * self.n_in + in_idx, in_idx * self.n_out + out_idx, par_idx, []
 
-    def _fold_plan(self):
-        """The fold's blocks: per output row ty, its outputs by the inputs lo..hi its taps read.
+    def _block_layout(self):
+        """The output-row blocks of W', from the geometry alone.
 
-        Returns (blocks, each tap's entry in the blocks laid end to end, their total size).
+        Returns (spans, pos, size, order, back, pairs).  ``spans`` holds,
+        per output row, (lo, hi, at, rows): the inputs lo..hi its taps
+        read, its block's offset in the buffer and its rows in block
+        order.  ``pos`` is each tap's entry in the buffer, ``size`` the
+        buffer's; ``order`` is the output index of each row in block
+        order and ``back`` its inverse.  ``pairs`` holds (t, u, ct, cu)
+        for each ordered pair of blocks whose spans meet, the inputs they
+        share being the columns ct of block t and cu of block u, by t
+        and with the pair (t, t) first.
         """
         shape, (co, ty, tx, *_), in_grid, inside = self._taps()
         c_out, h_out, w_out = shape[:3]
@@ -285,24 +308,62 @@ class ConvMap(LinearMap):
         at = ends - sizes
         pos = np.broadcast_to(at + (co * w_out + tx) * (hi - lo) + in_grid - lo, shape)
         outs = ((co * h_out + ty) * w_out + tx).reshape(c_out, h_out, w_out)
-        blocks = [(lo.flat[t], hi.flat[t], outs[:, t].ravel(), at.flat[t]) for t in range(h_out)]
-        return blocks, pos[np.broadcast_to(inside, shape)], int(ends.flat[-1])
+        order = outs.transpose(1, 0, 2).ravel()
+        m = c_out * w_out
+        spans = [
+            (int(l), int(h), int(a), slice(t * m, (t + 1) * m))
+            for t, (l, h, a) in enumerate(zip(lo.flat, hi.flat, at.flat))
+        ]
+        pairs = []
+        for t, (lo_t, hi_t, *_) in enumerate(spans):
+            for u, (lo_u, hi_u, *_) in sorted(enumerate(spans), key=lambda us: us[0] != t):
+                a, b = max(lo_t, lo_u), min(hi_t, hi_u)
+                if a < b:
+                    pairs.append((t, u, slice(a - lo_t, b - lo_t), slice(a - lo_u, b - lo_u)))
+        pos = pos[np.broadcast_to(inside, shape)]
+        return spans, pos, int(ends.flat[-1]), order, np.argsort(order), pairs
+
+    @property
+    def _layout(self):
+        slot = self._wiring[3]
+        if not slot:
+            slot.append(self._block_layout())
+        return slot[0]
 
     @property
     def fan_in(self):
         _, c_in, kh, kw = self._params.shape
         return c_in * kh * kw
 
-    @functools.cached_property
-    def _dense(self):
+    def materialize(self):
+        """W' in output order, built anew from the wiring on every call."""
+        dense_idx, _, par_idx, _ = self._wiring
         a = np.zeros((self.n_out, self.n_in))
+        a.ravel()[dense_idx] = self._params.ravel()[par_idx]
+        return a
+
+    @functools.cached_property
+    def _stored(self):
+        a = np.zeros(self._layout[2])
         self._fill(a)
         a.flags.writeable = False
         return a
 
     def _fill(self, a):
-        dense_idx, _, par_idx, _ = self._wiring
-        a.ravel()[dense_idx] = self._params.ravel()[par_idx]
+        _, _, par_idx, _ = self._wiring
+        a[self._layout[1]] = self._params.ravel()[par_idx]
+
+    @functools.cached_property
+    def _blocks(self):
+        """Each output row's block, a view of the stored buffer."""
+        return self._views(self._stored)
+
+    def _views(self, buf):
+        """Block views of a buffer laid out like the stored one."""
+        return [
+            buf[at : at + (hi - lo) * (rows.stop - rows.start)].reshape(-1, hi - lo)
+            for lo, hi, at, rows in self._layout[0]
+        ]
 
     def with_params(self, params):
         p = np.asarray(params, dtype=np.float64)
@@ -310,25 +371,72 @@ class ConvMap(LinearMap):
             raise ShapeMismatchError(f"params shape {p.shape} != {self._params.shape}")
         return ConvMap(p, self.in_shape, self.strides, _wiring=self._wiring)
 
-    def fold(self, left, right):
-        _, _, par_idx, plan = self._wiring
-        if not plan:
-            plan.extend(self._fold_plan())
-        blocks, pos, size = plan
+    def forward(self, x):
+        x = _rows(x, self.n_in, "forward")
+        spans, _, _, _, back, _ = self._layout
+        out = np.empty(x.shape[:-1] + (self.n_out,))
+        for (lo, hi, _, rows), block in zip(spans, self._blocks):
+            np.matmul(x[..., lo:hi], block.T, out=out[..., rows])
+        return out[..., back]
+
+    def adjoint(self, h):
+        spans, _, _, order, _, _ = self._layout
+        h = _rows(h, self.n_out, "adjoint")[..., order]
+        out = np.zeros(h.shape[:-1] + (self.n_in,))
+        for (lo, hi, _, rows), block in zip(spans, self._blocks):
+            out[..., lo:hi] += h[..., rows] @ block
+        return out
+
+    def _gram(self):
+        """W'W in block order, formed from the block pairs whose spans meet.
+
+        Only the blocks on and above the diagonal are formed: they are the
+        lower triangle of the transpose, which is all that potrf reads.
+        """
+        spans, _, _, _, _, pairs = self._layout
+        blocks = self._blocks
+        s = np.zeros((self.n_out, self.n_out))
+        for t, u, ct, cu in pairs:
+            if t <= u:
+                np.matmul(blocks[t][:, ct], blocks[u][:, cu].T, out=s[spans[t][3], spans[u][3]])
+        return s
+
+    def _logdet_fold(self, gram):
+        """The fold of W S^-1, from S^-1 in the block order of the unit factor ``gram``.
+
+        Block t of W S^-1 sums S^-1 against only the blocks whose spans
+        meet block t's, each over the inputs the two spans share; the
+        pair (t, t) covers all of block t and writes it first.
+        """
+        spans, pos, size, _, _, pairs = self._layout
+        inv = gram._inverse()
+        blocks = self._blocks
         out = np.empty(size)
-        for lo, hi, cols, at in blocks:
-            block = out[at : at + cols.size * (hi - lo)].reshape(cols.size, hi - lo)
-            np.matmul(right[:, cols].T, left[:, lo:hi], out=block)
-        flat = np.bincount(par_idx, weights=out[pos], minlength=self._params.size)
-        return flat.reshape(self._params.shape)
+        views = self._views(out)
+        for t, u, ct, cu in pairs:
+            part = inv[spans[t][3], spans[u][3]]
+            if t == u:
+                np.matmul(part, blocks[u], out=views[t])
+            else:
+                views[t][:, ct] += part @ blocks[u][:, cu]
+        return self._collect(out[pos])
+
+    def fold(self, left, right):
+        spans, pos, size, order, _, _ = self._layout
+        out = np.empty(size)
+        for (lo, hi, _, rows), block in zip(spans, self._views(out)):
+            np.matmul(right[:, order[rows]].T, left[:, lo:hi], out=block)
+        return self._collect(out[pos])
 
     def collect_matrix_grad(self, g):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.n_in, self.n_out):
             raise ShapeMismatchError(f"matrix grad shape {g.shape} != {(self.n_in, self.n_out)}")
-        _, grad_idx, par_idx, _ = self._wiring
-        vals = np.ravel(g)[grad_idx]
-        flat = np.bincount(par_idx, weights=vals, minlength=self._params.size)
+        return self._collect(np.ravel(g)[self._wiring[1]])
+
+    def _collect(self, vals):
+        """Sum one value per tap onto the tap's parameter."""
+        flat = np.bincount(self._wiring[2], weights=vals, minlength=self._params.size)
         return flat.reshape(self._params.shape)
 
 
@@ -342,32 +450,40 @@ class GramFactor:
     (W' itself for unit weights), which BLAS runs as syrk, and LAPACK
     potrf factors it in the buffer that product wrote: S is exactly
     symmetric, so its transpose is the Fortran-ordered matrix potrf
-    takes.  Weights must be strictly positive and finite.  A failed
-    factorization, a non-finite S, or a pivot collapsing to zero
-    relative to the trace, raises SingularityError carrying the
-    provided label.  Every entry of a Gram matrix is bounded by its
-    diagonal, so a finite trace means a finite S.
+    takes.  A convolution's unit factor is formed and factored in block
+    order instead, from the products of the block pairs whose spans
+    meet; ``solve`` permutes in and out of that order, and the log
+    determinant does not depend on it.  Weights must be strictly
+    positive and finite.  A failed factorization, a non-finite S, or a
+    pivot collapsing to zero relative to the trace, raises
+    SingularityError carrying the provided label.  Every entry of a
+    Gram matrix is bounded by its diagonal, so a finite trace means a
+    finite S.
 
     The unit-weight factor of a map is kept on the map (``LinearMap.gram``)
     and so lives exactly as long as the map's parameters.  A factor
-    keeps S^-1 (``inv``, from the Cholesky factor by LAPACK potri) once
-    a caller has asked for it; the map folds it with W onto its
-    parameters (``LinearMap.logdet_grad``), so no dense W S^-1 is
-    formed.  ``solve`` stays a pair of triangular solves.
+    keeps S^-1 in output order (``inv``, from the Cholesky factor by
+    LAPACK potri) once a caller has asked for it; the map folds S^-1
+    with W onto its parameters (``LinearMap.logdet_grad``), so no dense
+    W S^-1 is formed.  ``solve`` stays a pair of triangular solves.
     """
 
     def __init__(self, map_, weights=None, label="gram"):
-        self._a = a = map_.materialize()
-        self._scale = None
-        if weights is not None:
-            w = np.asarray(weights, dtype=np.float64)
-            if w.shape != (map_.n_in,):
-                raise ShapeMismatchError(f"{label}: weights shape {w.shape} != ({map_.n_in},)")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-                raise DomainError(f"{label}: gram weights must be positive and finite")
-            self._scale = np.sqrt(w)
-            a = a * self._scale
-        s = a @ a.T
+        self._a = self._scale = self._order = self._back = None
+        if weights is None and isinstance(map_, ConvMap):
+            s = map_._gram()
+            _, _, _, self._order, self._back, _ = map_._layout
+        else:
+            self._a = a = map_.materialize()
+            if weights is not None:
+                w = np.asarray(weights, dtype=np.float64)
+                if w.shape != (map_.n_in,):
+                    raise ShapeMismatchError(f"{label}: weights shape {w.shape} != ({map_.n_in},)")
+                if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+                    raise DomainError(f"{label}: gram weights must be positive and finite")
+                self._scale = np.sqrt(w)
+                a = a * self._scale
+            s = a @ a.T
         trace = np.trace(s)
         c, info = dpotrf(s.T, lower=1, clean=0, overwrite_a=1)
         if info != 0 or not np.isfinite(trace):
@@ -379,31 +495,47 @@ class GramFactor:
         self.logdet = float(2.0 * np.sum(np.log(piv)))
 
     @property
+    def chol(self):
+        """C with C C' = S in output order: the lower Cholesky factor, rows in output order."""
+        c = np.tril(self._factor[0])
+        return c if self._back is None else c[self._back]
+
+    @property
     def matrix(self):
-        """S itself, formed again by the same product: the factor took over its first buffer."""
+        """S in output order, formed again: the factor took over its first buffer."""
+        if self._a is None:
+            c = self.chol
+            return c @ c.T
         b = self._a if self._scale is None else self._a * self._scale
         return b @ b.T
 
     def solve(self, b):
         """Solve S u = b for a vector or a stack of columns."""
         # the factor is finite by construction, and so is every right-hand side
-        return cho_solve(self._factor, np.asarray(b, dtype=np.float64), check_finite=False)
+        b = np.asarray(b, dtype=np.float64)
+        if self._order is None:
+            return cho_solve(self._factor, b, check_finite=False)
+        return cho_solve(self._factor, b[self._order], check_finite=False)[self._back]
 
     def solve_rows(self, r):
         """Solve S u = r for one vector or for each row of a (B, n_out) stack."""
         return self.solve(np.asarray(r, dtype=np.float64).T).T
 
-    @functools.cached_property
-    def inv(self):
-        """S^-1 (n_out x n_out, symmetric, read-only), computed on first use and kept.
-
-        potri writes the lower triangle into a copy of the factor, which
-        the solves still read, and the triangle is mirrored in place.
-        """
+    def _inverse(self):
+        """S^-1 in the factor's order: potri writes the lower triangle into a
+        copy of the factor, which the solves still read, and it is mirrored in place."""
         inv, info = dpotri(self._factor[0], lower=1)
         if info != 0:
             raise SingularityError(f"gram inverse failed: LAPACK potri info {info}")
         _mirror_lower(inv)
+        return inv
+
+    @functools.cached_property
+    def inv(self):
+        """S^-1 in output order (symmetric, read-only), computed on first use and kept."""
+        inv = self._inverse()
+        if self._back is not None:
+            inv = inv[np.ix_(self._back, self._back)]
         inv.flags.writeable = False
         return inv
 

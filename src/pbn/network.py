@@ -538,15 +538,19 @@ def _map_to_dict(map_):
     raise ConfigError(f"cannot serialize map type {type(map_).__name__}")
 
 
-def _map_from_dict(d):
+def _finite(values, what):
+    """``values`` as a float64 array; a NaN or infinite entry raises ConfigError naming ``what``."""
+    a = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ConfigError(f"{what} must be finite")
+    return a
+
+
+def _map_from_dict(d, what):
     if d["type"] == "dense":
-        return DenseMap(np.asarray(d["weights"], dtype=np.float64))
+        return DenseMap(_finite(d["weights"], what))
     if d["type"] == "conv":
-        return ConvMap(
-            np.asarray(d["weights"], dtype=np.float64),
-            tuple(d["in_shape"]),
-            tuple(d["strides"]),
-        )
+        return ConvMap(_finite(d["weights"], what), tuple(d["in_shape"]), tuple(d["strides"]))
     raise ConfigError(f"unknown map type {d['type']!r}")
 
 
@@ -580,21 +584,23 @@ def network_from_dict(doc):
         raise ConfigError("not a model file")
     layers = [
         LayerSpec(
-            _map_from_dict(d["map"]),
-            np.asarray(d["bias"], dtype=np.float64),
+            _map_from_dict(d["map"], f"layer {l} weights"),
+            _finite(d["bias"], f"layer {l} bias"),
             d["input_prior"],
             d["activation"],
         )
-        for d in doc["layers"]
+        for l, d in enumerate(doc["layers"], 1)
     ]
     output_prior = None
     if doc.get("output_prior") is not None:
         p = doc["output_prior"]
+        for key in ("c", "level"):
+            _finite(p[key], f"output prior {key}")
         output_prior = OutputPriorConfig(c=p["c"], level=p["level"], n_classes=p["n_classes"])
     standardize = None
     if doc.get("standardize") is not None:
         s = doc["standardize"]
-        standardize = (np.asarray(s["mu"]), np.asarray(s["sigma"]))
+        standardize = tuple(_finite(s[key], f"standardization {key}") for key in ("mu", "sigma"))
     return Network(layers, output_prior=output_prior, standardize=standardize)
 
 
@@ -612,10 +618,10 @@ def save_model(net, path, meta=None):
 
 
 def load_model(path):
-    """The network of a model file; any ValueError, KeyError, TypeError or
-    AttributeError from the loader (a damaged document) raises ConfigError."""
+    """The network of a model file; a ConfigError, ValueError, KeyError, TypeError
+    or AttributeError from the loader (a damaged document) raises ConfigError naming the file."""
     with open(path) as fh:
         try:
             return network_from_dict(json.load(fh))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ConfigError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"{path}: not a pbn model ({type(exc).__name__}: {exc})") from exc

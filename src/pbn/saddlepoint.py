@@ -39,8 +39,10 @@ carries it instead of a rebuilt copy; the likelihood gradient then
 reads the map's kept fold of W S^-1 (``LinearMap.logdet_grad``), not a
 dense W S^-1.  A map's parameters change only in place in a training
 skeleton, whose update ends with the map's ``refresh``: it rewrites the
-kept dense matrix and drops the kept factor, so no solve can see a
-stale one.
+map's stored matrix and drops the kept factor, so no solve can see a
+stale one.  The solver reads the map only through ``forward``,
+``adjoint`` and its factors, so a convolution's products run on its
+output-row blocks.
 
 A (B, n_out) stack of targets is solved as one stacked Newton
 iteration, one column per target.  Each column keeps its own line
@@ -187,7 +189,6 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
     if z.ndim != 2 or z.shape[1] != map_.n_out:
         raise ShapeMismatchError(f"{label}: target shape {z.shape} != (B, {map_.n_out})")
     n_cols, m = z.shape
-    a = map_.materialize()
     h_out = np.full((n_cols, m), np.nan)
     alpha_out = np.full((n_cols, map_.n_in), np.nan)
     x_out = np.full((n_cols, map_.n_in), np.nan)
@@ -219,9 +220,9 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
         if not cols.size:
             break
         zc = z[cols]
-        alpha = h @ a
+        alpha = map_.adjoint(h)
         cgf, lam, k2 = prior.cgf_derivs(alpha)
-        resid = zc - lam @ a.T
+        resid = zc - map_.forward(lam)
         obj = np.sum(cgf, axis=1) - np.vecdot(h, zc)
         # an objective change this small is rounding, not descent
         flat = FLAT_ULPS * EPS * (np.sum(np.abs(cgf), axis=1) + np.vecdot(np.abs(h), np.abs(zc)))
@@ -258,7 +259,7 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
             v[ok] for v in (cols, h, zc, alpha, rmax, obj, flat, delta)
         )
         cap = np.maximum(ALPHA_STEP_CAP, 2.0 * np.max(np.abs(alpha), axis=1))
-        move = np.max(np.abs(delta @ a), axis=1)
+        move = np.max(np.abs(map_.adjoint(delta)), axis=1)
         over = move > cap
         delta[over] = delta[over] * (cap[over] / move[over])[:, None]
 
@@ -272,7 +273,7 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
         by_residual = pending[:0]
         for attempt in range(LINE_SEARCH_TRIES):
             cand = h[pending] + t[pending, None] * delta[pending]
-            cand_obj = np.sum(prior.cgf(cand @ a), axis=1) - np.vecdot(cand, zc[pending])
+            cand_obj = np.sum(prior.cgf(map_.adjoint(cand)), axis=1) - np.vecdot(cand, zc[pending])
             change = cand_obj - obj[pending]
             lower = change < -flat[pending]
             stepped[pending[lower]] = cand[lower]
@@ -287,7 +288,7 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
         judged = np.concatenate([by_residual, pending])
         if judged.size:
             cand = h[judged] + delta[judged]
-            cand_resid = zc[judged] - prior.activation(cand @ a) @ a.T
+            cand_resid = zc[judged] - map_.forward(prior.activation(map_.adjoint(cand)))
             cand_rmax = np.max(np.abs(cand_resid), axis=1)
             shrinks = np.isfinite(cand_rmax) & (cand_rmax < rmax[judged])
             stepped[judged[shrinks]] = cand[shrinks]
@@ -325,8 +326,7 @@ def _assemble(map_, converged, n_cols, errors):
     logdet = np.full(n_cols, np.nan)
     for cols, f in converged:
         matrix[cols] = f.matrix
-        # the kept unit factor, here only beside columns with other weights
-        chol[cols] = np.tril(f._factor[0]) if isinstance(f, GramFactor) else f.chol
+        chol[cols] = f.chol
         logdet[cols] = f.logdet
     failures = [None if err is None else str(err) for err in errors]
     return GramStack(map_.materialize(), matrix, chol, logdet, failures)

@@ -184,7 +184,6 @@ def _feature_term(spec, sol):
     The explicit d/dW of -log p^ summed over the rows is the fold of the
     row stacks left and right plus det, its log-det term.
     """
-    a = spec.map.materialize()  # n_out x n_in
     k2 = sol.curvature_weights
     k3 = spec.input_prior.cgf_third_deriv(sol.alpha)
     unit = isinstance(sol.curvature, GramFactor)  # every k'' is 1
@@ -195,6 +194,7 @@ def _feature_term(spec, sol):
         det = spec.map.collect_matrix_grad(np.einsum("bi,bij->ij", k2, p))
     half, left, right = sol.h_hat, [], []
     if np.any(k3 != 0.0):
+        a = spec.map.materialize()  # n_out x n_in
         if unit:
             p = a.T @ sol.curvature.inv  # W S^-1, for this batch only
         q = np.einsum("ki,...ik->...i", a, p)

@@ -1,6 +1,7 @@
 """Shared oracles and toy fixtures, independent of the package internals."""
 
 import math
+import struct
 
 import numpy as np
 
@@ -67,3 +68,28 @@ def sum_moments(kind, weights):
     else:
         raise ValueError(kind)
     return float(np.sum(w) * m1), float(math.sqrt(np.sum(w * w) * var))
+
+
+def write_non_finite_archive(tmp_path, binary):
+    """An archive of four records whose records 1 and 3 hold a NaN and an infinity.
+
+    The writers refuse such values, so the archive is written with two
+    marker values and patched in place.
+    """
+    from pbn import Dataset
+    from pbn.features import write_archive_binary, write_archive_text
+
+    data = Dataset(np.ones((4, 3)), np.array([0, 1, 0, 1]), [f"cls/{i:02d}" for i in range(4)])
+    data.x[1, 2], data.x[3, 0] = 1234.5, 6789.25
+    path = str(tmp_path / ("bad.pbnf" if binary else "bad.csv"))
+    (write_archive_binary if binary else write_archive_text)(path, data)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    for marker, value in ((1234.5, math.nan), (6789.25, math.inf)):
+        if binary:
+            raw = raw.replace(struct.pack("<d", marker), struct.pack("<d", value))
+        else:
+            raw = raw.replace(f"{marker!r}".encode(), f"{value!r}".encode())
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    return path

@@ -1,5 +1,6 @@
 import ctypes
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -26,6 +27,26 @@ from pbn import (
 from pbn.cli import _keep_freed_memory, _read_csv, main, parse_config
 from pbn.errors import ConfigError, PbnError
 from pbn.features import extract_directory, read_archive, write_archive_binary, write_archive_text
+from helpers import write_non_finite_archive
+
+
+def damaged_model(where, value):
+    """A valid model of the toy archive's six features with ``value`` at the path ``where``."""
+    net = Network(
+        [
+            LayerSpec(DenseMap(np.eye(6)[:, :4]), np.zeros(4), "gaussian", "tg"),
+            LayerSpec(DenseMap(np.eye(4)[:, :2]), np.zeros(2), "truncated_gaussian", "shift"),
+        ],
+        output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2),
+        standardize=(np.zeros(6), np.ones(6)),
+    )
+    doc = network.network_to_dict(net)
+    *head, last = where
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return json.dumps(doc)
 
 
 def run(capsys, *argv):
@@ -420,6 +441,20 @@ class TestTrain:
         assert "malformed archive" in err
 
     @pytest.mark.filterwarnings("error")  # and no numpy warning on the way
+    @pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+    def test_non_finite_feature_exits_2_and_writes_no_model(
+        self, tmp_path, toy_config, capsys, binary
+    ):
+        path = write_non_finite_archive(tmp_path, binary)
+        model = tmp_path / "m.json"
+        rc, out, err = run(
+            capsys, "train", "--features", path, "--config", toy_config, "--out-model", str(model)
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"error: {path}: record 'cls/01' has a non-finite feature value\n"
+        assert not model.exists()
+
+    @pytest.mark.filterwarnings("error")  # and no numpy warning on the way
     @pytest.mark.parametrize("trigger", ["empty archive", "no train rows"])
     def test_empty_training_set_exits_2(self, tmp_path, toy_archive, toy_config, capsys, trigger):
         model = tmp_path / "m.json"
@@ -545,8 +580,23 @@ class TestEval:
             ('{"format":"pbn-model","layers":[{"bias":[0.0]}]}', "KeyError: 'map'"),
             ('{"format":"pbn-model","layers":5}', "TypeError"),
             ("[]", "AttributeError"),
+            (damaged_model(("layers", 1, "map", "weights", 2, 1), math.nan),
+             "ConfigError: layer 2 weights must be finite"),
+            (damaged_model(("layers", 0, "bias", 1), math.inf),
+             "ConfigError: layer 1 bias must be finite"),
+            (damaged_model(("standardize", "mu", 3), math.nan),
+             "ConfigError: standardization mu must be finite"),
+            (damaged_model(("standardize", "sigma", 0), -math.inf),
+             "ConfigError: standardization sigma must be finite"),
+            (damaged_model(("output_prior", "c"), math.nan),
+             "ConfigError: output prior c must be finite"),
+            (damaged_model(("output_prior", "level"), math.inf),
+             "ConfigError: output prior level must be finite"),
         ],
-        ids=["not-json", "no-layers", "layer-without-map", "layers-not-a-list", "not-an-object"],
+        ids=[
+            "not-json", "no-layers", "layer-without-map", "layers-not-a-list", "not-an-object",
+            "nan-weight", "inf-bias", "nan-mu", "inf-sigma", "nan-c", "inf-level",
+        ],
     )
     def test_damaged_model_exits_2(self, tmp_path, toy_archive, capsys, text, reason):
         model = tmp_path / "damaged.json"

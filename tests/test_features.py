@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import oracle
+from helpers import write_non_finite_archive
 from pbn import Dataset, IngestionError
 from pbn.features import (
     ENERGY_FLOOR,
@@ -310,6 +311,20 @@ class TestArchives:
         open(cut, "wb").write(raw[:-5])
         with pytest.raises(IngestionError, match="truncated"):
             read_archive(cut)
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+    def test_non_finite_feature_raises(self, tmp_path, binary):
+        path = write_non_finite_archive(tmp_path, binary)
+        with pytest.raises(IngestionError, match=r"record 'cls/01' has a non-finite feature value"):
+            read_archive(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_writers_refuse_non_finite_features(self, tmp_path, bad):
+        data = self.sample_data()
+        data.x[2, 3] = bad
+        for writer in (write_archive_text, write_archive_binary):
+            with pytest.raises(IngestionError, match="record 'cls/02' has a non-finite"):
+                writer(str(tmp_path / "arch"), data)
 
     def test_not_an_archive_raises(self, tmp_path):
         path = tmp_path / "junk.csv"

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg import cho_solve
 
 import oracle
+from pbn import gradient, training
 from pbn.errors import DomainError, ShapeMismatchError, SingularityError
 from pbn.linops import ConvMap, DenseMap, GramFactor
 from pbn.network import wordpair_network
+from pbn.reconstruct import reconstruct_from_layer
 
 WORDPAIR_CONVS = [
     dict(in_shape=(1, 45, 20), c_out=9, kernel=(21, 17), strides=(5, 4), out_shape=(9, 9, 5)),
@@ -25,8 +26,12 @@ def make_conv(rng, cfg):
 
 
 def assert_kept_inverse_matches_triangular_solves(f, rtol):
-    """S^-1 of a factor against cho_solve on its own Cholesky factor."""
-    want = cho_solve(f._factor, np.eye(f.matrix.shape[0]))
+    """S^-1 of a factor against the triangular solves on its own Cholesky factor.
+
+    ``solve`` takes output order, as ``inv`` does, whatever order the
+    factor was formed in.
+    """
+    want = f.solve(np.eye(f.matrix.shape[0]))
     assert np.max(np.abs(f.inv - want)) <= rtol * np.max(np.abs(want))
     assert not f.inv.flags.writeable
     np.testing.assert_array_equal(f.inv, f.inv.T)
@@ -121,10 +126,11 @@ class TestConvWiring:
             np.testing.assert_array_equal(got, want)
 
     def test_forward_is_materialized_product(self):
+        # the block products sum in their own order
         rng = np.random.default_rng(1)
         m = make_conv(rng, WORDPAIR_CONVS[1])
         x = rng.standard_normal(m.n_in)
-        np.testing.assert_array_equal(m.forward(x), m.materialize() @ x)
+        assert_within(m.forward(x), m.materialize() @ x)
 
 
 class TestAdjointIdentity:
@@ -198,6 +204,12 @@ class TestParameterGradients:
 FOLD_RTOL = 1e-13
 
 
+def assert_within(got, want, rtol=FOLD_RTOL):
+    """got against want to rtol of want's largest entry."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
 def assert_fold_is_the_collected_product(m, left, right):
     """fold(L, R) against collect(L'R) to FOLD_RTOL of the largest entry.
 
@@ -205,14 +217,20 @@ def assert_fold_is_the_collected_product(m, left, right):
     product, in a block product of its own; only the order of that sum
     may differ.
     """
-    want = m.collect_matrix_grad(left.T @ right)
-    got = m.fold(left, right)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= FOLD_RTOL * np.max(np.abs(want))
+    assert_within(m.fold(left, right), m.collect_matrix_grad(left.T @ right))
 
 
 class TestFold:
-    """The fold multiplies only the blocks of L'R that hold taps; the dense product is its oracle."""
+    """A conv map's block products against the materialized W', their oracle.
+
+    The fold multiplies only the blocks of L'R that hold taps; forward,
+    adjoint, the unit W'W and the log-det fold multiply the stored
+    output-row blocks.  Each sums in its own order, so each is held to
+    FOLD_RTOL of its largest entry.  A solve, and the log-det fold
+    through S^-1, can differ from the dense one by rounding times the
+    condition of S, so they are held to 16 eps cond(S) where that is
+    larger, as the kept inverse is.
+    """
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -236,7 +254,26 @@ class TestFold:
         rng = np.random.default_rng(seed)
         m = ConvMap(rng.standard_normal((c_out, c_in, kh, kw)), (c_in, h, w), (sy, sx))
         left = rng.standard_normal((rows, m.n_in))
-        assert_fold_is_the_collected_product(m, left, rng.standard_normal((rows, m.n_out)))
+        right = rng.standard_normal((rows, m.n_out))
+        assert_fold_is_the_collected_product(m, left, right)
+
+        a = m.materialize()
+        assert_within(m.forward(left), left @ a.T)
+        assert_within(m.forward(left[0]), a @ left[0])
+        assert_within(m.adjoint(right), right @ a)
+        assert_within(m.adjoint(right[0]), right[0] @ a)
+        gram = a @ a.T
+        # the block W'W is formed on and above its diagonal, in block order
+        order = m._layout[3]
+        assert_within(np.triu(m._gram()), np.triu(gram[np.ix_(order, order)]))
+        try:
+            factor = GramFactor(m)
+        except SingularityError:
+            reject()
+        rtol = max(FOLD_RTOL, 16 * np.finfo(float).eps * np.linalg.cond(gram))
+        assert_within(factor.solve_rows(right), np.linalg.solve(gram, right.T).T, rtol)
+        want = m.collect_matrix_grad(a.T @ np.linalg.inv(gram))
+        assert_within(m.logdet_grad, want, rtol)
 
     @pytest.mark.parametrize("cfg", WORDPAIR_CONVS, ids=["conv1", "conv2"])
     @pytest.mark.parametrize("rows", [1, 16, "n_out"])
@@ -259,9 +296,29 @@ class TestFold:
     def test_siblings_share_the_plan_built_on_first_use(self):
         m = make_conv(np.random.default_rng(5), WORDPAIR_CONVS[0])
         twin = m.with_params(2.0 * m.params)
-        assert not m._wiring[3]  # a map that never folds builds no plan
+        assert not m._wiring[3]  # a map that never multiplies builds no block layout
         twin.fold(np.ones((1, m.n_in)), np.ones((1, m.n_out)))
         assert m._wiring[3] and m._wiring[3] is twin._wiring[3]
+
+    def test_hot_paths_never_materialize_a_conv_map(self, monkeypatch):
+        # every product, factor and fold of a conv map runs on its blocks
+        def refuse(map_):
+            raise AssertionError(f"{map_} was materialized")
+
+        monkeypatch.setattr(ConvMap, "materialize", refuse)
+        net = wordpair_network(np.random.default_rng(16))
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((4, 900))
+        labels = np.array([0, 1, 0, 1])
+        trace = net.interior_trace(x)
+        assert trace.defined.all()
+        assert np.all(np.isfinite(net.class_scores(x)))
+        grads_w, _, _ = gradient(net, x, label=labels, trace=trace)
+        assert all(np.all(np.isfinite(g)) for g in grads_w)
+        grads_w, _, _ = training._pretrain_batch(net, x, labels, rng, 0.0)
+        assert all(np.all(np.isfinite(g)) for g in grads_w)
+        rows, errors = reconstruct_from_layer(net, 4, trace.zs[3])
+        assert errors == [None] * 4 and np.all(np.isfinite(rows))
 
 
 class TestImmutability:
