@@ -21,11 +21,12 @@ shares the wiring and block layout and keeps its parameters for life;
 one from ``with_shared_params`` reads a vector that the training loop
 updates in place, and ``refresh`` then writes the new parameters into
 the stored matrix and drops the other caches.  ``GramFactor`` factors
-one weighted Gram matrix in the buffer that formed it (one syrk
-product, or for a convolution's unit factor the products of the block
-pairs whose spans meet, in block order); ``GramStack`` factors one per
-row of a weight stack, solves with all of them in one batched call, and
-forms W S^-1 only when asked.
+a map's unit Gram matrix W'W, the curvature of a Gaussian-prior layer,
+in the buffer that formed it (one syrk product, or for a convolution
+the products of the block pairs whose spans meet, in block order);
+``GramStack`` factors the weighted W' diag(w) W of each row of a weight
+stack, the curvature under any other prior, solves with all of them in
+one batched call, and forms W S^-1 only when asked.
 """
 
 import functools
@@ -35,7 +36,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from .errors import DomainError, ShapeMismatchError, SingularityError
+from .errors import ShapeMismatchError, SingularityError
 
 
 def _rows(v, n, what):
@@ -65,27 +66,28 @@ def _mirror_lower(a):
 
 
 class LinearMap:
-    """Interface shared by DenseMap and ConvMap."""
+    """Interface shared by DenseMap and ConvMap.
 
-    n_in = 0
-    n_out = 0
+    A map has ``n_in`` and ``n_out``, its parameters (``params``, read
+    only) and ``fan_in``, the number of inputs feeding one output unit,
+    which sets the init scale.  Each map provides:
+
+    * ``materialize()``, the dense n_out x n_in matrix A = W' in output
+      order, with ``forward(x)`` equal to A @ x up to rounding;
+    * ``_stored`` and ``_fill(a)``, the kept matrix and the writing of
+      the parameters into it;
+    * ``with_params(params)``, a sibling map with new parameters;
+    * ``fold(left, right)``, equal to ``collect_matrix_grad(left' right)``
+      for (K, n_in) and (K, n_out) row stacks: the fold of x and s
+      stacks is d(sum of s' W' x)/dparams, and only the blocks of
+      left' right that hold parameters are multiplied;
+    * ``collect_matrix_grad(g)``, a dense gradient d/dW of shape
+      (n_in, n_out) folded onto the parameters.
+    """
 
     @property
     def params(self):
         return self._params
-
-    @property
-    def fan_in(self):
-        """Number of inputs feeding one output unit; sets the init scale."""
-        raise NotImplementedError
-
-    def materialize(self):
-        """Dense n_out x n_in matrix A = W' in output order; forward(x) is A @ x up to rounding."""
-        raise NotImplementedError
-
-    def _fill(self, a):
-        """Write the parameters into the stored matrix ``a``."""
-        raise NotImplementedError
 
     @functools.cached_property
     def gram(self):
@@ -113,9 +115,6 @@ class LinearMap:
         """The fold of W S^-1 for the unit factor ``gram`` of this map."""
         return self.fold(self.materialize(), gram.inv)
 
-    def with_params(self, params):
-        raise NotImplementedError
-
     def with_shared_params(self, params):
         """A sibling map whose parameters are the read-only view ``params`` itself, not a copy.
 
@@ -142,18 +141,6 @@ class LinearMap:
             a.flags.writeable = True
             self._fill(a)
             a.flags.writeable = False
-
-    def fold(self, left, right):
-        """``collect_matrix_grad(left' right)`` for (K, n_in) and (K, n_out) row stacks.
-
-        The fold of x and s stacks is d(sum of s' W' x)/dparams.  It
-        multiplies only the blocks of left' right that hold parameters.
-        """
-        raise NotImplementedError
-
-    def collect_matrix_grad(self, g):
-        """Fold a dense gradient d/dW of shape (n_in, n_out) onto the parameters."""
-        raise NotImplementedError
 
     def forward(self, x):
         """W'x for one vector or for each row of a (B, n_in) stack."""
@@ -441,85 +428,54 @@ class ConvMap(LinearMap):
 
 
 class GramFactor:
-    """Cholesky factor of S = W' diag(w) W for one of the maps above.
+    """Cholesky factor of the unit Gram matrix S = W'W of one of the maps above.
 
-    S is the weighted Gram matrix that appears both as the curvature of
-    the saddle point objective (w = k'' at the saddle) and, with unit
-    weights, as the plain Gram W'W used to seed the solver.  It is
-    formed as the symmetric product B B' with B = W' diag(w)^(1/2)
-    (W' itself for unit weights), which BLAS runs as syrk, and LAPACK
+    S is the curvature of the saddle point objective under the Gaussian
+    prior, and it seeds the solver under every prior.  A dense map forms
+    it as the symmetric product W'W, which BLAS runs as syrk, and LAPACK
     potrf factors it in the buffer that product wrote: S is exactly
     symmetric, so its transpose is the Fortran-ordered matrix potrf
-    takes.  A convolution's unit factor is formed and factored in block
+    takes.  A convolution's factor is formed and factored in block
     order instead, from the products of the block pairs whose spans
     meet; ``solve`` permutes in and out of that order, and the log
-    determinant does not depend on it.  Weights must be strictly
-    positive and finite.  A failed factorization, a non-finite S, or a
-    pivot collapsing to zero relative to the trace, raises
-    SingularityError carrying the provided label.  Every entry of a
-    Gram matrix is bounded by its diagonal, so a finite trace means a
-    finite S.
+    determinant does not depend on it.  A failed factorization, a
+    non-finite S, or a pivot collapsing to zero relative to the trace,
+    raises SingularityError.  Every entry of a Gram matrix is bounded by
+    its diagonal, so a finite trace means a finite S.
 
-    The unit-weight factor of a map is kept on the map (``LinearMap.gram``)
-    and so lives exactly as long as the map's parameters.  A factor
-    keeps S^-1 in output order (``inv``, from the Cholesky factor by
-    LAPACK potri) once a caller has asked for it; the map folds S^-1
-    with W onto its parameters (``LinearMap.logdet_grad``), so no dense
-    W S^-1 is formed.  ``solve`` stays a pair of triangular solves.
+    A map keeps its factor (``LinearMap.gram``), which so lives exactly
+    as long as the map's parameters.  A factor keeps S^-1 in output
+    order (``inv``, from the Cholesky factor by LAPACK potri) once a
+    caller has asked for it; the map folds S^-1 with W onto its
+    parameters (``LinearMap.logdet_grad``), so no dense W S^-1 is
+    formed.  ``solve`` stays a pair of triangular solves.
     """
 
-    def __init__(self, map_, weights=None, label="gram"):
-        self._a = self._scale = self._order = self._back = None
-        if weights is None and isinstance(map_, ConvMap):
+    def __init__(self, map_):
+        self._order = self._back = None
+        if isinstance(map_, ConvMap):
             s = map_._gram()
             _, _, _, self._order, self._back, _ = map_._layout
         else:
-            self._a = a = map_.materialize()
-            if weights is not None:
-                w = np.asarray(weights, dtype=np.float64)
-                if w.shape != (map_.n_in,):
-                    raise ShapeMismatchError(f"{label}: weights shape {w.shape} != ({map_.n_in},)")
-                if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-                    raise DomainError(f"{label}: gram weights must be positive and finite")
-                self._scale = np.sqrt(w)
-                a = a * self._scale
+            a = map_.materialize()
             s = a @ a.T
         trace = np.trace(s)
         c, info = dpotrf(s.T, lower=1, clean=0, overwrite_a=1)
         if info != 0 or not np.isfinite(trace):
-            raise SingularityError(f"{label}: gram matrix is not positive definite")
+            raise SingularityError("gram matrix is not positive definite")
         piv = np.diagonal(c)
         if np.any(piv * piv < 1e-12 * trace / map_.n_out):
-            raise SingularityError(f"{label}: gram matrix is numerically singular")
+            raise SingularityError("gram matrix is numerically singular")
         self._factor = (c, True)
         self.logdet = float(2.0 * np.sum(np.log(piv)))
 
-    @property
-    def chol(self):
-        """C with C C' = S in output order: the lower Cholesky factor, rows in output order."""
-        c = np.tril(self._factor[0])
-        return c if self._back is None else c[self._back]
-
-    @property
-    def matrix(self):
-        """S in output order, formed again: the factor took over its first buffer."""
-        if self._a is None:
-            c = self.chol
-            return c @ c.T
-        b = self._a if self._scale is None else self._a * self._scale
-        return b @ b.T
-
-    def solve(self, b):
-        """Solve S u = b for a vector or a stack of columns."""
-        # the factor is finite by construction, and so is every right-hand side
-        b = np.asarray(b, dtype=np.float64)
-        if self._order is None:
-            return cho_solve(self._factor, b, check_finite=False)
-        return cho_solve(self._factor, b[self._order], check_finite=False)[self._back]
-
-    def solve_rows(self, r):
+    def solve(self, r):
         """Solve S u = r for one vector or for each row of a (B, n_out) stack."""
-        return self.solve(np.asarray(r, dtype=np.float64).T).T
+        # the factor is finite by construction, and so is every right-hand side
+        b = np.asarray(r, dtype=np.float64).T
+        if self._order is None:
+            return cho_solve(self._factor, b, check_finite=False).T
+        return cho_solve(self._factor, b[self._order], check_finite=False)[self._back].T
 
     def _inverse(self):
         """S^-1 in the factor's order: potri writes the lower triangle into a
@@ -543,17 +499,17 @@ class GramFactor:
 class GramStack:
     """Factors of S_b = W' diag(w_b) W, one for each row w_b of a (B, n_in) stack.
 
-    The counterpart of GramFactor for curvature weights that differ from
-    row to row.  It keeps each S_b (``matrix``) and its lower Cholesky
-    factor (``chol``): ``solve_rows`` is one batched LU solve with the
-    S_b, ``logdet`` comes from the factor, and W S_b^-1 (``w_s_inv``)
-    is built from the factor on first use only, which only the
-    likelihood gradient does.  ``GramStack.factor`` runs
-    the B Cholesky factorizations as one ``np.linalg.cholesky`` call.  A
-    row whose weights are not positive and finite, or whose matrix fails
-    the GramFactor tests, gets its reason in ``failures`` (None for a
-    good row) and NaN in ``logdet``, ``w_s_inv`` and its solves; no
-    other row sees it.
+    The curvature of every prior but the Gaussian, whose weights differ
+    from row to row.  It keeps each S_b (``matrix``) and its lower
+    Cholesky factor (``chol``): ``solve`` is one batched LU solve with
+    the S_b, ``logdet`` comes from the factor, and W S_b^-1
+    (``w_s_inv``) is built from the factor on first use only, which only
+    the likelihood gradient does.  ``GramStack.factor`` runs the B
+    Cholesky factorizations as one ``np.linalg.cholesky`` call.  A row
+    whose weights are not positive and finite, or whose matrix fails the
+    GramFactor tests, gets its reason in ``failures`` (None for a good
+    row) and NaN in ``logdet``, ``w_s_inv`` and its solves; no other row
+    sees it.
     """
 
     def __init__(self, a, matrix, chol, logdet, failures):
@@ -602,7 +558,7 @@ class GramStack:
         failures = [self.failures[i] for i in idx]
         return GramStack(self._a, self.matrix[idx], self.chol[idx], self.logdet[idx], failures)
 
-    def solve_rows(self, r):
+    def solve(self, r):
         """Solve S_b u_b = r_b for each row r_b of r."""
         u = np.linalg.solve(self.matrix, np.asarray(r, dtype=np.float64)[..., None])[..., 0]
         u[self._bad] = np.nan

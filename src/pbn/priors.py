@@ -100,23 +100,18 @@ def _bracketed_newton(f_df, y, lo, hi, *, max_iter=140, tol=1e-13):
 
 
 class ScalarPrior:
-    """Interface shared by the three maximum-entropy priors."""
+    """Interface shared by the three maximum-entropy priors.
 
-    kind = ""
-    activation_tag = ""
-
-    # -- elementwise calculus -------------------------------------------
-    def cgf(self, a):
-        raise NotImplementedError
-
-    def activation(self, a):
-        raise NotImplementedError
-
-    def activation_deriv(self, a):
-        raise NotImplementedError
-
-    def cgf_third_deriv(self, a):
-        raise NotImplementedError
+    A prior has a ``kind`` and an ``activation_tag`` (the table above),
+    the four elementwise functions ``cgf``, ``activation``,
+    ``activation_deriv`` and ``cgf_third_deriv``, and
+    ``activation_inverse``, which raises DomainError outside the range
+    of the activation.  On a stack of rows, ``log_density`` gives the
+    log prior density of each row (-inf where any element leaves the
+    support) and ``in_support`` whether each row lies in the open
+    support, one vector giving a 0-d array; ``grad_log_density`` is the
+    elementwise gradient of the log density.
+    """
 
     def activation_derivs(self, a):
         """(k'(a), k''(a)), each bit for bit what its own function gives."""
@@ -125,28 +120,6 @@ class ScalarPrior:
     def cgf_derivs(self, a):
         """(k(a), k'(a), k''(a)), each bit for bit what its own function gives."""
         return self.cgf(a), *self.activation_derivs(a)
-
-    def activation_inverse(self, y):
-        raise NotImplementedError
-
-    # -- densities ------------------------------------------------------
-    def log_density(self, x):
-        """Log prior density of each row of a stack, as an array (0-d for one vector).
-
-        -inf where any element leaves the support.
-        """
-        raise NotImplementedError
-
-    def grad_log_density(self, x):
-        raise NotImplementedError
-
-    def in_support(self, x):
-        """Whether each row of a stack lies in the open support, as an array (0-d for one vector)."""
-        raise NotImplementedError
-
-    def sample(self, rng, n):
-        """Draw n iid samples; used by tests and synthesis checks."""
-        raise NotImplementedError
 
     def __repr__(self):
         return f"<{type(self).__name__} kind={self.kind!r}>"
@@ -191,9 +164,6 @@ class GaussianPrior(ScalarPrior):
 
     def in_support(self, x):
         return np.all(np.isfinite(x), axis=-1)
-
-    def sample(self, rng, n):
-        return rng.standard_normal(n)
 
 
 # Below this preactivation the truncated-Gaussian k, k', k'' and k''' switch
@@ -366,9 +336,6 @@ class TruncatedGaussianPrior(ScalarPrior):
         x = np.asarray(x)
         return np.all((x > 0.0) & (x < np.inf), axis=-1)
 
-    def sample(self, rng, n):
-        return np.abs(rng.standard_normal(n))
-
 
 # k''(a) = sum over n >= 1 of C_n a^(2n-2), with C_n = B_2n (2n - 1) / (2n)!
 # (B_2n the Bernoulli numbers), and k''' is its term-by-term derivative.  The
@@ -491,9 +458,6 @@ class UniformPrior(ScalarPrior):
     def in_support(self, x):
         x = np.asarray(x)
         return np.all((x > 0.0) & (x < 1.0), axis=-1)
-
-    def sample(self, rng, n):
-        return rng.uniform(1e-12, 1.0 - 1e-12, n)
 
 
 GAUSSIAN = GaussianPrior()

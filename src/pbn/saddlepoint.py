@@ -33,16 +33,17 @@ W S_b^-1 for each column.
 
 The unit Gram factor W'W that seeds every solve is a constant of the
 map, so it is built once per map and kept there (``LinearMap.gram``).
-Whenever the curvature weights k'' are exactly 1 (always, under the
-Gaussian prior) the curvature is that same factor, and the solution
-carries it instead of a rebuilt copy; the likelihood gradient then
-reads the map's kept fold of W S^-1 (``LinearMap.logdet_grad``), not a
-dense W S^-1.  A map's parameters change only in place in a training
-skeleton, whose update ends with the map's ``refresh``: it rewrites the
-map's stored matrix and drops the kept factor, so no solve can see a
-stale one.  The solver reads the map only through ``forward``,
-``adjoint`` and its factors, so a convolution's products run on its
-output-row blocks.
+Under the Gaussian prior k'' is 1, so the curvature is that same
+factor: the solver decides this once per solve, from the prior, and
+the solution carries the kept factor instead of a rebuilt copy; the
+likelihood gradient then reads the map's kept fold of W S^-1
+(``LinearMap.logdet_grad``), not a dense W S^-1.  Under every other
+prior the curvature is a GramStack, one factor per column.  A map's
+parameters change only in place in a training skeleton, whose update
+ends with the map's ``refresh``: it rewrites the map's stored matrix
+and drops the kept factor, so no solve can see a stale one.  The
+solver reads the map only through ``forward``, ``adjoint`` and its
+factors, so a convolution's products run on its output-row blocks.
 
 A (B, n_out) stack of targets is solved as one stacked Newton
 iteration, one column per target.  Each column keeps its own line
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ReconstructionError, ShapeMismatchError, SingularityError
-from .linops import GramFactor, GramStack
+from .linops import GramStack
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -89,9 +90,9 @@ class SaddleSolution:
     ``objective`` hold one value per column; a failed column is NaN,
     with its error in ``errors``.  ``curvature_weights`` holds
     k''(alpha), the weights of the curvature S = W' diag(k'') W.
-    ``curvature`` is the map's kept GramFactor when every column has
-    unit weights, else a GramStack of each column's S and its Cholesky
-    factor, which builds S^-1 only if the gradient asks for it.
+    ``curvature`` is the map's kept GramFactor under the Gaussian prior,
+    else a GramStack of each column's S and its Cholesky factor, which
+    builds S^-1 only if the gradient asks for it.
     ``iterations`` is the largest column count, ``column_iterations``
     has each one.
     """
@@ -130,19 +131,19 @@ class SaddleSolution:
         )
 
 
-def _factors(map_, weights):
+def _factors(map_, weights, unit):
     """(factor, per-row failure reasons) of W' diag(w) W for a (k, n_in) weight stack.
 
-    All-unit weights (always, under the Gaussian prior) reuse the map's
-    kept factor for every row.
+    A Gaussian-prior layer (``unit``) has unit weights, so every row
+    reuses the map's kept factor.
     """
-    if np.all(weights == 1.0):
+    if unit:
         return map_.gram, [None] * len(weights)
     stack = GramStack.factor(map_, weights)
     return stack, list(stack.failures)
 
 
-def _direction(map_, weights, resid):
+def _direction(map_, weights, resid, unit):
     """(Newton directions S^-1 r, per-row failure reasons) for a stack of rows.
 
     Mid-iteration the iterate can sit in a tail where some activation
@@ -153,8 +154,8 @@ def _direction(map_, weights, resid):
     factorization retried.  The converged solution always reports the
     strict factor.
     """
-    factor, failures = _factors(map_, weights)
-    delta = factor.solve_rows(resid)
+    factor, failures = _factors(map_, weights, unit)
+    delta = factor.solve(resid)
     retry = np.array([j for j, f in enumerate(failures) if f is not None], dtype=int)
     if retry.size:
         floor = np.max(weights[retry], axis=1) * 1e-10
@@ -164,7 +165,7 @@ def _direction(map_, weights, resid):
         retry, floor = retry[usable], floor[usable]
         if retry.size:
             stack = GramStack.factor(map_, np.maximum(weights[retry], floor[:, None]))
-            delta[retry] = stack.solve_rows(resid[retry])
+            delta[retry] = stack.solve(resid[retry])
             for j, f in zip(retry, stack.failures):
                 failures[j] = f and f"curvature failed: {f}"
     return delta, failures
@@ -189,6 +190,7 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
     if z.ndim != 2 or z.shape[1] != map_.n_out:
         raise ShapeMismatchError(f"{label}: target shape {z.shape} != (B, {map_.n_out})")
     n_cols, m = z.shape
+    unit = prior.kind == "gaussian"
     h_out = np.full((n_cols, m), np.nan)
     alpha_out = np.full((n_cols, map_.n_in), np.nan)
     x_out = np.full((n_cols, map_.n_in), np.nan)
@@ -209,7 +211,7 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
     cols = np.flatnonzero(finite)
     scale = 1.0 + np.max(np.abs(z), axis=1)
     try:
-        h = map_.gram.solve_rows(z[cols])
+        h = map_.gram.solve(z[cols])
     except SingularityError as exc:
         for col in cols:
             fail(col, "map has a singular Gram matrix", None, None)
@@ -229,7 +231,7 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
         rmax = np.max(np.abs(resid), axis=1)
         done = np.isfinite(rmax) & (rmax <= tol * scale[cols])
         if done.any():
-            factor, failures = _factors(map_, k2[done])
+            factor, failures = _factors(map_, k2[done], unit)
             dcols = cols[done]
             for col, f, r in zip(dcols, failures, rmax[done]):
                 if f is not None:
@@ -250,7 +252,7 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
             v[go] for v in (cols, h, zc, alpha, k2, resid, rmax, obj, flat)
         )
 
-        delta, failures = _direction(map_, k2, resid)
+        delta, failures = _direction(map_, k2, resid, unit)
         ok = np.array([f is None for f in failures])
         for col, f, r in zip(cols, failures, rmax):
             if f is not None:
@@ -307,7 +309,7 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
         alpha=alpha_out,
         x_hat=x_out,
         residual=residual,
-        curvature=_assemble(map_, converged, n_cols, errors),
+        curvature=_assemble(map_, converged, n_cols, errors, unit),
         curvature_weights=k2_out,
         iterations=int(np.max(iterations, initial=0)),
         objective=objective,
@@ -316,9 +318,12 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
     )
 
 
-def _assemble(map_, converged, n_cols, errors):
-    """One curvature for the whole stack from the factors of its converged groups."""
-    if converged and all(isinstance(f, GramFactor) for _, f in converged):
+def _assemble(map_, converged, n_cols, errors, unit):
+    """One curvature for the whole stack from the factors of its converged groups.
+
+    The converged columns of a Gaussian-prior layer share the map's kept factor.
+    """
+    if unit and converged:
         return map_.gram
     m = map_.n_out
     matrix = np.full((n_cols, m, m), np.nan)

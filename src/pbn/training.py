@@ -17,18 +17,16 @@ Summed over a batch, the first two weight terms and the input term
 x z~bar' are one product L'R of row stacks: x and x^ against z~bar and
 -(h^ + u/2), plus the k''' rows against h^.  ``LinearMap.fold`` projects
 it onto the parameters, and for a convolution multiplies only the
-blocks of L'R that hold taps.  Where every k'' is exactly 1 (always,
-under the Gaussian prior) the curvature is the map's unit factor and
-the last term is B times the map's kept fold of W S^-1
-(``LinearMap.logdet_grad``), so no dense W S^-1 is formed; other
-weights fold diag(k'') W S_b^-1 summed over the rows of the curvature
-stack.  Where k''' is exactly zero (always, under the Gaussian prior) u
-and v vanish and q is never needed; a unit factor with k''' != 0 (a tg
-layer whose saddle preactivations all pass 9) forms W S^-1 for that
-batch only.  The k'' at the saddle are the solve's curvature weights
-and the activation slopes k''(z) come from the forward pass, so the
-sweep evaluates only k''' anew.  It skips the input gradient of the
-first layer, which nothing reads.
+blocks of L'R that hold taps.  Under the Gaussian prior k'' is 1 and
+k''' is 0: the curvature is the map's unit factor, the last term is B
+times the map's kept fold of W S^-1 (``LinearMap.logdet_grad``), so no
+dense W S^-1 is formed, and u and v vanish.  Under any other prior the
+last term folds diag(k'') W S_b^-1 summed over the rows of the
+curvature stack, and the same W S_b^-1 gives q where k''' is not zero.
+The k'' at the saddle are the solve's curvature weights and the
+activation slopes k''(z) come from the forward pass, so the sweep
+evaluates only k''' anew.  It skips the input gradient of the first
+layer, which nothing reads.
 
 Samples whose likelihood is undefined (prior support or infeasible
 feature targets) are skipped and counted; the reported efficiency is
@@ -50,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrainingError
-from .linops import DenseMap, GramFactor
+from .linops import DenseMap
 from .network import (
     LayerSpec,
     Network,
@@ -185,18 +183,14 @@ def _feature_term(spec, sol):
     row stacks left and right plus det, its log-det term.
     """
     k2 = sol.curvature_weights
+    if spec.input_prior.kind == "gaussian":  # k'' is 1 and k''' is 0
+        return sol.h_hat, [sol.x_hat], [-sol.h_hat], len(k2) * spec.map.logdet_grad
+    p = sol.curvature.w_s_inv  # one n_in x n_out matrix per row
+    det = spec.map.collect_matrix_grad(np.einsum("bi,bij->ij", k2, p))
     k3 = spec.input_prior.cgf_third_deriv(sol.alpha)
-    unit = isinstance(sol.curvature, GramFactor)  # every k'' is 1
-    if unit:
-        det = len(k2) * spec.map.logdet_grad
-    else:
-        p = sol.curvature.w_s_inv  # one n_in x n_out matrix per row
-        det = spec.map.collect_matrix_grad(np.einsum("bi,bij->ij", k2, p))
     half, left, right = sol.h_hat, [], []
     if np.any(k3 != 0.0):
         a = spec.map.materialize()  # n_out x n_in
-        if unit:
-            p = a.T @ sol.curvature.inv  # W S^-1, for this batch only
         q = np.einsum("ki,...ik->...i", a, p)
         # u = S^-1 W'(k''' q) = (W S^-1)'(k''' q), as S^-1 is symmetric
         u = ((k3 * q)[:, None, :] @ p)[:, 0]

@@ -20,6 +20,17 @@ def scalar_pdf(kind, x):
     raise ValueError(kind)
 
 
+def sample(prior, rng, n):
+    """n iid draws from ``prior``; n is a count or a shape."""
+    if prior.kind == "gaussian":
+        return rng.standard_normal(n)
+    if prior.kind == "truncated_gaussian":
+        return np.abs(rng.standard_normal(n))
+    if prior.kind == "uniform":
+        return rng.uniform(1e-12, 1.0 - 1e-12, n)
+    raise ValueError(prior.kind)
+
+
 def sum_density_grid(kind, weights, z_max, n=1 << 14):
     """Density of sum_i w_i x_i for iid x_i, by convolution quadrature.
 

@@ -2,13 +2,14 @@
 
 Every function here handles exactly one sample, the way ``pbn`` did
 before its core took (B, n) batches: one Newton solve per target with
-its own SciPy Cholesky factors, one interior trace, one likelihood and
-one reverse sweep per sample, one reconstruction walk per sample.  The
-solver follows the package's rules (its line search counts a change
-within rounding as flat, and a non-finite residual fails the solve).
-It uses the package's priors, maps and output-shift helpers, which act
-elementwise, and nothing from its saddle, network, training or
-reconstruction code.  Tests compare the batched results with these.
+its own SciPy Cholesky factors (``Factor``), one interior trace, one
+likelihood and one reverse sweep per sample, one reconstruction walk per
+sample.  The solver follows the package's rules (its line search counts
+a change within rounding as flat, and a non-finite residual fails the
+solve).  It uses the package's priors, maps and output-shift helpers,
+which act elementwise, and nothing from its Gram factors, saddle,
+network, training or reconstruction code.  Tests compare the batched
+results with these.
 
 Two front-end pieces are kept the same way: ``logmel`` with one FFT and
 one filterbank product per frame, and ``conv_wiring``, the tap indices
@@ -24,6 +25,8 @@ and checkpoints a network.  It takes the place of
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from scipy.linalg import cho_factor, cho_solve
 
 from pbn.errors import (
     DomainError,
@@ -33,7 +36,6 @@ from pbn.errors import (
     TrainingError,
 )
 from pbn.features import _BANK, _WINDOW_FN, ENERGY_FLOOR, HOP, N_BANDS, N_FFT, N_FRAMES, WINDOW
-from pbn.linops import GramFactor
 from pbn.network import (
     INNER_ACTIVATIONS,
     LOG_2PI,
@@ -53,16 +55,50 @@ class Solution:
         self.log_density = objective - 0.5 * curvature.logdet - 0.5 * h.size * LOG_2PI
 
 
+class Factor:
+    """Cholesky factor of S = W' diag(w) W for one sample, unit weights when ``weights`` is None.
+
+    S is formed as B B' with B = W' diag(w)^(1/2) and factored by SciPy.
+    Weights that are not positive and finite raise DomainError; a failed
+    factorization, a non-finite S, or a pivot collapsing to zero
+    relative to the trace, raises SingularityError.
+    """
+
+    def __init__(self, map_, weights=None, label="gram"):
+        b = map_.materialize()
+        if weights is not None:
+            w = np.asarray(weights, dtype=np.float64)
+            if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+                raise DomainError(f"{label}: gram weights must be positive and finite")
+            b = b * np.sqrt(w)
+        s = b @ b.T
+        trace = np.trace(s)
+        try:
+            self._factor = cho_factor(s, lower=True)
+        except (LinAlgError, ValueError):  # ValueError: a non-finite S
+            trace = np.nan
+        if not np.isfinite(trace):
+            raise SingularityError(f"{label}: gram matrix is not positive definite")
+        piv = np.diagonal(self._factor[0])
+        if np.any(piv * piv < 1e-12 * trace / map_.n_out):
+            raise SingularityError(f"{label}: gram matrix is numerically singular")
+        self.logdet = float(2.0 * np.sum(np.log(piv)))
+
+    def solve(self, b):
+        """S^-1 b for a vector or for each column of a matrix."""
+        return cho_solve(self._factor, b)
+
+
 def _factor(map_, weights, label, it, rmax):
     try:
-        return GramFactor(map_, weights, label=label)
+        return Factor(map_, weights, label=label)
     except (DomainError, SingularityError) as exc:
         raise ReconstructionError(f"{label}: curvature failed: {exc}", iterations=it, residual=rmax)
 
 
 def _direction_factor(map_, weights, label, it, rmax):
     try:
-        return GramFactor(map_, weights, label=label)
+        return Factor(map_, weights, label=label)
     except (DomainError, SingularityError):
         floor = float(np.max(weights)) * 1e-10
         if not (math.isfinite(floor) and floor > 0.0):
@@ -76,7 +112,7 @@ def solve_saddle(map_, prior, z, *, max_iter=200, tol=1e-9, label="saddle"):
     if not np.all(np.isfinite(z)):
         raise DomainError(f"{label}: target must be finite")
     scale = 1.0 + float(np.max(np.abs(z)))
-    h = GramFactor(map_).solve(z)
+    h = Factor(map_).solve(z)
     for it in range(max_iter + 1):
         alpha = map_.adjoint(h)
         lam = prior.activation(alpha)

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import gaussian_chain_logpdf, sum_density_grid, sum_moments
+from helpers import gaussian_chain_logpdf, sample, sum_density_grid, sum_moments
 from pbn import (
     Dataset,
     DenseMap,
@@ -95,7 +95,7 @@ def test_criterion_03_saddle_residuals():
             n = int(rng.integers(2, 7))
             m = int(rng.integers(1, n))
             w = DenseMap(rng.normal(size=(n, m)) * 0.7)
-            x = prior.sample(rng, n)
+            x = sample(prior, rng, n)
             z_tilde = w.forward(x)
             sol = solve_saddle(w, prior, z_tilde[None])
             assert sol.errors == [None]
@@ -103,7 +103,7 @@ def test_criterion_03_saddle_residuals():
         for _ in range(100):
             n = int(rng.integers(2, 6))
             w = DenseMap(rng.normal(size=(n, n)) + 2.0 * np.eye(n))
-            x = prior.sample(rng, n)
+            x = sample(prior, rng, n)
             sol = solve_saddle(w, prior, w.forward(x)[None])
             assert sol.errors == [None]
             assert sol.residual[0] <= 1e-9 * (1.0 + np.max(np.abs(w.forward(x))))

@@ -20,6 +20,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 
 import tracer  # noqa: E402
+from helpers import sample  # noqa: E402
 
 from pbn.errors import LikelihoodUndefinedError, ReconstructionError  # noqa: E402
 from pbn.linops import DenseMap, GramFactor  # noqa: E402
@@ -44,7 +45,7 @@ def test_every_traced_target_exists(target):
 
 def test_saddle_attributes_of_a_batched_solve():
     m = DenseMap(np.random.default_rng(0).standard_normal((6, 2)))
-    z = m.forward(TRUNCATED_GAUSSIAN.sample(np.random.default_rng(1), (3, 6)))
+    z = m.forward(sample(TRUNCATED_GAUSSIAN, np.random.default_rng(1), (3, 6)))
     sol = solve_saddle(m, TRUNCATED_GAUSSIAN, z, label="layer 4")
     layer, iterations = tracer._saddle_attrs((m, TRUNCATED_GAUSSIAN, z), {"label": "layer 4"}, sol, None)
     assert (layer, iterations) == (4, int(np.max(sol.column_iterations)))

@@ -27,6 +27,7 @@ from pbn import (
 from pbn.cli import _keep_freed_memory, _read_csv, main, parse_config
 from pbn.errors import ConfigError, PbnError
 from pbn.features import extract_directory, read_archive, write_archive_binary, write_archive_text
+from pbn.linops import ConvMap, GramStack
 from helpers import write_non_finite_archive
 
 
@@ -249,6 +250,42 @@ class TestTrain:
         assert len(body) == 3
         assert all(ln.startswith("pbn,") for ln in body[1:])
 
+    def test_custom_conv_architecture(self, tmp_path, capsys, monkeypatch):
+        # the second conv layer has a tg prior, so its curvature is a GramStack
+        rng = np.random.default_rng(300)
+        x = np.vstack([rng.normal(center, 1.0, size=(6, 100)) for center in (0.5, -0.5)])
+        ids = [f"c{l}/s{i:02d}" for l in (0, 1) for i in range(6)]
+        features = str(tmp_path / "conv.csv")
+        write_archive_text(features, Dataset(x, np.repeat([0, 1], 6), ids))
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text(
+            "arch=custom\ninput_shape=1x10x10\n"
+            "layers=conv:2:3x3:2x2:tg,conv:2:3x3:1x1:tg,dense:2:shift\n"
+            "n_classes=2\nC=20\nstandardize=true\nepochs=1\nbatch_size=4\n"
+        )
+        stacked = []
+        factor = GramStack.factor.__func__
+        monkeypatch.setattr(
+            GramStack, "factor", classmethod(lambda cls, m, w: stacked.append(m) or factor(cls, m, w))
+        )
+        model = tmp_path / "m.json"
+        rc, out, _ = run(
+            capsys,
+            "train", "--features", features, "--config", str(cfg),
+            "--out-model", str(model), "--seed", "1",
+        )
+        assert rc == 0
+        assert "trained 1 epochs" in out
+        doc = json.loads(model.read_text())
+        assert [layer["map"]["type"] for layer in doc["layers"]] == ["conv", "conv", "dense"]
+        body = [
+            ln
+            for ln in (tmp_path / "m_history.csv").read_text().splitlines()
+            if not ln.startswith("#")
+        ][1:]
+        assert [ln.split(",")[:2] for ln in body] == [["pbn", "1"]]
+        assert any(isinstance(m, ConvMap) for m in stacked)
+
     def test_pretrain_phase_rows(self, tmp_path, toy_archive, toy_config, capsys):
         model = str(tmp_path / "mp.json")
         rc, _, _ = run(
@@ -305,6 +342,31 @@ class TestTrain:
         assert (rc, out) == (2, "")
         assert err.startswith(f"error: {cfg}: not UTF-8 text")
         assert not (tmp_path / "m.json").exists()
+
+    def test_unreadable_config_exits_2(self, tmp_path, toy_archive, capsys):
+        cfg = tmp_path / "missing.cfg"
+        rc, out, err = run(
+            capsys,
+            "train", "--features", toy_archive, "--config", str(cfg),
+            "--out-model", str(tmp_path / "m.json"),
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot read config: ")
+        assert str(cfg) in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_split_id_not_in_archive_exits_2(self, tmp_path, toy_archive, toy_config, capsys):
+        split = tmp_path / "split.csv"
+        split.write_text("id,label,split\nc0/s00,0,train\nnope,0,val\n")
+        model = tmp_path / "m.json"
+        rc, out, err = run(
+            capsys,
+            "train", "--features", toy_archive, "--config", toy_config,
+            "--out-model", str(model), "--split", str(split),
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: split val: 1 ids not in the feature archive\n"
+        assert not model.exists()
 
     def test_split_manifest_selects_validation(self, tmp_path, toy_archive, toy_config, capsys):
         data = read_archive(toy_archive)
@@ -410,6 +472,14 @@ class TestTrain:
             ("learning_rate=nan", "learning_rate must be finite and positive"),
             ("l2=-1", "l2 must be finite and nonnegative"),
             ("pretrain_l2=inf", "l2 must be finite and nonnegative"),
+            ("C=abc", "config key C='abc' is not a number"),
+            ("input_shape=6x6", "input_shape: expected N or CxHxW, got '6x6'"),
+            (
+                "layers=pool:2",
+                "layers: bad layer 'pool:2' (dense:units:act or conv:ch:KHxKW:SYxSX:act)",
+            ),
+            ("layers=,", "layers: a custom architecture needs at least one layer"),
+            ("arch=resnet", "arch must be wordpair or custom, got 'resnet'"),
         ],
     )
     def test_out_of_range_training_config_exits_2(
@@ -962,10 +1032,14 @@ class TestCombine:
             ("external", b"s04,3.0", b"s04,three"),
             ("external", b"s00", b"\xff"),
             ("val", b"s01", b"\xff"),
+            ("scores", b"ll1", b"llx"),
+            ("scores", b"s01,", b"s00,"),
+            ("external", b"score0,score1", b"a,b"),
         ],
     )
     def test_damaged_table_exits_2(self, tmp_path, capsys, which, old, new):
-        # a non-numeric label or score, or a byte that is never UTF-8
+        # a non-numeric label or score, a byte that is never UTF-8, a
+        # missing column, or a repeated id
         scores = self.score_table(tmp_path)
         external = self.external_table(tmp_path, [(f"s{i:02d}", i % 2) for i in range(10)])
         val = tmp_path / "val.txt"
@@ -982,6 +1056,19 @@ class TestCombine:
         )
         assert rc == 2
         assert err.startswith("error: ")
+
+
+    def test_no_finite_pair_exits_2(self, tmp_path, capsys):
+        scores = self.score_table(tmp_path)
+        external = tmp_path / "external.csv"
+        external.write_text("id,score\n" + "".join(f"s{i:02d},nan\n" for i in range(10)))
+        rc, out, err = run(
+            capsys,
+            "combine", "--scores", scores, "--external", str(external),
+            "--out", str(tmp_path / "o.csv"),
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: no sample has finite scores in both families\n"
 
 
 @settings(max_examples=200, deadline=None)

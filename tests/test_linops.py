@@ -8,10 +8,12 @@ from numpy.testing import assert_allclose
 
 import oracle
 from pbn import gradient, training
-from pbn.errors import DomainError, ShapeMismatchError, SingularityError
-from pbn.linops import ConvMap, DenseMap, GramFactor
+from pbn.errors import ShapeMismatchError, SingularityError
+from pbn.linops import ConvMap, DenseMap, GramFactor, GramStack
 from pbn.network import wordpair_network
+from pbn.priors import GAUSSIAN
 from pbn.reconstruct import reconstruct_from_layer
+from pbn.saddlepoint import solve_saddle
 
 WORDPAIR_CONVS = [
     dict(in_shape=(1, 45, 20), c_out=9, kernel=(21, 17), strides=(5, 4), out_shape=(9, 9, 5)),
@@ -31,7 +33,7 @@ def assert_kept_inverse_matches_triangular_solves(f, rtol):
     ``solve`` takes output order, as ``inv`` does, whatever order the
     factor was formed in.
     """
-    want = f.solve(np.eye(f.matrix.shape[0]))
+    want = f.solve(np.eye(len(f.inv)))
     assert np.max(np.abs(f.inv - want)) <= rtol * np.max(np.abs(want))
     assert not f.inv.flags.writeable
     np.testing.assert_array_equal(f.inv, f.inv.T)
@@ -271,7 +273,7 @@ class TestFold:
         except SingularityError:
             reject()
         rtol = max(FOLD_RTOL, 16 * np.finfo(float).eps * np.linalg.cond(gram))
-        assert_within(factor.solve_rows(right), np.linalg.solve(gram, right.T).T, rtol)
+        assert_within(factor.solve(right), np.linalg.solve(gram, right.T).T, rtol)
         want = m.collect_matrix_grad(a.T @ np.linalg.inv(gram))
         assert_within(m.logdet_grad, want, rtol)
 
@@ -366,30 +368,34 @@ class TestShapeValidation:
 
 class TestGramFactor:
     def test_solve_and_logdet_against_numpy(self):
+        # a weighted curvature is a row of a GramStack
         rng = np.random.default_rng(11)
         m = DenseMap(rng.standard_normal((9, 4)))
-        w = rng.uniform(0.5, 2.0, 9)
-        f = GramFactor(m, w)
-        s = (m.materialize() * w) @ m.materialize().T
-        b = rng.standard_normal(4)
-        assert_allclose(f.solve(b), np.linalg.solve(s, b), rtol=1e-10)
+        w = rng.uniform(0.5, 2.0, (1, 9))
+        f = GramStack.factor(m, w)
+        assert f.failures == [None]
+        s = (m.materialize() * w[0]) @ m.materialize().T
+        b = rng.standard_normal((1, 4))
+        assert_allclose(f.solve(b)[0], np.linalg.solve(s, b[0]), rtol=1e-10)
         sign, logdet = np.linalg.slogdet(s)
         assert sign == 1.0
-        assert_allclose(f.logdet, logdet, rtol=1e-10)
+        assert_allclose(f.logdet[0], logdet, rtol=1e-10)
 
     def test_matrix_rhs(self):
         rng = np.random.default_rng(12)
         m = DenseMap(rng.standard_normal((7, 3)))
         f = GramFactor(m)
-        b = rng.standard_normal((3, 5))
-        assert_allclose(f.matrix @ f.solve(b), b, atol=1e-10)
+        a = m.materialize()
+        b = rng.standard_normal((5, 3))  # five right-hand sides, one per row
+        assert_allclose(f.solve(b) @ (a @ a.T), b, atol=1e-10)
 
     def test_default_weights_give_plain_gram(self):
         rng = np.random.default_rng(13)
         m = DenseMap(rng.standard_normal((6, 2)))
         f = GramFactor(m)
         a = m.materialize()
-        assert_allclose(f.matrix, a @ a.T, atol=1e-14)
+        c = np.tril(f._factor[0])
+        assert_allclose(c @ c.T, a @ a.T, atol=1e-14)
 
     @pytest.mark.parametrize("layer", [0, 1])
     def test_kept_inverse_on_wordpair_convs(self, layer):
@@ -397,18 +403,23 @@ class TestGramFactor:
         assert_kept_inverse_matches_triangular_solves(GramFactor(net.layers[layer].map), 1e-12)
 
     def test_kept_inverse_on_weighted_dense_map(self):
+        # a weighted curvature is a row of a GramStack: W S^-1 from its
+        # Cholesky factor against LU solves with its S
         rng = np.random.default_rng(17)
         m = DenseMap(rng.standard_normal((60, 24)))
-        f = GramFactor(m, rng.uniform(0.1, 10.0, 60))
-        assert_kept_inverse_matches_triangular_solves(f, 1e-12)
+        f = GramStack.factor(m, rng.uniform(0.1, 10.0, (1, 60)))
+        want = m.materialize().T @ np.linalg.solve(f.matrix[0], np.eye(24))
+        assert np.max(np.abs(f.w_s_inv[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_kept_inverse_tolerance_scales_with_condition(self):
         # singular values of W spread over 1e3, so cond(S) = 1e6
         rng = np.random.default_rng(18)
         q_in, _ = np.linalg.qr(rng.standard_normal((60, 24)))
         q_out, _ = np.linalg.qr(rng.standard_normal((24, 24)))
-        f = GramFactor(DenseMap((q_in * np.logspace(0.0, 3.0, 24)) @ q_out.T))
-        cond = np.linalg.cond(f.matrix)
+        m = DenseMap((q_in * np.logspace(0.0, 3.0, 24)) @ q_out.T)
+        f = GramFactor(m)
+        a = m.materialize()
+        cond = np.linalg.cond(a @ a.T)
         assert 0.5e6 < cond < 2e6
         assert_kept_inverse_matches_triangular_solves(f, 16 * np.finfo(float).eps * cond)
 
@@ -416,31 +427,42 @@ class TestGramFactor:
         rng = np.random.default_rng(19)
         m = DenseMap(rng.standard_normal((9, 4)))
         w = rng.uniform(0.5, 2.0, 9)
-        f = GramFactor(m, w)
+        f = GramStack.factor(m, w[None])
         a = m.materialize()
-        assert_allclose(f.matrix, (a * w) @ a.T, rtol=1e-13)
-        np.testing.assert_array_equal(f.matrix, f.matrix.T)
+        assert_allclose(f.matrix[0], (a * w) @ a.T, rtol=1e-13)
 
     def test_weight_domain_errors(self):
+        # a row whose weights are not positive and finite fails alone
         m = DenseMap(np.eye(3))
-        with pytest.raises(DomainError):
-            GramFactor(m, np.array([1.0, -1.0, 1.0]))
-        with pytest.raises(DomainError):
-            GramFactor(m, np.array([1.0, 0.0, 1.0]))
-        with pytest.raises(DomainError):
-            GramFactor(m, np.array([1.0, np.inf, 1.0]))
+        w = np.array([[1.0, -1.0, 1.0], [1.0, 0.0, 1.0], [1.0, np.inf, 1.0], [1.0, 2.0, 1.0]])
+        f = GramStack.factor(m, w)
+        assert f.failures == ["gram weights must be positive and finite"] * 3 + [None]
+        assert np.isnan(f.logdet[:3]).all()
+        assert_allclose(f.logdet[3], np.log(2.0), rtol=1e-15)
+        u = f.solve(np.ones((4, 3)))
+        assert np.isnan(u[:3]).all()
+        np.testing.assert_array_equal(u[3], [1.0, 0.5, 1.0])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
     def test_non_finite_gram_is_not_positive_definite(self, bad):
         w = np.random.default_rng(3).standard_normal((6, 3))
         w[2, 1] = bad  # 1e200 overflows S
-        with pytest.raises(SingularityError, match="layer 2: gram matrix is not positive definite"):
-            GramFactor(DenseMap(w), label="layer 2")
+        with pytest.raises(SingularityError, match="^gram matrix is not positive definite$") as raised:
+            GramFactor(DenseMap(w))
+        assert_seed_failure_names_the_layer(DenseMap(w), "layer 2", raised.value)
 
     def test_singular_map_raises_with_label(self):
         w = np.zeros((4, 2))
         w[:, 0] = [1.0, 2.0, 0.0, 0.0]
         w[:, 1] = [2.0, 4.0, 0.0, 0.0]
-        with pytest.raises(SingularityError, match="layer 3"):
-            GramFactor(DenseMap(w), label="layer 3")
+        with pytest.raises(SingularityError, match="^gram matrix is ") as raised:
+            GramFactor(DenseMap(w))
+        assert_seed_failure_names_the_layer(DenseMap(w), "layer 3", raised.value)
+
+
+def assert_seed_failure_names_the_layer(map_, label, factor_error):
+    """A solve whose seed factor fails carries its label, and the factor's error as the cause."""
+    err = solve_saddle(map_, GAUSSIAN, np.zeros((1, map_.n_out)), label=label).errors[0]
+    assert str(err) == f"{label}: map has a singular Gram matrix"
+    assert str(err.__cause__) == str(factor_error)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import sample
 
 from pbn.errors import DomainError
 from pbn.priors import GAUSSIAN, TRUNCATED_GAUSSIAN, UNIFORM, activation_prior, get_prior
@@ -323,7 +324,7 @@ class TestVectorizationAndRegistry:
     def test_sampling_lands_in_support(self):
         rng = np.random.default_rng(0)
         for prior in ALL_PRIORS:
-            x = prior.sample(rng, 500)
+            x = sample(prior, rng, 500)
             assert prior.in_support(x)
 
     def test_grad_log_density(self):

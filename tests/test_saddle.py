@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from helpers import sum_density_grid, sum_moments
+from helpers import sample, sum_density_grid, sum_moments
 from numpy.testing import assert_allclose
 from scipy.stats import multivariate_normal
 
 from pbn.errors import DomainError, ReconstructionError, ShapeMismatchError
-from pbn.linops import DenseMap, GramFactor
+from pbn.linops import DenseMap, GramFactor, GramStack
 from pbn.priors import GAUSSIAN, TRUNCATED_GAUSSIAN, UNIFORM, TruncatedGaussianPrior, get_prior
 from pbn.saddlepoint import solve_saddle
 
@@ -70,7 +70,7 @@ class TestExactRecovery:
         w = rng.standard_normal((5, 5)) + 3.0 * np.eye(5)
         m = DenseMap(w)
         for prior in (TRUNCATED_GAUSSIAN, UNIFORM):
-            x0 = prior.sample(rng, 5)
+            x0 = sample(prior, rng, 5)
             z = m.forward(x0)
             sol = solve_saddle(m, prior, z[None])
             assert sol.errors == [None]
@@ -86,7 +86,7 @@ class TestFeasibleBatch:
         m = DenseMap(rng.standard_normal((7, 3)))
         tol = 1e-9
         for _ in range(100):
-            z = m.forward(prior.sample(rng, 7))
+            z = m.forward(sample(prior, rng, 7))
             sol = solve_saddle(m, prior, z[None], tol=tol)
             assert sol.errors == [None]
             assert sol.residual[0] <= tol * (1.0 + np.max(np.abs(z)))
@@ -99,7 +99,7 @@ class TestFeasibleBatch:
         # objective at each iterate is K(alpha) - alpha'x0.
         rng = np.random.default_rng(13)
         m = DenseMap(rng.standard_normal((6, 2)))
-        x0 = TRUNCATED_GAUSSIAN.sample(rng, 6)
+        x0 = sample(TRUNCATED_GAUSSIAN, rng, 6)
         alphas = []
         real = TRUNCATED_GAUSSIAN.cgf_derivs
 
@@ -151,8 +151,9 @@ class TestNonFiniteResidual:
     def test_fails_before_any_solve_with_it(self, monkeypatch):
         m = DenseMap(np.ones((2, 1)))
         solves = []
-        real = GramFactor.solve
-        monkeypatch.setattr(GramFactor, "solve", lambda f, b: solves.append(b) or real(f, b))
+        for factor in (GramFactor, GramStack):
+            real = factor.solve
+            monkeypatch.setattr(factor, "solve", lambda f, b, real=real: solves.append(b) or real(f, b))
         err = solve_saddle(m, FragileTruncatedGaussian(), np.array([[9.0]])).errors[0]
         assert isinstance(err, ReconstructionError) and "non-finite residual" in str(err)
         assert err.iterations == 0
@@ -184,7 +185,7 @@ class TestValidation:
         # K(h^) - h^'z~ - logdet(S)/2 - n log(2 pi)/2, recomputed from the parts
         rng = np.random.default_rng(13)
         m = DenseMap(rng.standard_normal((9, 3)))
-        z = m.forward(prior.sample(rng, 9))
+        z = m.forward(sample(prior, rng, 9))
         sol = solve_saddle(m, prior, z[None])
         want = (
             float(np.sum(prior.cgf(sol.alpha[0])))
@@ -199,26 +200,30 @@ class TestCurvature:
     def test_weights_are_k2_at_the_saddle_and_the_inverse_waits_for_a_reader(self):
         rng = np.random.default_rng(14)
         m = DenseMap(rng.standard_normal((9, 3)))
-        z = m.forward(TRUNCATED_GAUSSIAN.sample(rng, 9 * 4).reshape(4, 9))
+        z = m.forward(sample(TRUNCATED_GAUSSIAN, rng, 9 * 4).reshape(4, 9))
         sol = solve_saddle(m, TRUNCATED_GAUSSIAN, z)
         np.testing.assert_array_equal(sol.curvature_weights, TRUNCATED_GAUSSIAN.activation_deriv(sol.alpha))
         curv = sol.curvature
         assert "w_s_inv" not in vars(curv)  # no inverse until the gradient reads one
+        a = m.materialize()
         for b in range(len(z)):
-            alone = GramFactor(m, sol.curvature_weights[b])
-            assert_allclose(curv.logdet[b], alone.logdet, rtol=1e-13)
-            assert_allclose(curv.w_s_inv[b], m.materialize().T @ alone.inv, rtol=1e-12, atol=1e-14)
-            assert_allclose(curv.solve_rows(z)[b], alone.solve(z[b]), rtol=1e-12)
+            s = (a * sol.curvature_weights[b]) @ a.T
+            assert_allclose(curv.logdet[b], np.linalg.slogdet(s)[1], rtol=1e-13)
+            assert_allclose(curv.w_s_inv[b], a.T @ np.linalg.inv(s), rtol=1e-12, atol=1e-14)
+            assert_allclose(curv.solve(z)[b], np.linalg.solve(s, z[b]), rtol=1e-12)
 
-    def test_unit_weight_column_beside_weighted_ones_keeps_the_map_factor(self):
+    def test_unit_weight_column_beside_weighted_ones_is_a_stack_row(self):
         # alpha = 50 > 38.5 underflows the Mills ratio, so k'' is exactly 1
-        # there and the first column stops at iteration 0 on the kept factor
+        # there and the first column stops at iteration 0; under a tg prior
+        # its curvature is still a row of the stack, not the map's factor
         m = DenseMap(np.array([[1.0], [1.0], [0.5]]))
         sol = solve_saddle(m, TRUNCATED_GAUSSIAN, np.array([[100.0], [1.0]]))
         np.testing.assert_array_equal(sol.curvature_weights[0], 1.0)
         assert sol.column_iterations[0] == 0 < sol.column_iterations[1]
-        assert sol.curvature.logdet[0] == m.gram.logdet
-        assert_allclose(sol.curvature.w_s_inv[0], m.materialize().T @ m.gram.inv, rtol=1e-15)
+        assert isinstance(sol.curvature, GramStack)
+        a = m.materialize()
+        assert_allclose(sol.curvature.logdet[0], np.linalg.slogdet(a @ a.T)[1], rtol=1e-15)
+        assert_allclose(sol.curvature.w_s_inv[0], a.T @ np.linalg.inv(a @ a.T), rtol=1e-15)
         for b, z in enumerate((100.0, 1.0)):
             alone = solve_saddle(m, TRUNCATED_GAUSSIAN, np.array([[z]]))
             assert sol.take([b]).log_density == alone.log_density

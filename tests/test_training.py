@@ -21,6 +21,7 @@ from pbn import (
     train,
     training,
 )
+from pbn.linops import GramStack
 from pbn.network import wordpair_network
 from pbn.priors import TRUNCATED_GAUSSIAN, TruncatedGaussianPrior, activation_prior
 
@@ -113,9 +114,9 @@ def unit_curvature_tg_net(rng):
     """A net whose tg-prior first layer has every saddle preactivation past 9, and rows for it.
 
     k''(a) rounds to exactly 1.0 from about a = 9 on while k'''(a) stays
-    nonzero (8.2e-17 at a = 9), so the solve hands that layer the map's
-    unit factor although k''' != 0.  Each row is lambda(W h0) with
-    W h0 >= 9, whose saddle point is h0.
+    nonzero (8.2e-17 at a = 9): the curvature weights are all 1, as
+    under a Gaussian prior, but k''' != 0.  Each row is lambda(W h0)
+    with W h0 >= 9, whose saddle point is h0.
     """
     w = rng.uniform(0.5, 1.5, (5, 3))
     layers = [
@@ -170,19 +171,21 @@ class TestGradientOracle:
 
     def test_unit_factor_with_nonzero_third_derivative(self, monkeypatch):
         net, data = unit_curvature_tg_net(np.random.default_rng(21))
+        # the prior, not the unit weights, makes the curvature a stack
         sol = net.interior_trace(data.x).solution(1, np.arange(len(data)))
-        assert sol.curvature is net.layers[0].map.gram
+        np.testing.assert_array_equal(sol.curvature_weights, 1.0)
+        assert isinstance(sol.curvature, GramStack)
         assert np.all(TRUNCATED_GAUSSIAN.cgf_third_deriv(sol.alpha) != 0.0)
         got, want = batched_and_oracle_gradients(net, data)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert_gradients_close(got / len(data), fd_batch_gradient(net, data))
         # Past a = 9 the k''' terms are below rounding, so only a larger k'''
-        # shows whether the unit-factor path keeps them.  The oracle reads
+        # shows whether the unit-weight stack keeps them.  The oracle reads
         # the same k'''; finite differences cannot, as it no longer
         # matches k''.
         monkeypatch.setattr(TruncatedGaussianPrior, "cgf_third_deriv", lambda self, a: np.full_like(a, 0.25))
         sol = net.interior_trace(data.x).solution(1, np.arange(len(data)))
-        assert sol.curvature is net.layers[0].map.gram
+        assert isinstance(sol.curvature, GramStack)
         got, want = batched_and_oracle_gradients(net, data)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
