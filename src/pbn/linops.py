@@ -25,8 +25,8 @@ a map's unit Gram matrix W'W, the curvature of a Gaussian-prior layer,
 in the buffer that formed it (one syrk product, or for a convolution
 the products of the block pairs whose spans meet, in block order);
 ``GramStack`` factors the weighted W' diag(w) W of each row of a weight
-stack, the curvature under any other prior, solves with all of them in
-one batched call, and forms W S^-1 only when asked.
+stack, the curvature under any other prior, in one batched call, solves
+with each factor, and forms W S^-1 only when asked.
 """
 
 import functools
@@ -34,7 +34,7 @@ import functools
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import ShapeMismatchError, SingularityError
 
@@ -500,30 +500,29 @@ class GramStack:
     """Factors of S_b = W' diag(w_b) W, one for each row w_b of a (B, n_in) stack.
 
     The curvature of every prior but the Gaussian, whose weights differ
-    from row to row.  It keeps each S_b (``matrix``) and its lower
-    Cholesky factor (``chol``): ``solve`` is one batched LU solve with
-    the S_b, ``logdet`` comes from the factor, and W S_b^-1
-    (``w_s_inv``) is built from the factor on first use only, which only
-    the likelihood gradient does.  ``GramStack.factor`` runs the B
-    Cholesky factorizations as one ``np.linalg.cholesky`` call.  A row
-    whose weights are not positive and finite, or whose matrix fails the
-    GramFactor tests, gets its reason in ``failures`` (None for a good
-    row) and NaN in ``logdet``, ``w_s_inv`` and its solves; no other row
-    sees it.
+    from row to row.  It keeps only the lower Cholesky factor of each S_b
+    (``chol``): ``solve`` runs LAPACK potrs with each factor, which costs
+    half a batched LU solve with the S_b, ``logdet`` comes from the
+    factor, and W S_b^-1 (``w_s_inv``) is built from it on first use
+    only, which only the likelihood gradient does.  ``GramStack.factor``
+    runs the B Cholesky factorizations as one ``np.linalg.cholesky``
+    call.  A row whose weights are not positive and finite, or whose
+    matrix fails the GramFactor tests, gets its reason in ``failures``
+    (None for a good row), its index in ``failed_rows``, and NaN in
+    ``logdet``, ``w_s_inv`` and its solves; no other row sees it.
     """
 
-    def __init__(self, a, matrix, chol, logdet, failures):
+    def __init__(self, a, chol, logdet, failures):
         """Take over the arrays of a stack."""
-        bad = np.array([f is not None for f in failures], dtype=bool)
-        # a failed row solves with the identity and reports NaN
-        matrix[bad] = chol[bad] = np.eye(matrix.shape[-1])
-        logdet[bad] = np.nan
         self._a = a
-        self._bad = bad
-        self.matrix = matrix
         self.chol = chol
         self.logdet = logdet
         self.failures = failures
+        self.failed_rows = np.array([b for b, f in enumerate(failures) if f is not None], dtype=int)
+        if self.failed_rows.size:
+            # a failed row solves with the identity and reports NaN
+            chol[self.failed_rows] = np.eye(chol.shape[-1])
+            logdet[self.failed_rows] = np.nan
 
     @classmethod
     def factor(cls, map_, weights):
@@ -532,9 +531,9 @@ class GramStack:
         if w.ndim != 2 or w.shape[1] != map_.n_in:
             raise ShapeMismatchError(f"weight stack shape {w.shape} != (B, {map_.n_in})")
         m = map_.n_out
-        good = np.all(np.isfinite(w) & (w > 0.0), axis=1)
+        good = ((w > 0.0) & (w < np.inf)).all(axis=1)
         failures = [None if g else "gram weights must be positive and finite" for g in good]
-        s = (a * np.where(good[:, None], w, 1.0)[:, None, :]) @ a.T
+        s = (a * (w if good.all() else np.where(good[:, None], w, 1.0))[:, None, :]) @ a.T
         try:
             c = np.linalg.cholesky(s)
         except LinAlgError:
@@ -546,22 +545,25 @@ class GramStack:
                     failures[b] = failures[b] or "gram matrix is not positive definite"
                     c[b] = np.eye(m)
         piv = np.diagonal(c, axis1=1, axis2=2)
-        singular = np.any(piv * piv < 1e-12 * np.trace(s, axis1=1, axis2=2)[:, None] / m, axis=1)
+        singular = (piv * piv < 1e-12 * np.trace(s, axis1=1, axis2=2)[:, None] / m).any(axis=1)
         for b in np.flatnonzero(singular):
             failures[b] = failures[b] or "gram matrix is numerically singular"
         with np.errstate(divide="ignore", invalid="ignore"):
-            logdet = 2.0 * np.sum(np.log(piv), axis=1)
-        return cls(a, s, c, logdet, failures)
+            logdet = 2.0 * np.log(piv).sum(axis=1)
+        return cls(a, c, logdet, failures)
 
     def take(self, idx):
         """The factors of the rows ``idx``, an index array."""
         failures = [self.failures[i] for i in idx]
-        return GramStack(self._a, self.matrix[idx], self.chol[idx], self.logdet[idx], failures)
+        return GramStack(self._a, self.chol[idx], self.logdet[idx], failures)
 
     def solve(self, r):
         """Solve S_b u_b = r_b for each row r_b of r."""
-        u = np.linalg.solve(self.matrix, np.asarray(r, dtype=np.float64)[..., None])[..., 0]
-        u[self._bad] = np.nan
+        u = np.array(r, dtype=np.float64)
+        for b, c in enumerate(self.chol):
+            # c' is the upper factor in the Fortran order potrs reads, with no copy
+            u[b] = dpotrs(c.T, u[b], lower=0, overwrite_b=1)[0]
+        u[self.failed_rows] = np.nan
         return u
 
     @functools.cached_property
@@ -569,5 +571,5 @@ class GramStack:
         """W S_b^-1 for each row, shape (B, n_in, n_out), from the Cholesky factor on first use."""
         c_inv = np.linalg.inv(self.chol)
         inv = np.swapaxes(c_inv, -1, -2) @ c_inv
-        inv[self._bad] = np.nan
+        inv[self.failed_rows] = np.nan
         return self._a.T @ inv

@@ -12,9 +12,11 @@ no special case and gives a 0-d result:
 
 ``activation_derivs`` returns k' and k'' of one array together, and
 ``cgf_derivs`` returns k, k' and k'', each bit for bit what its own
-function gives.  The truncated Gaussian computes k' and k'' in one pass
-over its branches, with one inverse Mills ratio: every forward pass
-needs the pair, and every Newton iterate of a saddle solve needs k too.
+function gives.  Every trial point of a saddle solve needs all three,
+and reads them from ``cgf_derivs`` alone.  The truncated Gaussian
+computes them in one pass, from one erfcx per element, which k and the
+inverse Mills ratio share; its cgf, activation and activation derivative
+read that same pass.
 
 Three priors are provided:
 
@@ -33,8 +35,8 @@ tags ``linear``, ``tg`` and ``ted`` map back onto the same three objects.
 
 Numerical notes.  The truncated-Gaussian inverse Mills ratio
 r(a) = N(a)/Phi(a) is evaluated through the scaled complementary error
-function for a < 0, which stays accurate far into the tail where Phi(a)
-underflows (direct evaluation dies near a = -38).  Below a = -5 its
+function up to a = 26, which stays accurate far into the tail where
+Phi(a) underflows (direct evaluation dies near a = -38).  Below a = -5 its
 closed forms for k', k'' and k''' cancel (k'(a) = a + r(a) ~ -1/a), so
 there all three come from the continued fraction of k' instead.  The
 uniform-prior functions switch to Taylor series around a = 0 where the
@@ -212,74 +214,62 @@ def _tg_fraction(t):
     return pq[0::2] / pq[1::2] * s
 
 
-def _tg_split(a, tail, rest):
-    """tail(-a) where a < _TG_TAIL and rest(a) elsewhere, elementwise.
+# Above this preactivation the truncated-Gaussian k and r are read off Phi,
+# well before erfcx(-a/sqrt(2)) overflows at a = 37.6.
+_TG_HEAD = 26.0
 
-    ``tail`` and ``rest`` return one array, or a tuple of them, shaped
-    like their argument; the split returns the same.
+
+def _tg_kr(a):
+    """k and the inverse Mills ratio r = N/Phi at each element of a 1-d array.
+
+    With e = erfcx(-a/sqrt(2)) = 2 Phi(a) exp(a^2/2), k = log e and
+    r = sqrt(2/pi) / e: one erfcx gives both, on both sides of a = 0.
+    Above _TG_HEAD they come from Phi instead.
     """
+    e = special.erfcx(-a / _SQRT2)
+    with np.errstate(divide="ignore"):  # e = 0 at a = -inf
+        k, r = np.log(e), _SQRT_2_OVER_PI / e
+    head = a > _TG_HEAD
+    if head.any():
+        b = a[head]
+        phi = special.ndtr(b)
+        k[head], r[head] = 0.5 * b * b + np.log(2.0 * phi), _npdf(b) / phi
+    return k, r
+
+
+def _tg_derivs(a):
+    """k, k' and k'' of the truncated Gaussian; below _TG_TAIL, k' and k'' from the fraction."""
     a = np.asarray(a, dtype=np.float64)
-    below = a < _TG_TAIL
-    if not below.any():  # most arrays: no masked copies
-        return rest(a)
-    above = ~below
-
-    def merge(lo, hi):
-        out = np.empty_like(a)
-        out[below] = lo
-        out[above] = hi
-        return out
-
-    lo, hi = tail(-a[below]), rest(a[above])
-    return tuple(map(merge, lo, hi)) if isinstance(hi, tuple) else merge(lo, hi)
-
-
-def _mills(a):
-    """r(a) = N(a)/Phi(a), the inverse Mills ratio, stable on the whole line."""
-    out = np.empty_like(a)
-    neg = a < 0.0
-    # Phi(a) = 0.5 exp(-a^2/2) erfcx(-a/sqrt(2)) for a < 0, so the
-    # Gaussians cancel exactly and nothing underflows.
-    out[neg] = _SQRT_2_OVER_PI / special.erfcx(-a[neg] / _SQRT2)
-    pos = ~neg
-    out[pos] = _npdf(a[pos]) / special.ndtr(a[pos])
-    return out
+    shape, a = a.shape, a.reshape(-1)
+    k, r = _tg_kr(a)
+    with np.errstate(invalid="ignore"):  # the closed forms at a = -inf, replaced below
+        k1 = a + r
+        k2 = 1.0 - r * k1
+    tail = a < _TG_TAIL
+    if tail.any():
+        t = -a[tail]
+        # 1 - r k' = u_1 (u_2 - u_1), and u_2 - u_1 = u_1 (t + 2 u_2 - u_3) / (t + u_3)
+        u1, u2, u3, _ = _tg_fraction(t)
+        k1[tail], k2[tail] = u1, u1 * u1 * (t + 2.0 * u2 - u3) / (t + u3)
+    return k.reshape(shape), k1.reshape(shape), k2.reshape(shape)
 
 
-def _tg_tail_k(t):
-    # a^2/2 + log(2 Phi(a)) == log erfcx(-a/sqrt(2)) identically
-    return np.log(special.erfcx(t / _SQRT2))
-
-
-def _tg_closed_k(a):
-    return 0.5 * a * a + np.log(2.0 * special.ndtr(a))
-
-
-def _tg_tail(t):
-    """k' and k'' at a = -t below _TG_TAIL."""
-    # 1 - r k' = u_1 (u_2 - u_1), and u_2 - u_1 = u_1 (t + 2 u_2 - u_3) / (t + u_3)
-    u1, u2, u3, _ = _tg_fraction(t)
-    return u1, u1 * u1 * (t + 2.0 * u2 - u3) / (t + u3)
-
-
-def _tg_closed(a):
-    """k' and k'' at a at or above _TG_TAIL, from one inverse Mills ratio."""
-    r = _mills(a)
-    k1 = a + r
-    return k1, 1.0 - r * k1
-
-
-def _tg_tail_k3(t):
-    # r (k'^2 - k'') = 2 r u_1^2 (u_3 - u_2) / (t + u_3), with r = t + u_1 and
-    # u_3 - u_2 = (t + 3 u_3 - 2 u_4) / ((t + u_3)(t + u_4)); the ratios keep
-    # every intermediate finite for huge t
-    u1, _, u3, u4 = _tg_fraction(t)
-    return 2.0 * u1 * u1 * ((t + u1) / (t + u3)) * ((t + 3.0 * u3 - 2.0 * u4) / (t + u3)) / (t + u4)
-
-
-def _tg_closed_k3(a):
-    r = _mills(a)
-    return r * ((a + r) * (a + 2.0 * r) - 1.0)
+def _tg_k3(a):
+    """k''' of the truncated Gaussian; below _TG_TAIL from the fraction."""
+    a = np.asarray(a, dtype=np.float64)
+    shape, a = a.shape, a.reshape(-1)
+    r = _tg_kr(a)[1]
+    with np.errstate(invalid="ignore", over="ignore"):  # the closed form in the tail, replaced below
+        k3 = r * ((a + r) * (a + 2.0 * r) - 1.0)
+    tail = a < _TG_TAIL
+    if tail.any():
+        t = -a[tail]
+        # r (k'^2 - k'') = 2 r u_1^2 (u_3 - u_2) / (t + u_3), with r = t + u_1 and
+        # u_3 - u_2 = (t + 3 u_3 - 2 u_4) / ((t + u_3)(t + u_4)); the ratios keep
+        # every intermediate finite for huge t
+        u1, _, u3, u4 = _tg_fraction(t)
+        k3[tail] = 2.0 * u1 * u1 * ((t + u1) / (t + u3)) * ((t + 3.0 * u3 - 2.0 * u4) / (t + u3)) / (t + u4)
+    return k3.reshape(shape)
 
 
 class TruncatedGaussianPrior(ScalarPrior):
@@ -290,9 +280,10 @@ class TruncatedGaussianPrior(ScalarPrior):
     k''(a)    = 1 - r(a) (a + r(a))
     k'''(a)   = r(a) [(a + r(a)) (a + 2 r(a)) - 1]
 
-    Below a = -5, k is log erfcx(-a/sqrt(2)) and the three derivatives
-    come from the continued fraction of k' (``_tg_fraction``).  k' and
-    k'' are read off the fused ``activation_derivs``, so each formula is
+    Up to a = 26, k is log erfcx(-a/sqrt(2)) and r is sqrt(2/pi) over
+    the same erfcx; below a = -5 the three derivatives come from the
+    continued fraction of k' (``_tg_fraction``).  k, k' and k'' are read
+    off the fused ``cgf_derivs`` (``_tg_derivs``), so each formula is
     written once.
     """
 
@@ -300,19 +291,22 @@ class TruncatedGaussianPrior(ScalarPrior):
     activation_tag = "tg"
 
     def cgf(self, a):
-        return _tg_split(a, _tg_tail_k, _tg_closed_k)
+        return self.cgf_derivs(a)[0]
 
     def activation(self, a):
-        return self.activation_derivs(a)[0]
+        return self.cgf_derivs(a)[1]
 
     def activation_deriv(self, a):
-        return self.activation_derivs(a)[1]
+        return self.cgf_derivs(a)[2]
 
     def cgf_third_deriv(self, a):
-        return _tg_split(a, _tg_tail_k3, _tg_closed_k3)
+        return _tg_k3(a)
 
     def activation_derivs(self, a):
-        return _tg_split(a, _tg_tail, _tg_closed)
+        return self.cgf_derivs(a)[1:]
+
+    def cgf_derivs(self, a):
+        return _tg_derivs(a)
 
     def activation_inverse(self, y):
         y = np.asarray(y, dtype=np.float64)

@@ -22,14 +22,16 @@ point; the iteration then fails to contract and surfaces as
 ReconstructionError, which callers count as an undefined likelihood
 rather than a crash.
 
-Each Newton iterate evaluates the prior once, by ``cgf_derivs``: k for
-the objective and its rounding level, k' for the residual, and k'' for
-the curvature, which is either the strict factor of a column that
-stopped or the one its Newton direction is solved with.  The solution
-keeps those weights (``curvature_weights``), and its curvature keeps
-each column's S and Cholesky factor: the log determinant comes from the
-factor, and S^-1 is built only when the likelihood gradient reads
-W S_b^-1 for each column.
+Each trial point, the seed first, evaluates the prior once, by
+``cgf_derivs``: k for the objective and its rounding level, k' for the
+residual, and k'' for the curvature.  The trial a line search accepts
+is the next iterate, and a flat or stalled search is judged by the
+residual of its full-step trial, so a full Newton step costs one
+evaluation and one factor: the strict curvature of a column that
+stopped, or the one its direction is solved with.  The solution keeps
+the weights k'' (``curvature_weights``), and its curvature keeps each
+column's Cholesky factor: the log determinant comes from it, and S^-1
+is built only when the likelihood gradient reads W S_b^-1.
 
 The unit Gram factor W'W that seeds every solve is a constant of the
 map, so it is built once per map and kept there (``LinearMap.gram``).
@@ -91,8 +93,8 @@ class SaddleSolution:
     with its error in ``errors``.  ``curvature_weights`` holds
     k''(alpha), the weights of the curvature S = W' diag(k'') W.
     ``curvature`` is the map's kept GramFactor under the Gaussian prior,
-    else a GramStack of each column's S and its Cholesky factor, which
-    builds S^-1 only if the gradient asks for it.
+    else a GramStack of each column's Cholesky factor, which builds S^-1
+    only if the gradient asks for it.
     ``iterations`` is the largest column count, ``column_iterations``
     has each one.
     """
@@ -131,43 +133,47 @@ class SaddleSolution:
         )
 
 
-def _factors(map_, weights, unit):
-    """(factor, per-row failure reasons) of W' diag(w) W for a (k, n_in) weight stack.
+def _trial(map_, prior, h, z):
+    """The state at each row of the trial points h, from one prior evaluation.
 
-    A Gaussian-prior layer (``unit``) has unit weights, so every row
-    reuses the map's kept factor.
+    Returns [h, alpha = W h, k'(alpha), k''(alpha), residual, objective,
+    rounding level of the objective, largest residual component].
     """
-    if unit:
-        return map_.gram, [None] * len(weights)
-    stack = GramStack.factor(map_, weights)
-    return stack, list(stack.failures)
+    alpha = map_.adjoint(h)
+    cgf, lam, k2 = prior.cgf_derivs(alpha)
+    resid = z - map_.forward(lam)
+    obj = cgf.sum(axis=1) - np.vecdot(h, z)
+    # an objective change this small is rounding, not descent
+    flat = FLAT_ULPS * EPS * (np.abs(cgf).sum(axis=1) + np.vecdot(np.abs(h), np.abs(z)))
+    return [h, alpha, lam, k2, resid, obj, flat, np.abs(resid).max(axis=1)]
 
 
-def _direction(map_, weights, resid, unit):
-    """(Newton directions S^-1 r, per-row failure reasons) for a stack of rows.
+def _direction(map_, factor, weights, resid):
+    """(Newton directions S^-1 r, per-row failure reasons or None) for a stack of rows.
 
-    Mid-iteration the iterate can sit in a tail where some activation
-    derivatives underflow and the strict Gram factor is numerically
-    singular.  Any positive definite surrogate still gives a descent
-    direction on the convex objective, so the weights of a failed row
-    are floored at a tiny fraction of their maximum and its
-    factorization retried.  The converged solution always reports the
-    strict factor.
+    ``factor`` is the strict curvature at ``weights``.  Mid-iteration the
+    iterate can sit in a tail where some activation derivatives
+    underflow and the strict Gram factor is numerically singular.  Any
+    positive definite surrogate still gives a descent direction on the
+    convex objective, so the weights of a failed row are floored at a
+    tiny fraction of their maximum and its factorization retried.  The
+    converged solution always reports the strict factor.
     """
-    factor, failures = _factors(map_, weights, unit)
     delta = factor.solve(resid)
-    retry = np.array([j for j, f in enumerate(failures) if f is not None], dtype=int)
+    if not isinstance(factor, GramStack) or not factor.failed_rows.size:
+        return delta, None
+    failures = list(factor.failures)
+    retry = factor.failed_rows
+    floor = np.max(weights[retry], axis=1) * 1e-10
+    usable = np.isfinite(floor) & (floor > 0.0)
+    for j in retry[~usable]:
+        failures[j] = "curvature collapsed"
+    retry, floor = retry[usable], floor[usable]
     if retry.size:
-        floor = np.max(weights[retry], axis=1) * 1e-10
-        usable = np.isfinite(floor) & (floor > 0.0)
-        for j in retry[~usable]:
-            failures[j] = "curvature collapsed"
-        retry, floor = retry[usable], floor[usable]
-        if retry.size:
-            stack = GramStack.factor(map_, np.maximum(weights[retry], floor[:, None]))
-            delta[retry] = stack.solve(resid[retry])
-            for j, f in zip(retry, stack.failures):
-                failures[j] = f and f"curvature failed: {f}"
+        stack = GramStack.factor(map_, np.maximum(weights[retry], floor[:, None]))
+        delta[retry] = stack.solve(resid[retry])
+        for j, f in zip(retry, stack.failures):
+            failures[j] = f and f"curvature failed: {f}"
     return delta, failures
 
 
@@ -199,7 +205,7 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
     objective = np.full(n_cols, np.nan)
     iterations = np.zeros(n_cols, dtype=int)
     errors = [None] * n_cols
-    converged = []  # (columns, strict curvature factor) per iteration that finished some
+    converged = []  # (columns, strict curvature factor, its rows) per iteration that finished some
 
     def fail(col, message, it, rmax):
         errors[col] = ReconstructionError(f"{label}: {message}", iterations=it, residual=rmax)
@@ -209,9 +215,9 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
     for col in np.flatnonzero(~finite):
         errors[col] = DomainError(f"{label}: target must be finite")
     cols = np.flatnonzero(finite)
-    scale = 1.0 + np.max(np.abs(z), axis=1)
+    zc, lim = z[cols], tol * (1.0 + np.max(np.abs(z[cols]), axis=1))
     try:
-        h = map_.gram.solve(z[cols])
+        state = _trial(map_, prior, map_.gram.solve(zc), zc)
     except SingularityError as exc:
         for col in cols:
             fail(col, "map has a singular Gram matrix", None, None)
@@ -221,85 +227,90 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
     for it in range(max_iter + 1):
         if not cols.size:
             break
-        zc = z[cols]
-        alpha = map_.adjoint(h)
-        cgf, lam, k2 = prior.cgf_derivs(alpha)
-        resid = zc - map_.forward(lam)
-        obj = np.sum(cgf, axis=1) - np.vecdot(h, zc)
-        # an objective change this small is rounding, not descent
-        flat = FLAT_ULPS * EPS * (np.sum(np.abs(cgf), axis=1) + np.vecdot(np.abs(h), np.abs(zc)))
-        rmax = np.max(np.abs(resid), axis=1)
-        done = np.isfinite(rmax) & (rmax <= tol * scale[cols])
+        rmax = state[7]
+        done = rmax <= lim
+        keep = np.isfinite(rmax) if it < max_iter else done
+        if not keep.all():
+            for j in np.flatnonzero(~keep):
+                r = float(rmax[j])
+                if not np.isfinite(r):
+                    fail(cols[j], f"non-finite residual at iteration {it}", it, r)
+                else:
+                    fail(cols[j], f"saddle point not reached in {max_iter} iterations", max_iter, r)
+            cols, zc, lim, done = cols[keep], zc[keep], lim[keep], done[keep]
+            state = [v[keep] for v in state]
+            if not cols.size:
+                break
+        h, alpha, lam, k2, resid, obj, flat, rmax = state
+        # one factor at k'' per column: the strict curvature of a column that
+        # stopped, or the one its Newton direction is solved with
+        factor = map_.gram if unit else GramStack.factor(map_, k2)
         if done.any():
-            factor, failures = _factors(map_, k2[done], unit)
-            dcols = cols[done]
-            for col, f, r in zip(dcols, failures, rmax[done]):
-                if f is not None:
-                    fail(col, f"curvature failed: {f}", it, float(r))
-            h_out[dcols], alpha_out[dcols], x_out[dcols] = h[done], alpha[done], lam[done]
-            k2_out[dcols] = k2[done]
-            residual[dcols], objective[dcols], iterations[dcols] = rmax[done], obj[done], it
-            converged.append((dcols, factor))
-        for col, r in zip(cols[~done], rmax[~done]):
-            if not np.isfinite(r):
-                fail(col, f"non-finite residual at iteration {it}", it, float(r))
-            elif it == max_iter:
-                fail(col, f"saddle point not reached in {max_iter} iterations", max_iter, float(r))
-        go = ~done & np.isfinite(rmax)
-        if it == max_iter or not go.any():
-            break
-        cols, h, zc, alpha, k2, resid, rmax, obj, flat = (
-            v[go] for v in (cols, h, zc, alpha, k2, resid, rmax, obj, flat)
-        )
+            idx = np.flatnonzero(done)
+            dcols = cols[idx]
+            h_out[dcols], alpha_out[dcols], x_out[dcols] = h[idx], alpha[idx], lam[idx]
+            k2_out[dcols] = k2[idx]
+            residual[dcols], objective[dcols], iterations[dcols] = rmax[idx], obj[idx], it
+            converged.append((dcols, factor, idx))
+            if not unit and factor.failed_rows.size:
+                for j in np.intersect1d(idx, factor.failed_rows):
+                    fail(cols[j], f"curvature failed: {factor.failures[j]}", it, float(rmax[j]))
+            go = np.flatnonzero(~done)
+            if not go.size:
+                break
+            cols, zc, lim = cols[go], zc[go], lim[go]
+            h, alpha, k2, resid, obj, flat, rmax = (v[go] for v in (h, alpha, k2, resid, obj, flat, rmax))
+            if not unit:
+                factor = factor.take(go)
 
-        delta, failures = _direction(map_, k2, resid, unit)
-        ok = np.array([f is None for f in failures])
-        for col, f, r in zip(cols, failures, rmax):
-            if f is not None:
-                fail(col, f"{f} at iteration {it}", it, float(r))
-        cols, h, zc, alpha, rmax, obj, flat, delta = (
-            v[ok] for v in (cols, h, zc, alpha, rmax, obj, flat, delta)
-        )
-        cap = np.maximum(ALPHA_STEP_CAP, 2.0 * np.max(np.abs(alpha), axis=1))
-        move = np.max(np.abs(map_.adjoint(delta)), axis=1)
+        delta, failures = _direction(map_, factor, k2, resid)
+        if failures is not None:
+            ok = np.array([f is None for f in failures])
+            for j in np.flatnonzero(~ok):
+                fail(cols[j], f"{failures[j]} at iteration {it}", it, float(rmax[j]))
+            cols, zc, lim = cols[ok], zc[ok], lim[ok]
+            h, alpha, obj, flat, rmax, delta = (v[ok] for v in (h, alpha, obj, flat, rmax, delta))
+            if not cols.size:
+                break
+        cap = np.maximum(ALPHA_STEP_CAP, 2.0 * np.abs(alpha).max(axis=1))
+        move = np.abs(map_.adjoint(delta)).max(axis=1)
         over = move > cap
-        delta[over] = delta[over] * (cap[over] / move[over])[:, None]
+        if over.any():
+            delta[over] *= (cap[over] / move[over])[:, None]
 
         # Per-column backtracking: a column leaves the search at its first
         # step that lowers its objective by more than rounding.  A full step
         # that leaves the objective flat within rounding (near the solution)
-        # and a search that stalls are judged by the residual instead.
-        stepped = h.copy()
-        t = np.ones(len(cols))
-        pending = np.arange(len(cols))
-        by_residual = pending[:0]
-        for attempt in range(LINE_SEARCH_TRIES):
-            cand = h[pending] + t[pending, None] * delta[pending]
-            cand_obj = np.sum(prior.cgf(map_.adjoint(cand)), axis=1) - np.vecdot(cand, zc[pending])
-            change = cand_obj - obj[pending]
-            lower = change < -flat[pending]
-            stepped[pending[lower]] = cand[lower]
-            if attempt == 0:
-                level = ~lower & (change <= flat[pending])
-                by_residual = pending[level]
-                lower |= level
-            pending = pending[~lower]
+        # and a search that stalls are judged by the full step's residual.
+        # The next state starts as the full step's and takes each shorter
+        # step a column accepts.
+        state = _trial(map_, prior, h + delta, zc)
+        change = state[5] - obj
+        lower = change < -flat
+        if lower.all():
+            continue
+        level = ~lower & (change <= flat)
+        pending = np.flatnonzero(~(lower | level))
+        t = 1.0
+        for _ in range(LINE_SEARCH_TRIES - 1):
             if not pending.size:
                 break
-            t[pending] *= 0.5
-        judged = np.concatenate([by_residual, pending])
-        if judged.size:
-            cand = h[judged] + delta[judged]
-            cand_resid = zc[judged] - map_.forward(prior.activation(map_.adjoint(cand)))
-            cand_rmax = np.max(np.abs(cand_resid), axis=1)
-            shrinks = np.isfinite(cand_rmax) & (cand_rmax < rmax[judged])
-            stepped[judged[shrinks]] = cand[shrinks]
-            keep = np.ones(len(cols), dtype=bool)
-            for j in judged[~shrinks]:
+            t *= 0.5
+            trial = _trial(map_, prior, h[pending] + t * delta[pending], zc[pending])
+            lower = trial[5] - obj[pending] < -flat[pending]
+            for v, w in zip(state, trial):
+                v[pending[lower]] = w[lower]
+            pending = pending[~lower]
+        # the rows judged still hold the full step's state
+        judged = np.concatenate([np.flatnonzero(level), pending])
+        stuck = judged[~(state[7][judged] < rmax[judged])]
+        if stuck.size:
+            for j in stuck:
                 fail(cols[j], f"no descent direction at iteration {it}", it, float(rmax[j]))
-                keep[j] = False
-            cols, stepped = cols[keep], stepped[keep]
-        h = stepped
+            keep = np.ones(len(cols), dtype=bool)
+            keep[stuck] = False
+            cols, zc, lim = cols[keep], zc[keep], lim[keep]
+            state = [v[keep] for v in state]
 
     failed = [col for col, err in enumerate(errors) if err is not None]
     for out in (h_out, alpha_out, x_out, k2_out, residual, objective):
@@ -326,13 +337,10 @@ def _assemble(map_, converged, n_cols, errors, unit):
     if unit and converged:
         return map_.gram
     m = map_.n_out
-    matrix = np.full((n_cols, m, m), np.nan)
     chol = np.full((n_cols, m, m), np.nan)
     logdet = np.full(n_cols, np.nan)
-    for cols, f in converged:
-        matrix[cols] = f.matrix
-        chol[cols] = f.chol
-        logdet[cols] = f.logdet
+    for cols, f, idx in converged:
+        chol[cols] = f.chol[idx]
+        logdet[cols] = f.logdet[idx]
     failures = [None if err is None else str(err) for err in errors]
-    return GramStack(map_.materialize(), matrix, chol, logdet, failures)
-
+    return GramStack(map_.materialize(), chol, logdet, failures)

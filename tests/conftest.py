@@ -2,10 +2,19 @@
 
 Hypothesis keeps generating random examples, but a failure also prints
 its ``@reproduce_failure`` blob, so a falsifying example survives a
-cleared example database or a cut log.
+cleared example database or a cut log.  The ``pbn`` profile is loaded
+unless pytest's ``--hypothesis-profile`` names another.  The deeper
+``pbn-deep`` profile runs 1,000 examples of each batched-vs-oracle
+property of ``test_batch.py`` (see ``helpers.examples``).
 """
 
+from helpers import DEEP_PROFILE
 from hypothesis import settings
 
 settings.register_profile("pbn", print_blob=True)
-settings.load_profile("pbn")
+settings.register_profile(DEEP_PROFILE, max_examples=1000, print_blob=True)
+
+
+def pytest_configure(config):
+    if not config.getoption("--hypothesis-profile", None):
+        settings.load_profile("pbn")

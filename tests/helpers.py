@@ -4,8 +4,17 @@ import math
 import struct
 
 import numpy as np
+from hypothesis import settings
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# the Hypothesis profile of the deeper CI run (registered in conftest.py)
+DEEP_PROFILE = "pbn-deep"
+
+
+def examples(local):
+    """A property test's example budget: ``local``, or the deep profile's when that is loaded."""
+    return settings.default.max_examples if settings.get_current_profile_name() == DEEP_PROFILE else local
 
 
 def scalar_pdf(kind, x):

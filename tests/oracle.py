@@ -49,10 +49,11 @@ from pbn.training import TrainResult
 
 
 class Solution:
-    def __init__(self, h, alpha, lam, curvature, objective):
+    def __init__(self, h, alpha, lam, curvature, objective, iterations, halvings):
         self.h_hat, self.alpha, self.x_hat = h, alpha, lam
         self.curvature = curvature
         self.log_density = objective - 0.5 * curvature.logdet - 0.5 * h.size * LOG_2PI
+        self.iterations, self.halvings = iterations, halvings  # Newton steps, line-search halvings
 
 
 class Factor:
@@ -113,6 +114,7 @@ def solve_saddle(map_, prior, z, *, max_iter=200, tol=1e-9, label="saddle"):
         raise DomainError(f"{label}: target must be finite")
     scale = 1.0 + float(np.max(np.abs(z)))
     h = Factor(map_).solve(z)
+    halvings = 0
     for it in range(max_iter + 1):
         alpha = map_.adjoint(h)
         lam = prior.activation(alpha)
@@ -125,7 +127,7 @@ def solve_saddle(map_, prior, z, *, max_iter=200, tol=1e-9, label="saddle"):
             raise ReconstructionError(f"{label}: non-finite residual", iterations=it, residual=rmax)
         if rmax <= tol * scale:
             curv = _factor(map_, prior.activation_deriv(alpha), label, it, rmax)
-            return Solution(h, alpha, lam, curv, objective)
+            return Solution(h, alpha, lam, curv, objective, it, halvings)
         if it == max_iter:
             break
         curv = _direction_factor(map_, prior.activation_deriv(alpha), label, it, rmax)
@@ -146,6 +148,7 @@ def solve_saddle(map_, prior, z, *, max_iter=200, tol=1e-9, label="saddle"):
             if attempt == 0 and change <= flat:
                 break
             t *= 0.5
+            halvings += 1
         if judge:
             cand = h + delta
             cand_rmax = float(np.max(np.abs(z - map_.forward(prior.activation(map_.adjoint(cand))))))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_factor, cho_solve
 
 import oracle
 from pbn import gradient, training
@@ -407,8 +408,10 @@ class TestGramFactor:
         # Cholesky factor against LU solves with its S
         rng = np.random.default_rng(17)
         m = DenseMap(rng.standard_normal((60, 24)))
-        f = GramStack.factor(m, rng.uniform(0.1, 10.0, (1, 60)))
-        want = m.materialize().T @ np.linalg.solve(f.matrix[0], np.eye(24))
+        w = rng.uniform(0.1, 10.0, (1, 60))
+        f = GramStack.factor(m, w)
+        a = m.materialize()
+        want = a.T @ np.linalg.solve((a * w) @ a.T, np.eye(24))
         assert np.max(np.abs(f.w_s_inv[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_kept_inverse_tolerance_scales_with_condition(self):
@@ -424,12 +427,13 @@ class TestGramFactor:
         assert_kept_inverse_matches_triangular_solves(f, 16 * np.finfo(float).eps * cond)
 
     def test_weighted_gram_is_the_symmetric_product(self):
+        # a stack keeps only the factor, so the factor is held to that of the product
         rng = np.random.default_rng(19)
         m = DenseMap(rng.standard_normal((9, 4)))
         w = rng.uniform(0.5, 2.0, 9)
         f = GramStack.factor(m, w[None])
         a = m.materialize()
-        assert_allclose(f.matrix[0], (a * w) @ a.T, rtol=1e-13)
+        assert_allclose(f.chol[0], np.linalg.cholesky((a * w) @ a.T), rtol=1e-13)
 
     def test_weight_domain_errors(self):
         # a row whose weights are not positive and finite fails alone
@@ -441,7 +445,9 @@ class TestGramFactor:
         assert_allclose(f.logdet[3], np.log(2.0), rtol=1e-15)
         u = f.solve(np.ones((4, 3)))
         assert np.isnan(u[:3]).all()
-        np.testing.assert_array_equal(u[3], [1.0, 0.5, 1.0])
+        # the good row is the Cholesky solve of its own S, diag(1, 2, 1)
+        want = cho_solve(cho_factor(np.diag([1.0, 2.0, 1.0]), lower=True), np.ones(3))
+        np.testing.assert_array_equal(u[3], want)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])

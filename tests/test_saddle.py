@@ -94,9 +94,11 @@ class TestFeasibleBatch:
             assert prior.in_support(sol.x_hat[0])
 
     def test_objective_path_decreases(self, monkeypatch):
-        # The solver evaluates cgf_derivs once per Newton iterate, at
-        # alpha = W h.  With the target z = W'x0, h'z = alpha'x0, so the
-        # objective at each iterate is K(alpha) - alpha'x0.
+        # Every trial point of a solve costs one cgf_derivs call, at
+        # alpha = W h, and no other evaluation of the prior.  This target
+        # takes full Newton steps only, so its trials are its iterates: the
+        # seed, then one per iteration.  With the target z = W'x0,
+        # h'z = alpha'x0, so the objective at each is K(alpha) - alpha'x0.
         rng = np.random.default_rng(13)
         m = DenseMap(rng.standard_normal((6, 2)))
         x0 = sample(TRUNCATED_GAUSSIAN, rng, 6)
@@ -107,9 +109,16 @@ class TestFeasibleBatch:
             alphas.append(np.array(alpha))
             return real(alpha)
 
+        def separate(alpha):
+            raise AssertionError("a prior evaluation besides cgf_derivs")
+
         monkeypatch.setattr(TRUNCATED_GAUSSIAN, "cgf_derivs", recording)
+        for name in ("cgf", "activation", "activation_deriv", "activation_derivs", "cgf_third_deriv"):
+            monkeypatch.setattr(TRUNCATED_GAUSSIAN, name, separate)
         sol = solve_saddle(m, TRUNCATED_GAUSSIAN, m.forward(x0)[None])
+        monkeypatch.undo()
         assert sol.errors == [None]
+        np.testing.assert_array_equal(alphas[-1], sol.alpha)
         path = np.array([np.sum(TRUNCATED_GAUSSIAN.cgf(a)) - np.sum(a @ x0) for a in alphas])
         assert len(path) == sol.iterations + 1 > 1
         assert np.all(np.diff(path) < 0.0)
@@ -138,13 +147,13 @@ class TestInfeasibleTargets:
 class FragileTruncatedGaussian(TruncatedGaussianPrior):
     """A prior whose activation turns NaN past a = 2, as an overflow would.
 
-    The NaN goes into the fused evaluation, which the activation and
-    ``cgf_derivs`` read too.
+    The NaN goes into the fused evaluation ``cgf_derivs``, which every
+    other tg function reads.
     """
 
-    def activation_derivs(self, a):
-        k1, k2 = super().activation_derivs(a)
-        return np.where(np.asarray(a) > 2.0, np.nan, k1), k2
+    def cgf_derivs(self, a):
+        k, k1, k2 = super().cgf_derivs(a)
+        return k, np.where(np.asarray(a) > 2.0, np.nan, k1), k2
 
 
 class TestNonFiniteResidual:
