@@ -188,7 +188,9 @@ def build_from_config(cfg, rng, x_train):
     """The untrained network of ``cfg``, standardized on the rows ``x_train`` if it asks."""
     standardize = None
     if _typed(cfg["standardize"], "standardize", bool):
-        standardize = (x_train.mean(axis=0), x_train.std(axis=0))
+        # sigma = 1 for a column with no spread beyond rounding, a constant one
+        mu, sd = x_train.mean(axis=0), x_train.std(axis=0)
+        standardize = (mu, np.where(sd > 1e-12 * np.abs(mu), sd, 1.0))
     c = _typed(cfg["C"], "C", float)
     level = _typed(cfg["L"], "L", float)
     if cfg["arch"] == "wordpair":

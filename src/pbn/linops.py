@@ -23,7 +23,8 @@ updates in place, and ``refresh`` then writes the new parameters into
 the stored matrix and drops the other caches.  ``GramFactor`` factors
 a map's unit Gram matrix W'W, the curvature of a Gaussian-prior layer,
 in the buffer that formed it (one syrk product, or for a convolution
-the products of the block pairs whose spans meet, in block order);
+the products of the block pairs whose spans meet, in block order), and
+inverts it on and below the diagonal by a blocked triangular inverse;
 ``GramStack`` factors the weighted W' diag(w) W of each row of a weight
 stack, the curvature under any other prior, in one batched call, solves
 with each factor, and forms W S^-1 only when asked.
@@ -33,8 +34,8 @@ import functools
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.blas import dsymm, dtrmm
+from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dtrtri
 
 from .errors import ShapeMismatchError, SingularityError
 
@@ -52,17 +53,23 @@ def _readonly(a):
     return out
 
 
-def _mirror_lower(a):
-    """Copy the lower triangle of the square array ``a`` onto its upper triangle, in place.
+def _invert_lower(c, lo, hi):
+    """Invert the lower triangle of c[lo:hi, lo:hi] in place, leaving the entries above it.
 
-    Each block of 64 columns copies its panel below the diagonal block
-    as one transposed slice; only the diagonal blocks take temporaries.
+    A 2x2 block recursion: with both diagonal blocks A and D inverted,
+    the block C below A becomes -D^-1 C A^-1 by two trmm calls, near
+    GEMM speed; blocks of at most 64 rows go to LAPACK trtri.
     """
-    for j in range(0, len(a), 64):
-        e = j + 64
-        d = a[j:e, j:e]
-        d[...] = np.tril(d) + np.tril(d, -1).T
-        a[j:e, e:] = a[e:, j:e].T
+    if hi - lo <= 64:
+        c[lo:hi, lo:hi], info = dtrtri(c[lo:hi, lo:hi], lower=1)
+        if info != 0:
+            raise SingularityError(f"gram inverse failed: LAPACK trtri info {info}")
+        return
+    m = (lo + hi) // 2
+    _invert_lower(c, lo, m)
+    _invert_lower(c, m, hi)
+    b = dtrmm(1.0, c[lo:m, lo:m], c[m:hi, lo:m], side=1, lower=1)
+    c[m:hi, lo:m] = dtrmm(-1.0, c[m:hi, m:hi], b, lower=1, overwrite_b=1)
 
 
 class LinearMap:
@@ -105,15 +112,11 @@ class LinearMap:
         """d(log det W'W)/dparams / 2, the fold of W S^-1, kept and dropped with ``gram``.
 
         The map keeps it, not the factor, so that a factor holds no
-        reference back to its map.
+        reference back to its map; the fold reads S^-1's lower triangle.
         """
         g = self._logdet_fold(self.gram)
         g.flags.writeable = False
         return g
-
-    def _logdet_fold(self, gram):
-        """The fold of W S^-1 for the unit factor ``gram`` of this map."""
-        return self.fold(self.materialize(), gram.inv)
 
     def with_shared_params(self, params):
         """A sibling map whose parameters are the read-only view ``params`` itself, not a copy.
@@ -189,6 +192,10 @@ class DenseMap(LinearMap):
 
     def fold(self, left, right):
         return left.T @ right
+
+    def _logdet_fold(self, gram):
+        """W S^-1 itself, as (S^-1 W')' by symm from the lower triangle of S^-1."""
+        return dsymm(1.0, gram._inverse(), self._params.T, lower=1).T
 
     def collect_matrix_grad(self, g):
         g = np.asarray(g, dtype=np.float64)
@@ -389,11 +396,12 @@ class ConvMap(LinearMap):
         return s
 
     def _logdet_fold(self, gram):
-        """The fold of W S^-1, from S^-1 in the block order of the unit factor ``gram``.
+        """The fold of W S^-1, from the lower triangle of S^-1 in the block order of ``gram``.
 
         Block t of W S^-1 sums S^-1 against only the blocks whose spans
         meet block t's, each over the inputs the two spans share; the
-        pair (t, t) covers all of block t and writes it first.
+        pair (t, t) covers all of block t and writes it first, and a pair
+        t < u reads the (u, t) block of S^-1, transposed.
         """
         spans, pos, size, _, _, pairs = self._layout
         inv = gram._inverse()
@@ -401,10 +409,10 @@ class ConvMap(LinearMap):
         out = np.empty(size)
         views = self._views(out)
         for t, u, ct, cu in pairs:
-            part = inv[spans[t][3], spans[u][3]]
             if t == u:
-                np.matmul(part, blocks[u], out=views[t])
+                views[t][...] = dsymm(1.0, inv[spans[t][3], spans[t][3]], blocks[t].T, side=1, lower=1).T
             else:
+                part = inv[spans[t][3], spans[u][3]] if t > u else inv[spans[u][3], spans[t][3]].T
                 views[t][:, ct] += part @ blocks[u][:, cu]
         return self._collect(out[pos])
 
@@ -444,11 +452,10 @@ class GramFactor:
     its diagonal, so a finite trace means a finite S.
 
     A map keeps its factor (``LinearMap.gram``), which so lives exactly
-    as long as the map's parameters.  A factor keeps S^-1 in output
-    order (``inv``, from the Cholesky factor by LAPACK potri) once a
-    caller has asked for it; the map folds S^-1 with W onto its
-    parameters (``LinearMap.logdet_grad``), so no dense W S^-1 is
-    formed.  ``solve`` stays a pair of triangular solves.
+    as long as the map's parameters.  The map folds the lower triangle
+    of S^-1 (``_inverse``) with W onto its parameters
+    (``LinearMap.logdet_grad``), so neither a dense W S^-1 nor a whole
+    S^-1 is formed.  ``solve`` stays a pair of triangular solves.
     """
 
     def __init__(self, map_):
@@ -466,34 +473,25 @@ class GramFactor:
         piv = np.diagonal(c)
         if np.any(piv * piv < 1e-12 * trace / map_.n_out):
             raise SingularityError("gram matrix is numerically singular")
-        self._factor = (c, True)
+        self._chol = c
         self.logdet = float(2.0 * np.sum(np.log(piv)))
 
     def solve(self, r):
         """Solve S u = r for one vector or for each row of a (B, n_out) stack."""
-        # the factor is finite by construction, and so is every right-hand side
         b = np.asarray(r, dtype=np.float64).T
         if self._order is None:
-            return cho_solve(self._factor, b, check_finite=False).T
-        return cho_solve(self._factor, b[self._order], check_finite=False)[self._back].T
+            return dpotrs(self._chol, b, lower=1)[0].T
+        return dpotrs(self._chol, b[self._order], lower=1)[0][self._back].T
 
     def _inverse(self):
-        """S^-1 in the factor's order: potri writes the lower triangle into a
-        copy of the factor, which the solves still read, and it is mirrored in place."""
-        inv, info = dpotri(self._factor[0], lower=1)
-        if info != 0:
-            raise SingularityError(f"gram inverse failed: LAPACK potri info {info}")
-        _mirror_lower(inv)
-        return inv
+        """S^-1 on and below the diagonal, in the factor's order; above it, not S^-1.
 
-    @functools.cached_property
-    def inv(self):
-        """S^-1 in output order (symmetric, read-only), computed on first use and kept."""
-        inv = self._inverse()
-        if self._back is not None:
-            inv = inv[np.ix_(self._back, self._back)]
-        inv.flags.writeable = False
-        return inv
+        The Cholesky factor L is inverted in a copy, which the solves
+        still read, and LAPACK lauum forms L^-T L^-1 in place.
+        """
+        c = self._chol.copy(order="F")
+        _invert_lower(c, 0, len(c))
+        return dlauum(c, lower=1, overwrite_c=1)[0]
 
 
 class GramStack:

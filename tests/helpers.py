@@ -1,4 +1,4 @@
-"""Shared oracles and toy fixtures, independent of the package internals."""
+"""Shared oracles and toy fixtures, independent of the package internals but for ``full_inverse``."""
 
 import math
 import struct
@@ -15,6 +15,13 @@ DEEP_PROFILE = "pbn-deep"
 def examples(local):
     """A property test's example budget: ``local``, or the deep profile's when that is loaded."""
     return settings.default.max_examples if settings.get_current_profile_name() == DEEP_PROFILE else local
+
+
+def full_inverse(factor):
+    """The whole S^-1 of a GramFactor in output order, mirrored from the lower triangle it forms."""
+    inv = np.tril(factor._inverse())
+    inv += np.tril(inv, -1).T
+    return inv if factor._back is None else inv[np.ix_(factor._back, factor._back)]
 
 
 def scalar_pdf(kind, x):

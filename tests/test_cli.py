@@ -24,7 +24,7 @@ from pbn import (
     saddlepoint,
     save_model,
 )
-from pbn.cli import _keep_freed_memory, _read_csv, main, parse_config
+from pbn.cli import _keep_freed_memory, _read_csv, build_from_config, main, parse_config
 from pbn.errors import ConfigError, PbnError
 from pbn.features import extract_directory, read_archive, write_archive_binary, write_archive_text
 from pbn.linops import ConvMap, GramStack
@@ -549,6 +549,21 @@ class TestTrain:
         assert cfg["arch"] == "wordpair"
         assert cfg["C"] == "200"
         assert cfg["L"] == "1"
+
+    def test_a_constant_training_column_keeps_unit_scale(self):
+        # sigma = 1: the column adds nothing to log_standardize (a 1e-12
+        # floor would add 27.6), and a held-out deviation keeps its size
+        rng = np.random.default_rng(3)
+        x = rng.uniform(1.0, 2.0, (20, 900))
+        x[:, 7] = 0.1
+        net = build_from_config(parse_config(None), rng, x)
+        mu, sigma = net.standardize
+        assert sigma[7] == 1.0
+        assert np.array_equal(np.delete(sigma, 7), np.delete(x.std(axis=0), 7))
+        assert net.log_standardize == pytest.approx(-np.sum(np.log(np.delete(sigma, 7))), rel=1e-14)
+        held_out = x[:1].copy()
+        held_out[0, 7] = 0.6
+        assert net.standardized(held_out)[0, 7] == pytest.approx(0.5, rel=1e-12)
 
 
 class TestEval:

@@ -6,8 +6,10 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 
 import oracle
+from helpers import full_inverse
 from pbn import gradient, training
 from pbn.errors import ShapeMismatchError, SingularityError
 from pbn.linops import ConvMap, DenseMap, GramFactor, GramStack
@@ -28,16 +30,15 @@ def make_conv(rng, cfg):
     return ConvMap(k, cfg["in_shape"], cfg["strides"])
 
 
-def assert_kept_inverse_matches_triangular_solves(f, rtol):
+def assert_inverse_matches_triangular_solves(f, rtol):
     """S^-1 of a factor against the triangular solves on its own Cholesky factor.
 
-    ``solve`` takes output order, as ``inv`` does, whatever order the
-    factor was formed in.
+    ``solve`` takes output order, as ``full_inverse`` does, whatever
+    order the factor was formed in.
     """
-    want = f.solve(np.eye(len(f.inv)))
-    assert np.max(np.abs(f.inv - want)) <= rtol * np.max(np.abs(want))
-    assert not f.inv.flags.writeable
-    np.testing.assert_array_equal(f.inv, f.inv.T)
+    inv = full_inverse(f)
+    want = f.solve(np.eye(len(inv)))
+    assert np.max(np.abs(inv - want)) <= rtol * np.max(np.abs(want))
 
 
 def brute_conv_matrix(k, in_shape, strides):
@@ -395,13 +396,13 @@ class TestGramFactor:
         m = DenseMap(rng.standard_normal((6, 2)))
         f = GramFactor(m)
         a = m.materialize()
-        c = np.tril(f._factor[0])
+        c = np.tril(f._chol)
         assert_allclose(c @ c.T, a @ a.T, atol=1e-14)
 
     @pytest.mark.parametrize("layer", [0, 1])
     def test_kept_inverse_on_wordpair_convs(self, layer):
         net = wordpair_network(np.random.default_rng(16))
-        assert_kept_inverse_matches_triangular_solves(GramFactor(net.layers[layer].map), 1e-12)
+        assert_inverse_matches_triangular_solves(GramFactor(net.layers[layer].map), 1e-12)
 
     def test_kept_inverse_on_weighted_dense_map(self):
         # a weighted curvature is a row of a GramStack: W S^-1 from its
@@ -424,7 +425,40 @@ class TestGramFactor:
         a = m.materialize()
         cond = np.linalg.cond(a @ a.T)
         assert 0.5e6 < cond < 2e6
-        assert_kept_inverse_matches_triangular_solves(f, 16 * np.finfo(float).eps * cond)
+        assert_inverse_matches_triangular_solves(f, 16 * np.finfo(float).eps * cond)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 405])
+    def test_blocked_inverse_matches_potri(self, n):
+        # 64 rows is the largest leaf of the block recursion, so these sizes
+        # cover a leaf, one split and deeper recursions; cond(S) = 1e6 from n = 2
+        rng = np.random.default_rng(n)
+        q_in, _ = np.linalg.qr(rng.standard_normal((n + 8, n)))
+        q_out, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        m = DenseMap((q_in * np.logspace(0.0, 3.0, n)) @ q_out.T)
+        a = m.materialize()
+        lower, info = dpotri(cho_factor(a @ a.T, lower=True)[0], lower=True)
+        assert info == 0
+        want = np.tril(lower)
+        want += np.tril(want, -1).T
+        bound = 16 * np.finfo(float).eps * np.linalg.cond(a @ a.T)
+        assert np.max(np.abs(full_inverse(GramFactor(m)) - want)) <= bound * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_logdet_fold_reads_only_the_lower_triangle(self, layer, monkeypatch):
+        # layers 1 and 2 are conv maps, layer 3 a dense one
+        map_ = wordpair_network(np.random.default_rng(20)).layers[layer].map
+        want = map_.with_params(map_.params).logdet_grad
+        inverse = GramFactor._inverse
+
+        def poisoned(self):
+            inv = inverse(self)
+            inv[np.triu_indices(len(inv), 1)] = np.nan
+            return inv
+
+        monkeypatch.setattr(GramFactor, "_inverse", poisoned)
+        got = map_.logdet_grad
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got, want)
 
     def test_weighted_gram_is_the_symmetric_product(self):
         # a stack keeps only the factor, so the factor is held to that of the product

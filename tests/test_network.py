@@ -15,6 +15,7 @@ from pbn.errors import (
 )
 from pbn.linops import DenseMap
 from pbn.network import (
+    SIGMA_FLOOR,
     LayerSpec,
     Network,
     OutputPriorConfig,
@@ -350,6 +351,15 @@ class TestValidation:
 
 
 class TestSerialization:
+    def test_a_loaded_zero_sigma_is_floored(self):
+        rng = np.random.default_rng(45)
+        net = linear_chain(rng, (8, 5, 3), standardize=(np.zeros(8), np.ones(8)))
+        doc = network_to_dict(net)
+        doc["standardize"]["sigma"][3] = 0.0
+        loaded = network_from_dict(doc)
+        assert loaded.standardize[1][3] == SIGMA_FLOOR
+        assert loaded.log_standardize == -np.log(SIGMA_FLOOR)
+
     def test_round_trip_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(16)
         net = wordpair_network(rng, standardize=(rng.standard_normal(900), rng.uniform(0.5, 2, 900)))
