@@ -184,13 +184,21 @@ def _parse_layers(text):
     return cfgs
 
 
+def _mean_and_spread(values, axis=None):
+    """(mean, standard deviation) of ``values``, with sigma = 1 where there is no spread.
+
+    A spread of at most 1e-12 |mean| is the mean's own rounding, so a
+    constant column or score family standardizes to about 0.
+    """
+    mu, sd = values.mean(axis=axis), values.std(axis=axis)
+    return mu, np.where(sd > 1e-12 * np.abs(mu), sd, 1.0)
+
+
 def build_from_config(cfg, rng, x_train):
     """The untrained network of ``cfg``, standardized on the rows ``x_train`` if it asks."""
     standardize = None
     if _typed(cfg["standardize"], "standardize", bool):
-        # sigma = 1 for a column with no spread beyond rounding, a constant one
-        mu, sd = x_train.mean(axis=0), x_train.std(axis=0)
-        standardize = (mu, np.where(sd > 1e-12 * np.abs(mu), sd, 1.0))
+        standardize = _mean_and_spread(x_train, axis=0)
     c = _typed(cfg["C"], "C", float)
     level = _typed(cfg["L"], "L", float)
     if cfg["arch"] == "wordpair":
@@ -505,9 +513,7 @@ def cmd_outofset(args):
 
 
 def _standardize_on(values, mask):
-    pool = values[mask] if mask.any() else values
-    mu = float(np.mean(pool))
-    sigma = max(float(np.std(pool)), 1e-12)
+    mu, sigma = _mean_and_spread(values[mask] if mask.any() else values)
     return (values - mu) / sigma
 
 

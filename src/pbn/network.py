@@ -81,26 +81,21 @@ def label_signal(label, n_classes, level):
 def output_shift(z, signal, c, level):
     """Monotone shift x = z + C (sigma(3z) - 1/2) - s (level + C/2)/level.
 
-    Under the hypothesis encoded by ``signal`` the shifted output is
-    pulled toward zero exactly when z sits near its target level, so a
-    standard normal prior on x rewards the matching hypothesis.  The
-    slope 1 + 3C sigma'(3z) is at least 1, hence the map is invertible
-    for any C >= 0.
+    Returns x, its slope 1 + 3C sigma'(3z) and the slope's derivative
+    (the curvature the training sweep needs), all from one sigma.  Under
+    the hypothesis encoded by ``signal`` the shifted output is pulled
+    toward zero exactly when z sits near its target level, so a standard
+    normal prior on x rewards the matching hypothesis.  The slope is at
+    least 1, hence the map is invertible for any C >= 0.
     """
     z = np.asarray(z, dtype=np.float64)
     s = np.asarray(signal, dtype=np.float64)
-    return z + c * (expit(3.0 * z) - 0.5) - s * (level + 0.5 * c) / level
-
-
-def output_shift_slope(z, c):
-    sig = expit(3.0 * np.asarray(z, dtype=np.float64))
-    return 1.0 + 3.0 * c * sig * (1.0 - sig)
-
-
-def output_shift_curvature(z, c):
-    """d slope / d z, needed by the training sweep."""
-    sig = expit(3.0 * np.asarray(z, dtype=np.float64))
-    return 9.0 * c * sig * (1.0 - sig) * (1.0 - 2.0 * sig)
+    sig = expit(3.0 * z)
+    return (
+        z + c * (sig - 0.5) - s * (level + 0.5 * c) / level,
+        1.0 + 3.0 * c * sig * (1.0 - sig),
+        9.0 * c * sig * (1.0 - sig) * (1.0 - 2.0 * sig),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +322,7 @@ class Network:
             zs.append(z)
             slope = None
             if spec.activation in INNER_ACTIVATIONS:
-                x, slope = activation_prior(spec.activation).activation_derivs(z)
+                _, x, slope = activation_prior(spec.activation).cgf_derivs(z)
             slopes.append(slope)
         return xs, zs, slopes
 
@@ -400,9 +395,9 @@ class Network:
                 raise ConfigError("network has an output prior; a label hypothesis is required")
             cfg = self.output_prior
             signal = label_signal(labels, cfg.n_classes, cfg.level)
-            x_out = output_shift(z_last, signal, cfg.c, cfg.level)
+            x_out, slope, _ = output_shift(z_last, signal, cfg.c, cfg.level)
             # An output prior comes with a shift on the last layer (see __init__).
-            shift_jac = np.sum(np.log(output_shift_slope(z_last, cfg.c)), axis=1)
+            shift_jac = np.sum(np.log(slope), axis=1)
             log_jacobians = log_jacobians[:-1] + [shift_jac]
         return LikelihoodTerms(
             log_priors=log_priors,
@@ -457,10 +452,10 @@ class Network:
 # builders
 
 
-def scaled_uniform_init(rng, map_, shape=None):
-    """LeCun-style U(-a, a) with a = sqrt(3/fan_in)."""
+def scaled_uniform_init(rng, map_):
+    """LeCun-style U(-a, a) with a = sqrt(3/fan_in), one draw per parameter of ``map_``."""
     a = math.sqrt(3.0 / map_.fan_in)
-    return rng.uniform(-a, a, map_.params.shape if shape is None else shape)
+    return rng.uniform(-a, a, map_.params.shape)
 
 
 def build_network(input_shape, layer_cfgs, rng, output_prior=None, standardize=None):

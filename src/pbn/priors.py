@@ -1,22 +1,21 @@
 """Scalar maximum-entropy priors and their calculus.
 
-Each prior couples four functions of a scalar that the rest of the
-package builds on.  They act elementwise on arrays of any shape, as does
-``activation_inverse``; a Python scalar becomes a 0-d array, so it needs
-no special case and gives a 0-d result:
+Each prior gives its cumulant generating function and the derivatives
+the rest of the package builds on through two functions.  They act
+elementwise on arrays of any shape, as does ``activation_inverse``; a
+Python scalar becomes a 0-d array, so it needs no special case and gives
+a 0-d result:
 
-* ``cgf``              k(a)  = log E[exp(a*x)] under the prior,
-* ``activation``       k'(a), the mean of the exponentially tilted prior,
-* ``activation_deriv`` k''(a), its variance (always strictly positive),
-* ``cgf_third_deriv``  k'''(a), needed for curvature gradients.
+* ``cgf_derivs``       (k(a), k'(a), k''(a)) in one pass, with
+  k(a) = log E[exp(a*x)] under the prior, k'(a) the activation (the
+  mean of the exponentially tilted prior) and k''(a) its slope and
+  variance (always strictly positive),
+* ``cgf_third_deriv``  k'''(a), needed only for curvature gradients.
 
-``activation_derivs`` returns k' and k'' of one array together, and
-``cgf_derivs`` returns k, k' and k'', each bit for bit what its own
-function gives.  Every trial point of a saddle solve needs all three,
-and reads them from ``cgf_derivs`` alone.  The truncated Gaussian
-computes them in one pass, from one erfcx per element, which k and the
-inverse Mills ratio share; its cgf, activation and activation derivative
-read that same pass.
+Every trial point of a saddle solve and every layer of a forward pass
+reads k, k' and k'' from ``cgf_derivs`` alone.  The truncated Gaussian
+computes them from one erfcx per element, which k and the inverse Mills
+ratio share; the uniform prior shares one expm1 between k and k'.
 
 Three priors are provided:
 
@@ -40,8 +39,8 @@ Phi(a) underflows (direct evaluation dies near a = -38).  Below a = -5 its
 closed forms for k', k'' and k''' cancel (k'(a) = a + r(a) ~ -1/a), so
 there all three come from the continued fraction of k' instead.  The
 uniform-prior functions switch to Taylor series around a = 0 where the
-closed forms cancel catastrophically.  All four functions of every prior are finite
-and NaN-free at least on [-700, 700].
+closed forms cancel catastrophically.  k, k', k'' and k''' of every
+prior are finite and NaN-free at least on [-700, 700].
 """
 
 import math
@@ -104,24 +103,15 @@ def _bracketed_newton(f_df, y, lo, hi, *, max_iter=140, tol=1e-13):
 class ScalarPrior:
     """Interface shared by the three maximum-entropy priors.
 
-    A prior has a ``kind`` and an ``activation_tag`` (the table above),
-    the four elementwise functions ``cgf``, ``activation``,
-    ``activation_deriv`` and ``cgf_third_deriv``, and
-    ``activation_inverse``, which raises DomainError outside the range
-    of the activation.  On a stack of rows, ``log_density`` gives the
-    log prior density of each row (-inf where any element leaves the
-    support) and ``in_support`` whether each row lies in the open
-    support, one vector giving a 0-d array; ``grad_log_density`` is the
-    elementwise gradient of the log density.
+    A prior has a ``kind`` and an ``activation_tag`` (the table above)
+    and six members.  ``cgf_derivs`` and ``cgf_third_deriv`` are
+    elementwise (see above), and ``activation_inverse`` inverts k',
+    raising DomainError outside its range.  On a stack of rows,
+    ``log_density`` gives the log prior density of each row (-inf where
+    any element leaves the support) and ``in_support`` whether each row
+    lies in the open support, one vector giving a 0-d array;
+    ``grad_log_density`` is the elementwise gradient of the log density.
     """
-
-    def activation_derivs(self, a):
-        """(k'(a), k''(a)), each bit for bit what its own function gives."""
-        return self.activation(a), self.activation_deriv(a)
-
-    def cgf_derivs(self, a):
-        """(k(a), k'(a), k''(a)), each bit for bit what its own function gives."""
-        return self.cgf(a), *self.activation_derivs(a)
 
     def __repr__(self):
         return f"<{type(self).__name__} kind={self.kind!r}>"
@@ -133,17 +123,9 @@ class GaussianPrior(ScalarPrior):
     kind = "gaussian"
     activation_tag = "linear"
 
-    def cgf(self, a):
+    def cgf_derivs(self, a):
         a = np.asarray(a, dtype=np.float64)
-        return 0.5 * a * a
-
-    def activation(self, a):
-        a = np.asarray(a, dtype=np.float64)
-        return a.copy()
-
-    def activation_deriv(self, a):
-        a = np.asarray(a, dtype=np.float64)
-        return np.ones_like(a)
+        return 0.5 * a * a, a.copy(), np.ones_like(a)
 
     def cgf_third_deriv(self, a):
         a = np.asarray(a, dtype=np.float64)
@@ -282,31 +264,17 @@ class TruncatedGaussianPrior(ScalarPrior):
 
     Up to a = 26, k is log erfcx(-a/sqrt(2)) and r is sqrt(2/pi) over
     the same erfcx; below a = -5 the three derivatives come from the
-    continued fraction of k' (``_tg_fraction``).  k, k' and k'' are read
-    off the fused ``cgf_derivs`` (``_tg_derivs``), so each formula is
-    written once.
+    continued fraction of k' (``_tg_fraction``).
     """
 
     kind = "truncated_gaussian"
     activation_tag = "tg"
 
-    def cgf(self, a):
-        return self.cgf_derivs(a)[0]
-
-    def activation(self, a):
-        return self.cgf_derivs(a)[1]
-
-    def activation_deriv(self, a):
-        return self.cgf_derivs(a)[2]
+    def cgf_derivs(self, a):
+        return _tg_derivs(a)
 
     def cgf_third_deriv(self, a):
         return _tg_k3(a)
-
-    def activation_derivs(self, a):
-        return self.cgf_derivs(a)[1:]
-
-    def cgf_derivs(self, a):
-        return _tg_derivs(a)
 
     def activation_inverse(self, y):
         y = np.asarray(y, dtype=np.float64)
@@ -314,7 +282,7 @@ class TruncatedGaussianPrior(ScalarPrior):
             raise DomainError("tg activation inverse requires values in (0, inf)")
         # lambda(-1/y) < y < lambda(y + 1) holds for every y > 0 (Mills
         # ratio bound r(-t) < t + 1/t), so the bracket needs no search.
-        return _bracketed_newton(self.activation_derivs, y, -1.0 / y, y + 1.0)
+        return _bracketed_newton(lambda v: self.cgf_derivs(v)[1:], y, -1.0 / y, y + 1.0)
 
     def log_density(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -380,45 +348,29 @@ class UniformPrior(ScalarPrior):
     kind = "uniform"
     activation_tag = "ted"
 
-    def cgf(self, a):
+    def cgf_derivs(self, a):
         a = np.asarray(a, dtype=np.float64)
-        out = np.full_like(a, np.nan)  # NaN stays NaN
+        k, k1 = np.full_like(a, np.nan), np.full_like(a, np.nan)  # NaN stays NaN
         small = np.abs(a) < 5e-3
         s = a[small]
-        out[small] = 0.5 * s + s * s / 24.0 - s**4 / 2880.0
+        k[small] = 0.5 * s + s * s / 24.0 - s**4 / 2880.0
+        k1[small] = 0.5 + s / 12.0 - s**3 / 720.0 + s**5 / 30240.0
         pos = (~small) & (a > 0.0)
         p = a[pos]
-        out[pos] = p + np.log(-np.expm1(-p)) - np.log(p)
+        e = -np.expm1(-p)
+        k[pos], k1[pos] = p + np.log(e) - np.log(p), 1.0 / e - 1.0 / p
         neg = (~small) & (a < 0.0)
         m = a[neg]
-        out[neg] = np.log(-np.expm1(m)) - np.log(-m)
-        return out
-
-    def activation(self, a):
-        a = np.asarray(a, dtype=np.float64)
-        out = np.full_like(a, np.nan)  # NaN stays NaN
-        small = np.abs(a) < 5e-3
-        s = a[small]
-        out[small] = 0.5 + s / 12.0 - s**3 / 720.0 + s**5 / 30240.0
-        pos = (~small) & (a > 0.0)
-        p = a[pos]
-        out[pos] = 1.0 / (-np.expm1(-p)) - 1.0 / p
-        neg = (~small) & (a < 0.0)
-        m = a[neg]
-        out[neg] = np.exp(m) / np.expm1(m) - 1.0 / m
-        return out
-
-    def activation_deriv(self, a):
-        a = np.asarray(a, dtype=np.float64)
-        out = np.empty_like(a)
+        e = np.expm1(m)
+        k[neg], k1[neg] = np.log(-e) - np.log(-m), np.exp(m) / e - 1.0 / m
+        k2 = np.empty_like(a)
         small = np.abs(a) < _UNIFORM_SERIES_WINDOW
-        out[small] = _series_in_square(_UNIFORM_K2_SERIES, a[small])
-        rest = ~small
-        r = a[rest]
+        k2[small] = _series_in_square(_UNIFORM_K2_SERIES, a[small])
+        r = a[~small]
         with np.errstate(over="ignore"):
             sh = np.sinh(0.5 * r)
-            out[rest] = 1.0 / (r * r) - 1.0 / (4.0 * sh * sh)
-        return out
+            k2[~small] = 1.0 / (r * r) - 1.0 / (4.0 * sh * sh)
+        return k, k1, k2
 
     def cgf_third_deriv(self, a):
         a = np.asarray(a, dtype=np.float64)
@@ -441,7 +393,7 @@ class UniformPrior(ScalarPrior):
         if not np.all(np.isfinite(y)) or np.any(y <= 0.0) or np.any(y >= 1.0):
             raise DomainError("ted activation inverse requires values in (0, 1)")
         # lambda(-1/y) < y and lambda(1/(1-y)) > y hold for all y in (0, 1).
-        return _bracketed_newton(self.activation_derivs, y, -1.0 / y, 1.0 / (1.0 - y))
+        return _bracketed_newton(lambda v: self.cgf_derivs(v)[1:], y, -1.0 / y, 1.0 / (1.0 - y))
 
     def log_density(self, x):
         return np.where(self.in_support(x), 0.0, -np.inf)

@@ -20,11 +20,7 @@ range) in the walk's error list.
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeMismatchError
-from .network import (
-    label_signal,
-    output_shift_slope,
-    output_shift,
-)
+from .network import label_signal, output_shift
 from .priors import _bracketed_newton, activation_prior
 from .saddlepoint import solve_saddle
 
@@ -44,7 +40,7 @@ def invert_output_shift(x_out, signal, c, level):
     s = np.broadcast_to(np.asarray(signal, dtype=np.float64), x.shape)
     y = x + s * (level + 0.5 * c) / level
     # z + C (sigma(3z) - 1/2) = y, the label offset moved to the right-hand side
-    f_df = lambda z: (output_shift(z, 0.0, c, level), output_shift_slope(z, c))
+    f_df = lambda z: output_shift(z, 0.0, c, level)[:2]
     return _bracketed_newton(f_df, y, y - 0.5 * c - 1.0, y + 0.5 * c + 1.0)
 
 

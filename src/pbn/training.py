@@ -54,8 +54,6 @@ from .network import (
     Network,
     label_signal,
     output_shift,
-    output_shift_curvature,
-    output_shift_slope,
     row_chunks,
 )
 from .priors import activation_prior
@@ -151,9 +149,8 @@ def gradient(net, x_raw, label=None, trace=None):
     else:
         cfg = net.output_prior
         signal = label_signal(np.atleast_1d(label)[idx], cfg.n_classes, cfg.level)
-        x_out = output_shift(z_last, signal, cfg.c, cfg.level)
-        slope = output_shift_slope(z_last, cfg.c)
-        bar_z = -x_out * slope + output_shift_curvature(z_last, cfg.c) / slope
+        x_out, slope, curvature = output_shift(z_last, signal, cfg.c, cfg.level)
+        bar_z = -x_out * slope + curvature / slope
 
     bar_x = None
     for l in range(depth, 0, -1):

@@ -4,8 +4,9 @@ Hypothesis keeps generating random examples, but a failure also prints
 its ``@reproduce_failure`` blob, so a falsifying example survives a
 cleared example database or a cut log.  The ``pbn`` profile is loaded
 unless pytest's ``--hypothesis-profile`` names another.  The deeper
-``pbn-deep`` profile runs 1,000 examples of each batched-vs-oracle
-property of ``test_batch.py`` (see ``helpers.examples``).
+``pbn-deep`` profile runs 1,000 examples of each property that takes its
+budget from ``helpers.examples``: the batched-vs-oracle properties of
+``test_batch.py`` and the prior properties of ``test_priors.py``.
 """
 
 from helpers import DEEP_PROFILE

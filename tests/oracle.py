@@ -41,8 +41,6 @@ from pbn.network import (
     LOG_2PI,
     label_signal,
     output_shift,
-    output_shift_curvature,
-    output_shift_slope,
 )
 from pbn.priors import activation_prior
 from pbn.training import TrainResult
@@ -117,20 +115,20 @@ def solve_saddle(map_, prior, z, *, max_iter=200, tol=1e-9, label="saddle"):
     halvings = 0
     for it in range(max_iter + 1):
         alpha = map_.adjoint(h)
-        lam = prior.activation(alpha)
+        lam = prior.cgf_derivs(alpha)[1]
         resid = z - map_.forward(lam)
-        cgf = prior.cgf(alpha)
+        cgf = prior.cgf_derivs(alpha)[0]
         objective = float(np.sum(cgf) - h @ z)
         flat = 16.0 * np.finfo(np.float64).eps * float(np.sum(np.abs(cgf)) + np.abs(h) @ np.abs(z))
         rmax = float(np.max(np.abs(resid)))
         if not math.isfinite(rmax):
             raise ReconstructionError(f"{label}: non-finite residual", iterations=it, residual=rmax)
         if rmax <= tol * scale:
-            curv = _factor(map_, prior.activation_deriv(alpha), label, it, rmax)
+            curv = _factor(map_, prior.cgf_derivs(alpha)[2], label, it, rmax)
             return Solution(h, alpha, lam, curv, objective, it, halvings)
         if it == max_iter:
             break
-        curv = _direction_factor(map_, prior.activation_deriv(alpha), label, it, rmax)
+        curv = _direction_factor(map_, prior.cgf_derivs(alpha)[2], label, it, rmax)
         delta = curv.solve(resid)
         cap = max(25.0, 2.0 * float(np.max(np.abs(alpha))))
         move = float(np.max(np.abs(map_.adjoint(delta))))
@@ -141,7 +139,7 @@ def solve_saddle(map_, prior, z, *, max_iter=200, tol=1e-9, label="saddle"):
         t, judge = 1.0, True
         for attempt in range(60):
             cand = h + t * delta
-            change = float(np.sum(prior.cgf(map_.adjoint(cand))) - cand @ z) - objective
+            change = float(np.sum(prior.cgf_derivs(map_.adjoint(cand))[0]) - cand @ z) - objective
             if change < -flat:
                 h, judge = cand, False
                 break
@@ -151,7 +149,7 @@ def solve_saddle(map_, prior, z, *, max_iter=200, tol=1e-9, label="saddle"):
             halvings += 1
         if judge:
             cand = h + delta
-            cand_rmax = float(np.max(np.abs(z - map_.forward(prior.activation(map_.adjoint(cand))))))
+            cand_rmax = float(np.max(np.abs(z - map_.forward(prior.cgf_derivs(map_.adjoint(cand))[1]))))
             if not (math.isfinite(cand_rmax) and cand_rmax < rmax):
                 raise ReconstructionError(f"{label}: no descent direction", iterations=it, residual=rmax)
             h = cand
@@ -178,14 +176,15 @@ def log_likelihood(net, x_raw, label=None):
     for spec, x, z, sol in zip(net.layers, xs, zs, solutions):
         total += float(spec.input_prior.log_density(x)) - sol.log_density
         if spec.activation in INNER_ACTIVATIONS:
-            total += float(np.sum(np.log(activation_prior(spec.activation).activation_deriv(z))))
+            total += float(np.sum(np.log(activation_prior(spec.activation).cgf_derivs(z)[2])))
     z_last = zs[-1]
     if net.output_prior is None:
         x_out = z_last
     else:
         cfg = net.output_prior
-        x_out = output_shift(z_last, label_signal(label, cfg.n_classes, cfg.level), cfg.c, cfg.level)
-        total += float(np.sum(np.log(output_shift_slope(z_last, cfg.c))))
+        signal = label_signal(label, cfg.n_classes, cfg.level)
+        x_out, slope, _ = output_shift(z_last, signal, cfg.c, cfg.level)
+        total += float(np.sum(np.log(slope)))
     total += -0.5 * x_out.size * LOG_2PI - 0.5 * float(x_out @ x_out)
     return total + net.log_standardize
 
@@ -203,9 +202,9 @@ def gradient(net, x_raw, label=None):
         bar_z = -z_last.copy()
     else:
         cfg = net.output_prior
-        x_out = output_shift(z_last, label_signal(label, cfg.n_classes, cfg.level), cfg.c, cfg.level)
-        slope = output_shift_slope(z_last, cfg.c)
-        bar_z = -x_out * slope + output_shift_curvature(z_last, cfg.c) / slope
+        signal = label_signal(label, cfg.n_classes, cfg.level)
+        x_out, slope, curvature = output_shift(z_last, signal, cfg.c, cfg.level)
+        bar_z = -x_out * slope + curvature / slope
     bar_x = None
     for l in range(net.depth, 0, -1):
         spec = net.layers[l - 1]
@@ -213,10 +212,10 @@ def gradient(net, x_raw, label=None):
         prior = spec.input_prior
         if l < net.depth:
             act = activation_prior(spec.activation)
-            k2z = act.activation_deriv(z)
+            k2z = act.cgf_derivs(z)[2]
             bar_z = bar_x * k2z + act.cgf_third_deriv(z) / k2z
         a = spec.map.materialize()
-        k2 = prior.activation_deriv(sol.alpha)
+        k2 = prior.cgf_derivs(sol.alpha)[2]
         k3 = prior.cgf_third_deriv(sol.alpha)
         p = sol.curvature.solve(a).T
         q = np.einsum("nm,nm->n", a.T, p)

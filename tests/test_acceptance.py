@@ -65,21 +65,14 @@ def test_criterion_02_activation_calculus():
     wide = np.linspace(-700.0, 700.0, 57)
     for kind in PRIOR_KINDS:
         prior = get_prior(kind)
-        for f, fprime in (
-            (prior.cgf, prior.activation),
-            (prior.activation, prior.activation_deriv),
-        ):
+        k_k1_k2 = [lambda a, i=i: prior.cgf_derivs(a)[i] for i in range(3)]
+        for f, fprime in zip(k_k1_k2, k_k1_k2[1:]):
             for a in grid:
                 h = 6e-6 * max(1.0, abs(a))
                 fd = (f(a + h) - f(a - h)) / (2 * h)
                 exact = fprime(a)
                 assert abs(fd - exact) <= 1e-6 * max(abs(exact), 1e-9)
-        for op in (
-            prior.cgf,
-            prior.activation,
-            prior.activation_deriv,
-            prior.cgf_third_deriv,
-        ):
+        for op in (*k_k1_k2, prior.cgf_third_deriv):
             assert np.all(np.isfinite(op(wide)))
     report(2, "three priors, derivative chains < 1e-6 rel on [-30,30], finite on [-700,700]")
 

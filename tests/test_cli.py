@@ -24,7 +24,7 @@ from pbn import (
     saddlepoint,
     save_model,
 )
-from pbn.cli import _keep_freed_memory, _read_csv, build_from_config, main, parse_config
+from pbn.cli import _keep_freed_memory, _read_csv, _standardize_on, build_from_config, main, parse_config
 from pbn.errors import ConfigError, PbnError
 from pbn.features import extract_directory, read_archive, write_archive_binary, write_archive_text
 from pbn.linops import ConvMap, GramStack
@@ -971,6 +971,26 @@ class TestCombine:
         assert len(table) == 11
         assert table[1.0] == 1.0
         assert max(table.values()) >= max(table[0.0], table[1.0])
+
+    def test_score_family_without_spread_moves_no_threshold(self, tmp_path, capsys):
+        # Every ll0 - ll1 is 1234.567, whose mean does not round exactly.  A
+        # family with no spread standardizes to 0 (sigma = 1), so from w > 0
+        # on the external family alone decides, even its scores near 0.
+        assert np.all(np.abs(_standardize_on(np.full(7, 1234.567), np.zeros(7, bool))) < 1e-12)
+        ext = [0.05, -3.0, 0.1, -2.0, 3.0, -0.05, 2.0, -0.1, 1.0, -1.0]
+        scores, external = tmp_path / "scores.csv", tmp_path / "external.csv"
+        scores.write_text("id,label,ll0,ll1\n" + "".join(f"s{i},{i % 2},1234.567,0.0\n" for i in range(10)))
+        external.write_text("id,score\n" + "".join(f"s{i},{v}\n" for i, v in enumerate(ext)))
+        out = str(tmp_path / "sweep.csv")
+        rc, _, _ = run(
+            capsys,
+            "combine", "--scores", str(scores), "--external", str(external),
+            "--sweep", "10", "--out", out,
+        )
+        assert rc == 0
+        body = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")][1:]
+        table = {float(ln.split(",")[0]): float(ln.split(",")[1]) for ln in body}
+        assert all(acc == 1.0 for w, acc in table.items() if w > 0.0)
 
     @pytest.mark.parametrize("sweep", ["0", "-1"])
     def test_sweep_below_one_exits_2(self, tmp_path, capsys, sweep):

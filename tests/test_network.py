@@ -25,8 +25,6 @@ from pbn.network import (
     network_from_dict,
     network_to_dict,
     output_shift,
-    output_shift_curvature,
-    output_shift_slope,
     save_model,
     wordpair_network,
 )
@@ -38,36 +36,36 @@ class TestOutputShift:
 
     def test_frozen_anchors(self):
         s = label_signal(0, 2, self.L)
-        x = output_shift(np.zeros(2), s, self.C, self.L)
+        x = output_shift(np.zeros(2), s, self.C, self.L)[0]
         assert_allclose(x, [-101.0, 101.0], atol=1e-12)
-        x1 = output_shift(np.array([1.0]), np.array([1.0]), self.C, self.L)
+        x1 = output_shift(np.array([1.0]), np.array([1.0]), self.C, self.L)[0]
         assert_allclose(x1, [-9.4851746355133562], rtol=1e-14)
 
     def test_slope_anchors(self):
-        assert_allclose(output_shift_slope(np.array([0.0]), self.C), [151.0], rtol=1e-14)
+        assert_allclose(output_shift(np.array([0.0]), 0.0, self.C, self.L)[1], [151.0], rtol=1e-14)
         assert_allclose(
-            output_shift_slope(np.array([1.0]), self.C), [28.10599583854728], rtol=1e-13
+            output_shift(np.array([1.0]), 0.0, self.C, self.L)[1], [28.10599583854728], rtol=1e-13
         )
 
     def test_slope_and_curvature_match_finite_differences(self):
         z = np.linspace(-3.0, 3.0, 31)
         s = np.ones_like(z)
         h = 1e-6
-        fd_slope = (output_shift(z + h, s, self.C, self.L) - output_shift(z - h, s, self.C, self.L)) / (2 * h)
-        assert_allclose(output_shift_slope(z, self.C), fd_slope, rtol=1e-7)
-        fd_curv = (output_shift_slope(z + h, self.C) - output_shift_slope(z - h, self.C)) / (2 * h)
-        assert_allclose(output_shift_curvature(z, self.C), fd_curv, rtol=1e-6, atol=1e-4)
+        _, slope, curvature = output_shift(z, s, self.C, self.L)
+        up, down = output_shift(z + h, s, self.C, self.L), output_shift(z - h, s, self.C, self.L)
+        assert_allclose(slope, (up[0] - down[0]) / (2 * h), rtol=1e-7)
+        assert_allclose(curvature, (up[1] - down[1]) / (2 * h), rtol=1e-6, atol=1e-4)
 
     def test_slope_never_below_one(self):
         z = np.linspace(-50.0, 50.0, 1001)
-        assert np.all(output_shift_slope(z, self.C) >= 1.0)
-        assert np.all(output_shift_slope(z, 0.0) == 1.0)
+        assert np.all(output_shift(z, 0.0, self.C, self.L)[1] >= 1.0)
+        assert np.all(output_shift(z, 0.0, 0.0, self.L)[1] == 1.0)
 
     def test_degenerate_scale_reduces_to_translation(self):
         z = np.linspace(-2.0, 2.0, 9)
         s = label_signal(1, 2, 1.0)
         for i, zi in enumerate(z):
-            got = output_shift(np.full(2, zi), s, 0.0, 1.0)
+            got = output_shift(np.full(2, zi), s, 0.0, 1.0)[0]
             assert_allclose(got, zi - s, atol=1e-14)
 
     def test_label_signal(self):
@@ -193,20 +191,29 @@ class TestWordpairArchitecture:
         acts = [s.activation for s in net.layers]
         assert acts == ["linear", "linear", "tg", "tg", "shift"]
 
-    def test_forward_pass_never_evaluates_k(self, monkeypatch):
-        # the activation and its slope are k' and k''; k itself is never read
+    def test_forward_pass_reads_each_layer_from_one_cgf_derivs(self, monkeypatch):
+        # the activation and its slope are k' and k'' of one fused pass per
+        # inner layer; k''' is never read
         net = wordpair_network(np.random.default_rng(5))
         x = np.random.default_rng(6).standard_normal((3, 900))
         want = net.forward_pass(x)
+        calls = []
 
-        def no_k(self, a):
-            raise AssertionError("the forward pass evaluated k")
+        def no_k3(self, a):
+            raise AssertionError("the forward pass evaluated k'''")
 
         for prior in (GaussianPrior, TruncatedGaussianPrior):
-            monkeypatch.setattr(prior, "cgf", no_k)
+
+            def counted(self, a, real=prior.cgf_derivs):
+                calls.append(self.kind)
+                return real(self, a)
+
+            monkeypatch.setattr(prior, "cgf_derivs", counted)
+            monkeypatch.setattr(prior, "cgf_third_deriv", no_k3)
         for got, expected in zip(net.forward_pass(x), want):
             for g, e in zip(got, expected):
                 np.testing.assert_array_equal(g, e)
+        assert calls == ["gaussian", "gaussian", "truncated_gaussian", "truncated_gaussian"]
 
     def test_likelihood_runs_end_to_end(self):
         rng = np.random.default_rng(5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import sample
+from helpers import examples, sample
 
 from pbn.errors import DomainError
 from pbn.priors import GAUSSIAN, TRUNCATED_GAUSSIAN, UNIFORM, activation_prior, get_prior
@@ -61,10 +61,17 @@ def tg_references(a):
 BRANCH_GRID = [-700.0, -40.0, -6.0, -4.0, -1.0, -0.03, -1e-3, 0.0, 1e-3, 0.03, 1.0, 6.0, 40.0, 700.0]
 
 
+def derivative(prior, order):
+    """The order-th derivative of k as one function: an element of ``cgf_derivs``, or ``cgf_third_deriv``."""
+    return prior.cgf_third_deriv if order == 3 else lambda a: prior.cgf_derivs(a)[order]
+
+
 @pytest.mark.parametrize("prior", ALL_PRIORS, ids=lambda p: p.kind)
-@pytest.mark.parametrize("name", ["cgf", "activation", "activation_deriv", "cgf_third_deriv"])
-def test_scalar_input_equals_the_array_result(prior, name):
-    f = getattr(prior, name)
+@pytest.mark.parametrize(
+    "order", [0, 1, 2, 3], ids=["cgf", "activation", "activation_deriv", "cgf_third_deriv"]
+)
+def test_scalar_input_equals_the_array_result(prior, order):
+    f = derivative(prior, order)
     for a in BRANCH_GRID:
         got = f(a)
         assert np.ndim(got) == 0
@@ -73,24 +80,21 @@ def test_scalar_input_equals_the_array_result(prior, name):
 
 @pytest.mark.parametrize("prior", ALL_PRIORS, ids=lambda p: p.kind)
 def test_fused_evaluation_is_each_function_bit_for_bit(prior):
+    # each element of cgf_derivs, and cgf_third_deriv, comes out the same for
+    # an element alone (0-d), in the reversed array and stacked as a column;
     # every branch, both sides of the tg switch at a = -5 and of a = 0, and
-    # non-finite values, mixed in one array so that each branch split of the
-    # fused pass must put every part back in its place
+    # non-finite values, mixed in one array so that each branch split of a
+    # pass must put every part back in its place
     edges = [np.nextafter(-5.0, -np.inf), -5.0, np.nextafter(-5.0, 0.0)]
     edges += [np.nextafter(0.0, -1.0), -0.0, np.nextafter(0.0, 1.0)]
     a = np.array(BRANCH_GRID + edges + [np.nan, np.inf, -np.inf])
-    with np.errstate(all="ignore"):
-        separate = [prior.cgf(a), prior.activation(a), prior.activation_deriv(a)]
-    # cgf_derivs gives (k, k', k''); activation_derivs, for the forward pass, (k', k'')
-    for fuse, want_all in ((prior.cgf_derivs, separate), (prior.activation_derivs, separate[1:])):
+    for f in (prior.cgf_derivs, lambda v: (prior.cgf_third_deriv(v),)):
         with np.errstate(all="ignore"):
-            fused = fuse(a)
-            stacked = fuse(a[::-1].reshape(-1, 1))
-            alone = [fuse(v) for v in a]
-        assert len(fused) == len(want_all)
-        for i, (got, want) in enumerate(zip(fused, want_all)):
-            np.testing.assert_array_equal(got, want)  # NaN matches NaN, and only NaN
-            np.testing.assert_array_equal(stacked[i][::-1, 0], want)
+            whole = f(a)
+            stacked = f(a[::-1].reshape(-1, 1))
+            alone = [f(v) for v in a]
+        for i, want in enumerate(whole):
+            np.testing.assert_array_equal(stacked[i][::-1, 0], want)  # NaN matches NaN, and only NaN
             for v, one, w in zip(a, alone, want):
                 assert np.ndim(one[i]) == 0
                 assert one[i] == w or (np.isnan(one[i]) and np.isnan(w)), (v, i)
@@ -100,7 +104,7 @@ def test_fused_evaluation_is_each_function_bit_for_bit(prior):
 def test_scalar_inverse_equals_the_array_result(prior):
     # A converged element stops iterating, so each element of an array is
     # inverted bit for bit as it would be alone, whatever its neighbours.
-    y = prior.activation(np.array([-3.0, 0.0, 0.7, -2.0, 0.5, 3.0, -40.0, 1e-3, 12.0]))
+    y = prior.cgf_derivs(np.array([-3.0, 0.0, 0.7, -2.0, 0.5, 3.0, -40.0, 1e-3, 12.0]))[1]
     for values in (y, y[::-1], y.reshape(3, 3)):
         got = prior.activation_inverse(values)
         assert got.shape == values.shape
@@ -113,44 +117,44 @@ def test_scalar_inverse_equals_the_array_result(prior):
 
 class TestClosedFormAnchors:
     def test_gaussian_cgf(self):
-        assert GAUSSIAN.cgf(2.0) == pytest.approx(2.0, abs=1e-15)
+        assert GAUSSIAN.cgf_derivs(2.0)[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_tg_cgf_at_zero(self):
         # a^2/2 + log(2 * 0.5) = 0
-        assert TRUNCATED_GAUSSIAN.cgf(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert TRUNCATED_GAUSSIAN.cgf_derivs(0.0)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_uniform_cgf_near_zero(self):
-        assert abs(UNIFORM.cgf(1e-12)) <= 1e-12
+        assert abs(UNIFORM.cgf_derivs(1e-12)[0]) <= 1e-12
 
     def test_gaussian_activation_identity(self):
-        assert GAUSSIAN.activation(1.5) == 1.5
+        assert GAUSSIAN.cgf_derivs(1.5)[1] == 1.5
 
     def test_tg_activation_at_zero(self):
-        assert TRUNCATED_GAUSSIAN.activation(0.0) == pytest.approx(
+        assert TRUNCATED_GAUSSIAN.cgf_derivs(0.0)[1] == pytest.approx(
             math.sqrt(2.0 / math.pi), rel=1e-14
         )
 
     def test_uniform_activation_near_zero(self):
-        assert UNIFORM.activation(1e-15) == pytest.approx(0.5, abs=1e-12)
+        assert UNIFORM.cgf_derivs(1e-15)[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_tg_activation_deep_tail_against_mills_reference(self):
-        got = TRUNCATED_GAUSSIAN.activation(-40.0)
+        got = TRUNCATED_GAUSSIAN.cgf_derivs(-40.0)[1]
         assert 0.0 < got <= 0.025
         want = -40.0 + mills_reference(-40.0)
         assert rel_err(got, want) < 1e-10
 
     def test_activation_deriv_anchors(self):
-        assert GAUSSIAN.activation_deriv(123.4) == 1.0
-        assert TRUNCATED_GAUSSIAN.activation_deriv(0.0) == pytest.approx(
+        assert GAUSSIAN.cgf_derivs(123.4)[2] == 1.0
+        assert TRUNCATED_GAUSSIAN.cgf_derivs(0.0)[2] == pytest.approx(
             1.0 - 2.0 / math.pi, rel=1e-14
         )
-        assert UNIFORM.activation_deriv(0.0) == pytest.approx(1.0 / 12.0, rel=1e-14)
+        assert UNIFORM.cgf_derivs(0.0)[2] == pytest.approx(1.0 / 12.0, rel=1e-14)
 
     def test_uniform_derivatives_against_mpmath(self):
         # a log grid through both series windows and the closed forms
         mags = np.geomspace(1e-6, 40.0, 1200)
         grid = np.concatenate([-mags[::-1], mags])
-        k2, k3 = UNIFORM.activation_deriv(grid), UNIFORM.cgf_third_deriv(grid)
+        k2, k3 = UNIFORM.cgf_derivs(grid)[2], UNIFORM.cgf_third_deriv(grid)
         for a, got2, got3 in zip(grid, k2, k3):
             want2, want3 = uniform_deriv_references(a)
             assert rel_err(got2, want2) < 1e-12, f"k'' at a={a}"
@@ -160,8 +164,7 @@ class TestClosedFormAnchors:
         # a log grid through the continued fraction below a = -5, the closed
         # forms above it, and the right tail where N(a) leaves the normal range
         grid = np.concatenate([-np.geomspace(1e8, 1e-6, 1400), np.geomspace(1e-6, 40.0, 400)])
-        lam = TRUNCATED_GAUSSIAN.activation(grid)
-        k2 = TRUNCATED_GAUSSIAN.activation_deriv(grid)
+        _, lam, k2 = TRUNCATED_GAUSSIAN.cgf_derivs(grid)
         k3 = TRUNCATED_GAUSSIAN.cgf_third_deriv(grid)
         for a, got1, got2, got3 in zip(grid, lam, k2, k3):
             want1, want2, want3 = tg_references(a)
@@ -197,7 +200,7 @@ class TestClosedFormAnchors:
 
 
 class TestDerivativeChains:
-    """activation = cgf' and activation_deriv = activation', checked by FD."""
+    """Each element of cgf_derivs, and cgf_third_deriv, is the derivative of the one before, checked by FD."""
 
     GRID = np.concatenate(
         [
@@ -211,16 +214,16 @@ class TestDerivativeChains:
     def test_activation_is_cgf_derivative(self, prior):
         for a in self.GRID:
             h = 6e-6 * max(1.0, abs(a))
-            fd = central_diff(prior.cgf, a, h)
-            got = prior.activation(a)
+            fd = central_diff(derivative(prior, 0), a, h)
+            got = prior.cgf_derivs(a)[1]
             assert rel_err(got, fd) < 1e-6, f"a={a}"
 
     @pytest.mark.parametrize("prior", ALL_PRIORS, ids=lambda p: p.kind)
     def test_activation_deriv_is_activation_derivative(self, prior):
         for a in self.GRID:
             h = 6e-6 * max(1.0, abs(a))
-            fd = central_diff(prior.activation, a, h)
-            got = prior.activation_deriv(a)
+            fd = central_diff(derivative(prior, 1), a, h)
+            got = prior.cgf_derivs(a)[2]
             if prior is GAUSSIAN:
                 assert got == 1.0 and abs(fd - 1.0) < 1e-9
             else:
@@ -230,7 +233,7 @@ class TestDerivativeChains:
     def test_third_deriv_is_deriv_of_activation_deriv(self, prior):
         for a in np.linspace(-25.0, 25.0, 141):
             h = 2e-5 * max(1.0, abs(a))
-            fd = central_diff(prior.activation_deriv, a, h)
+            fd = central_diff(derivative(prior, 2), a, h)
             got = prior.cgf_third_deriv(a)
             if prior is GAUSSIAN:
                 assert got == 0.0
@@ -243,16 +246,16 @@ class TestInverseRoundTrip:
     def test_round_trip_on_wide_range(self, prior):
         rng = np.random.default_rng(42)
         alphas = rng.uniform(-20.0, 20.0, 1000)
-        y = prior.activation(alphas)
+        y = prior.cgf_derivs(alphas)[1]
         back = prior.activation_inverse(y)
         assert np.max(np.abs(back - alphas)) < 1e-9
 
     def test_round_trip_extreme(self):
         for prior in (TRUNCATED_GAUSSIAN, UNIFORM):
             for a in (-700.0, -300.0, 300.0 if prior is UNIFORM else 30.0):
-                y = prior.activation(a)
+                y = prior.cgf_derivs(a)[1]
                 back = prior.activation_inverse(y)
-                assert abs(prior.activation(back) - y) <= 1e-9 * (1 + abs(y))
+                assert abs(prior.cgf_derivs(back)[1] - y) <= 1e-9 * (1 + abs(y))
 
     def test_inverse_domain_errors(self):
         with pytest.raises(DomainError):
@@ -269,45 +272,41 @@ class TestInverseRoundTrip:
 
 class TestRangesAndMonotonicity:
     @given(st.floats(-700.0, 700.0))
-    @settings(max_examples=300)
+    @settings(max_examples=examples(300))
     def test_tg_activation_positive_deriv_in_unit_interval(self, a):
-        lam = TRUNCATED_GAUSSIAN.activation(a)
+        _, lam, d = TRUNCATED_GAUSSIAN.cgf_derivs(a)
         assert lam > 0.0 and np.isfinite(lam)
-        d = TRUNCATED_GAUSSIAN.activation_deriv(a)
         assert 0.0 < d <= 1.0
 
     @given(st.floats(-700.0, 700.0))
-    @settings(max_examples=300)
+    @settings(max_examples=examples(300))
     def test_uniform_activation_in_unit_interval(self, a):
-        lam = UNIFORM.activation(a)
+        _, lam, d = UNIFORM.cgf_derivs(a)
         assert 0.0 < lam < 1.0
-        d = UNIFORM.activation_deriv(a)
         assert 0.0 < d <= 1.0 / 12.0 + 1e-15
 
     @given(st.floats(-50.0, 50.0), st.floats(1e-8, 10.0))
-    @settings(max_examples=200)
+    @settings(max_examples=examples(200))
     def test_strict_monotonicity(self, a, gap):
         for prior in ALL_PRIORS:
-            assert prior.activation(a) < prior.activation(a + gap)
+            assert prior.cgf_derivs(a)[1] < prior.cgf_derivs(a + gap)[1]
 
     @given(st.floats(-700.0, 700.0))
-    @settings(max_examples=300)
+    @settings(max_examples=examples(300))
     def test_all_ops_finite_on_wide_range(self, a):
         for prior in ALL_PRIORS:
-            for fn in (prior.cgf, prior.activation, prior.activation_deriv, prior.cgf_third_deriv):
-                v = fn(a)
-                assert np.isfinite(v), f"{prior.kind} {fn.__name__}({a}) = {v}"
+            for order in range(4):
+                v = derivative(prior, order)(a)
+                assert np.isfinite(v), f"{prior.kind} order {order} derivative at {a} = {v}"
 
 
 class TestVectorizationAndRegistry:
     def test_array_in_array_out(self):
         a = np.linspace(-3, 3, 7)
         for prior in ALL_PRIORS:
-            assert prior.cgf(a).shape == a.shape
-            assert prior.activation(a).shape == a.shape
-            np.testing.assert_allclose(
-                prior.activation_inverse(prior.activation(a)), a, atol=1e-10
-            )
+            k, k1, k2 = prior.cgf_derivs(a)
+            assert k.shape == k1.shape == k2.shape == a.shape
+            np.testing.assert_allclose(prior.activation_inverse(k1), a, atol=1e-10)
 
     def test_registry_lookup(self):
         assert get_prior("gaussian") is GAUSSIAN

@@ -32,13 +32,13 @@ class TestInvertOutputShift:
 
     def test_shift_of_zero_maps_back(self):
         s = label_signal(0, 2, LEVEL)
-        x = output_shift(np.zeros(2), s, C, LEVEL)  # [-101, 101]
+        x = output_shift(np.zeros(2), s, C, LEVEL)[0]  # [-101, 101]
         assert_allclose(invert_output_shift(x, s, C, LEVEL), np.zeros(2), atol=1e-11)
 
     def test_round_trip_grid(self):
         s = np.array([1.0])
         for z in np.linspace(-3.0, 3.0, 61):
-            x = output_shift(np.array([z]), s, C, LEVEL)
+            x = output_shift(np.array([z]), s, C, LEVEL)[0]
             back = invert_output_shift(x, s, C, LEVEL)
             assert_allclose(back, [z], atol=1e-11)
 

@@ -124,7 +124,7 @@ def unit_curvature_tg_net(rng):
         LayerSpec(DenseMap(0.1 * rng.standard_normal((3, 2))), np.zeros(2), "truncated_gaussian", "shift"),
     ]
     net = Network(layers, output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2))
-    x = TRUNCATED_GAUSSIAN.activation(rng.uniform(6.0, 8.0, (3, 3)) @ w.T)
+    x = TRUNCATED_GAUSSIAN.cgf_derivs(rng.uniform(6.0, 8.0, (3, 3)) @ w.T)[1]
     return net, Dataset(x, np.array([0, 1, 0]))
 
 
@@ -558,7 +558,7 @@ class TestBatchedWarmStart:
         outside = np.zeros(len(x), dtype=bool)
         for spec, z in zip(net.layers[:-1], zs[:-1]):
             act = activation_prior(spec.activation)
-            outside |= ~act.in_support(act.activation(z))
+            outside |= ~act.in_support(act.cgf_derivs(z)[1])
         np.testing.assert_array_equal(np.isnan(lls), outside)
         assert 0 < np.sum(outside) < len(x)
         # a dropped unit is 0, outside the tg support, and marks nothing
