@@ -9,18 +9,20 @@ never expands dimension) and exposes the pair
 on one vector or on each row of a (B, n) stack, together with the two
 gradient collectors training needs: ``fold``, the projection of X'S
 onto the parameters for row stacks X and S, and the projection of an
-arbitrary dense d/dW.  A dense map keeps W' as one matrix.  A
-convolution keeps only its output-row blocks: the outputs of one output
-row read one contiguous span of inputs, so W' with its rows grouped by
-output row (block order) is one dense block per output row over that
-span.  Its products, its unit Gram factor and its log-det gradient run
-block by block, and ``materialize`` builds the dense output-order W' on
-demand, as a reference.  A map keeps its stored matrix, unit Gram
-factor and log-det gradient once built.  A sibling from ``with_params``
-shares the wiring and block layout and keeps its parameters for life;
-one from ``with_shared_params`` reads a vector that the training loop
-updates in place, and ``refresh`` then writes the new parameters into
-the stored matrix and drops the other caches.  ``GramFactor`` factors
+arbitrary dense d/dW.  A dense map keeps W' as one matrix.  Every
+output row of a convolution applies the same matrix, clipped at the
+image's top and bottom edge, so a convolution keeps W' as one row-window
+matrix K, with one output row's outputs as its rows and the inputs
+under the kernel's rows as its columns; each output row's block is a
+column slice of K over one contiguous span of inputs.  Its products,
+its unit Gram factor and its gradients run block by block, and
+``materialize`` builds the dense output-order W' on demand, as a
+reference.  A map keeps its stored matrix, unit Gram factor and log-det
+gradient once built.  A sibling from ``with_params`` shares the
+convolution's geometry and keeps its parameters for life; one from
+``with_shared_params`` reads a vector that the training loop updates in
+place, and ``refresh`` then writes the new parameters into the stored
+matrix and drops the other caches.  ``GramFactor`` factors
 a map's unit Gram matrix W'W, the curvature of a Gaussian-prior layer,
 in the buffer that formed it (one syrk product, or for a convolution
 the products of the block pairs whose spans meet, in block order), and
@@ -51,6 +53,17 @@ def _readonly(a):
     out = np.array(a, dtype=np.float64)
     out.flags.writeable = False
     return out
+
+
+def _swap(v, a, b):
+    """Each row of v, read as an (a, b, rest) array, rewritten in (b, a, rest) order.
+
+    A convolution takes its inputs from (c_in, h, w) to (h, c_in, w) order
+    and its outputs from (c_out, h_out, w_out) to block order
+    (h_out, c_out, w_out) with it, and back with a and b exchanged.
+    """
+    lead, n = v.shape[:-1], v.shape[-1]
+    return np.swapaxes(v.reshape(lead + (a, b, n // (a * b))), -3, -2).reshape(lead + (n,))
 
 
 def _invert_lower(c, lo, hi):
@@ -134,8 +147,9 @@ class LinearMap:
         """Bring the kept caches up to date after the parameters changed in place.
 
         The stored matrix takes the new parameters where it stands (a
-        convolution's block layout never changes), and the kept Gram
-        factor and log-det gradient are dropped, to be built on first use.
+        convolution's K keeps its shape, and its blocks stay views of it),
+        and the kept Gram factor and log-det gradient are dropped, to be
+        built on first use.
         """
         vars(self).pop("gram", None)
         vars(self).pop("logdet_grad", None)
@@ -212,26 +226,26 @@ class ConvMap(LinearMap):
     taps falling outside the image are dropped (zero padding).  The
     output spatial extent is floor(h/sy) by floor(w/sx).
 
-    The wiring is stored as three parallel index arrays over every
-    surviving tap: its entry in the flattened n_out x n_in matrix, its
-    entry in a flattened n_in x n_out dense gradient, and its parameter.
-    That makes the materialized matrix and the dense-gradient projection
-    single gather/scatter passes.  Each (output, input) pair is hit by
-    exactly one tap (two taps of one output differ in their input pixel
-    or channel), so the matrix is one assignment, with no accumulation.
-
-    The map stores W' as its output-row blocks.  The outputs of output
-    row ty (by channel, then tx: block order) read one contiguous span
-    lo..hi of inputs, so block ty is a dense (c_out * w_out, hi - lo)
-    array, and the blocks lie end to end in one buffer.  The layout
-    comes from the geometry alone and is built on first use into the
-    wiring's last slot, which every sibling shares.
+    Every output row applies the same matrix, clipped at the image's top
+    and bottom edge, so the map stores W' as one row-window matrix K
+    (``_stored``): its rows are the outputs (c_out, tx) of one output
+    row, its columns the inputs (dy, c_in, ix) under the kernel's rows
+    across the whole image width, and ``_fill`` writes the kernel into
+    it by one strided (Toeplitz) copy.  Output row ty's block is the
+    column slice of K over its in-image kernel rows, a view, and it reads
+    one contiguous span of the input taken in (iy, c_in, ix) order.  The
+    products run block by block, with the outputs in block order
+    (ty, c_out, tx); every gradient adds into one K-shaped array, which
+    reaches the kernel by one strided sum over tx.  The geometry comes
+    from the shapes alone, and ``with_params`` siblings share it.
     """
 
-    def __init__(self, weights, in_shape, strides, *, _wiring=None):
+    def __init__(self, weights, in_shape, strides, *, _geometry=None):
         k = np.asarray(weights, dtype=np.float64)
         if k.ndim != 4:
             raise ShapeMismatchError("conv weights must be 4-d (c_out, c_in, kh, kw)")
+        if min(k.shape) < 1:
+            raise ShapeMismatchError(f"conv kernel dimensions must be positive, got {k.shape}")
         c_out, c_in, kh, kw = k.shape
         if len(in_shape) != 3:
             raise ShapeMismatchError("conv input shape must be (c_in, h, w)")
@@ -252,77 +266,42 @@ class ConvMap(LinearMap):
         if self.n_out > self.n_in:
             raise ShapeMismatchError(f"map must not expand dimension: {self.n_in} -> {self.n_out}")
         self._params = _readonly(k)
-        self._wiring = self._build_wiring() if _wiring is None else _wiring
+        self._geometry = self._plan() if _geometry is None else _geometry
 
-    def _taps(self):
-        """Open indices over (c_out, h_out, w_out, c_in, kh, kw), tap inputs, in-image mask."""
-        c_out, c_in, kh, kw = self._params.shape
-        _, h, w = self.in_shape
-        sy, sx = self.strides
-        _, h_out, w_out = self.out_shape
-        shape = (c_out, h_out, w_out, c_in, kh, kw)
-        grid = np.ix_(*(np.arange(n) for n in shape))
-        _, ty, tx, ci, dy, dx = grid
-        iy = ty * sy + dy - (kh - 1) // 2
-        ix = tx * sx + dx - (kw - 1) // 2
-        inside = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
-        return shape, grid, (ci * h + iy) * w + ix, inside
+    def _plan(self):
+        """The geometry, (shape, blocks, pairs, order, back), from the shapes alone.
 
-    def _build_wiring(self):
-        # the flat indices broadcast over the open ones; the mask keeps in-image taps
-        shape, (co, ty, tx, ci, dy, dx), in_grid, inside = self._taps()
-        c_out, h_out, w_out, c_in, kh, kw = shape
-        ok = np.broadcast_to(inside, shape)
-        out_idx = np.broadcast_to((co * h_out + ty) * w_out + tx, shape)[ok]
-        in_idx = np.broadcast_to(in_grid, shape)[ok]
-        par_idx = np.broadcast_to(((co * c_in + ci) * kh + dy) * kw + dx, shape)[ok]
-        # the last slot takes the block layout on first use, for every sibling
-        return out_idx * self.n_in + in_idx, in_idx * self.n_out + out_idx, par_idx, []
-
-    def _block_layout(self):
-        """The output-row blocks of W', from the geometry alone.
-
-        Returns (spans, pos, size, order, back, pairs).  ``spans`` holds,
-        per output row, (lo, hi, at, rows): the inputs lo..hi its taps
-        read, its block's offset in the buffer and its rows in block
-        order.  ``pos`` is each tap's entry in the buffer, ``size`` the
-        buffer's; ``order`` is the output index of each row in block
-        order and ``back`` its inverse.  ``pairs`` holds (t, u, ct, cu)
-        for each ordered pair of blocks whose spans meet, the inputs they
-        share being the columns ct of block t and cu of block u, by t
-        and with the pair (t, t) first.
+        ``shape`` is K's.  ``blocks`` holds, per output row t, its rows in
+        block order, the span of the (iy, c_in, ix) input that it reads
+        and its columns of K.  ``pairs`` holds (t, u, ct, cu) for each
+        ordered pair of output rows whose spans meet, ct and cu being the
+        columns of K that blocks t and u put on the input rows they share,
+        by t and with the pair (t, t) first.  ``order`` is the output
+        index of each row in block order and ``back`` its inverse.
         """
-        shape, (co, ty, tx, *_), in_grid, inside = self._taps()
-        c_out, h_out, w_out = shape[:3]
-        axes = (0, 2, 3, 4, 5)
-        lo = np.min(np.where(inside, in_grid, self.n_in), axis=axes, keepdims=True)
-        hi = np.max(np.where(inside, in_grid, -1), axis=axes, keepdims=True) + 1
-        sizes = c_out * w_out * (hi - lo)
-        ends = np.cumsum(sizes).reshape(lo.shape)
-        at = ends - sizes
-        pos = np.broadcast_to(at + (co * w_out + tx) * (hi - lo) + in_grid - lo, shape)
-        outs = ((co * h_out + ty) * w_out + tx).reshape(c_out, h_out, w_out)
-        order = outs.transpose(1, 0, 2).ravel()
-        m = c_out * w_out
-        spans = [
-            (int(l), int(h), int(a), slice(t * m, (t + 1) * m))
-            for t, (l, h, a) in enumerate(zip(lo.flat, hi.flat, at.flat))
-        ]
-        pairs = []
-        for t, (lo_t, hi_t, *_) in enumerate(spans):
-            for u, (lo_u, hi_u, *_) in sorted(enumerate(spans), key=lambda us: us[0] != t):
-                a, b = max(lo_t, lo_u), min(hi_t, hi_u)
-                if a < b:
-                    pairs.append((t, u, slice(a - lo_t, b - lo_t), slice(a - lo_u, b - lo_u)))
-        pos = pos[np.broadcast_to(inside, shape)]
-        return spans, pos, int(ends.flat[-1]), order, np.argsort(order), pairs
+        c_out, c_in, kh, _ = self._params.shape
+        _, h, w = self.in_shape
+        _, h_out, w_out = self.out_shape
+        m, row = c_out * w_out, c_in * w
+        tops = [t * self.strides[0] - (kh - 1) // 2 for t in range(h_out)]
+        rows = [(max(top, 0), min(top + kh, h)) for top in tops]
 
-    @property
-    def _layout(self):
-        slot = self._wiring[3]
-        if not slot:
-            slot.append(self._block_layout())
-        return slot[0]
+        def cols(t, a, b):
+            return slice((a - tops[t]) * row, (b - tops[t]) * row)
+
+        blocks = [
+            (slice(t * m, t * m + m), slice(a * row, b * row), cols(t, a, b))
+            for t, (a, b) in enumerate(rows)
+        ]
+        pairs = [
+            (t, u, cols(t, a, b), cols(u, a, b))
+            for t in range(h_out)
+            for u in sorted(range(h_out), key=lambda u: u != t)
+            for a, b in [(max(rows[t][0], rows[u][0]), min(rows[t][1], rows[u][1]))]
+            if a < b
+        ]
+        order = np.arange(self.n_out).reshape(self.out_shape).transpose(1, 0, 2).ravel()
+        return (m, kh * row), blocks, pairs, order, np.argsort(order)
 
     @property
     def fan_in(self):
@@ -330,56 +309,73 @@ class ConvMap(LinearMap):
         return c_in * kh * kw
 
     def materialize(self):
-        """W' in output order, built anew from the wiring on every call."""
-        dense_idx, _, par_idx, _ = self._wiring
+        """W' in output order, built anew from K on every call."""
         a = np.zeros((self.n_out, self.n_in))
-        a.ravel()[dense_idx] = self._params.ravel()[par_idx]
-        return a
+        for (rows, span, _), block in zip(self._geometry[1], self._blocks):
+            a[rows, span] = block
+        a = _swap(a, *self.in_shape[1::-1])
+        return _swap(a.T, *self.out_shape[1::-1]).T
 
     @functools.cached_property
     def _stored(self):
-        a = np.zeros(self._layout[2])
+        a = np.empty(self._geometry[0])
         self._fill(a)
         a.flags.writeable = False
         return a
 
     def _fill(self, a):
-        _, _, par_idx, _ = self._wiring
-        a[self._layout[1]] = self._params.ravel()[par_idx]
+        """Write the kernel into K: row (co, tx) holds kernel row (co, dy, ci) shifted by tx*sx."""
+        c_out, c_in, kh, kw = self._params.shape
+        w, w_out, sx = self.in_shape[2], self.out_shape[2], self.strides[1]
+        # each kernel row, zero-padded so that every shifted window of w entries lies inside it;
+        # row tx of K reads the w entries from at - tx*sx on
+        px = (kw - 1) // 2
+        at = max(px, (w_out - 1) * sx)
+        pad = np.zeros((c_out, kh, c_in, at + max(w, kw)))
+        pad[..., at - px : at - px + kw] = self._params.transpose(0, 2, 1, 3)
+        s = pad.strides
+        rows = np.lib.stride_tricks.as_strided(
+            pad[..., at:], (c_out, w_out, kh, c_in, w), (s[0], -sx * s[3], s[1], s[2], s[3])
+        )
+        np.copyto(a.reshape(rows.shape), rows)
+
+    def _to_kernel(self, g):
+        """The kernel gradient of a K-shaped gradient: the adjoint of ``_fill``, a sum over tx."""
+        c_out, c_in, kh, kw = self._params.shape
+        w, w_out, sx = self.in_shape[2], self.out_shape[2], self.strides[1]
+        left = (kw - 1) // 2
+        pad = np.zeros((c_out, w_out, kh, c_in, max(left + w, (w_out - 1) * sx + kw)))
+        pad[..., left : left + w] = g.reshape(pad.shape[:-1] + (w,))
+        s = pad.strides
+        taps = np.lib.stride_tricks.as_strided(
+            pad, (c_out, w_out, c_in, kh, kw), (s[0], s[1] + sx * s[4], s[3], s[2], s[4])
+        )
+        return taps.sum(axis=1)
 
     @functools.cached_property
     def _blocks(self):
-        """Each output row's block, a view of the stored buffer."""
-        return self._views(self._stored)
-
-    def _views(self, buf):
-        """Block views of a buffer laid out like the stored one."""
-        return [
-            buf[at : at + (hi - lo) * (rows.stop - rows.start)].reshape(-1, hi - lo)
-            for lo, hi, at, rows in self._layout[0]
-        ]
+        """Each output row's block, a column-slice view of K."""
+        return [self._stored[:, cols] for _, _, cols in self._geometry[1]]
 
     def with_params(self, params):
         p = np.asarray(params, dtype=np.float64)
         if p.shape != self._params.shape:
             raise ShapeMismatchError(f"params shape {p.shape} != {self._params.shape}")
-        return ConvMap(p, self.in_shape, self.strides, _wiring=self._wiring)
+        return ConvMap(p, self.in_shape, self.strides, _geometry=self._geometry)
 
     def forward(self, x):
-        x = _rows(x, self.n_in, "forward")
-        spans, _, _, _, back, _ = self._layout
+        x = _swap(_rows(x, self.n_in, "forward"), *self.in_shape[:2])
         out = np.empty(x.shape[:-1] + (self.n_out,))
-        for (lo, hi, _, rows), block in zip(spans, self._blocks):
-            np.matmul(x[..., lo:hi], block.T, out=out[..., rows])
-        return out[..., back]
+        for (rows, span, _), block in zip(self._geometry[1], self._blocks):
+            np.matmul(x[..., span], block.T, out=out[..., rows])
+        return _swap(out, *self.out_shape[1::-1])
 
     def adjoint(self, h):
-        spans, _, _, order, _, _ = self._layout
-        h = _rows(h, self.n_out, "adjoint")[..., order]
+        h = _swap(_rows(h, self.n_out, "adjoint"), *self.out_shape[:2])
         out = np.zeros(h.shape[:-1] + (self.n_in,))
-        for (lo, hi, _, rows), block in zip(spans, self._blocks):
-            out[..., lo:hi] += h[..., rows] @ block
-        return out
+        for (rows, span, _), block in zip(self._geometry[1], self._blocks):
+            out[..., span] += h[..., rows] @ block
+        return _swap(out, *self.in_shape[1::-1])
 
     def _gram(self):
         """W'W in block order, formed from the block pairs whose spans meet.
@@ -387,52 +383,52 @@ class ConvMap(LinearMap):
         Only the blocks on and above the diagonal are formed: they are the
         lower triangle of the transpose, which is all that potrf reads.
         """
-        spans, _, _, _, _, pairs = self._layout
-        blocks = self._blocks
+        _, blocks, pairs, _, _ = self._geometry
+        k = self._stored
         s = np.zeros((self.n_out, self.n_out))
         for t, u, ct, cu in pairs:
             if t <= u:
-                np.matmul(blocks[t][:, ct], blocks[u][:, cu].T, out=s[spans[t][3], spans[u][3]])
+                np.matmul(k[:, ct], k[:, cu].T, out=s[blocks[t][0], blocks[u][0]])
         return s
 
     def _logdet_fold(self, gram):
         """The fold of W S^-1, from the lower triangle of S^-1 in the block order of ``gram``.
 
-        Block t of W S^-1 sums S^-1 against only the blocks whose spans
+        Block t of S^-1 W' sums S^-1 against only the blocks whose spans
         meet block t's, each over the inputs the two spans share; the
-        pair (t, t) covers all of block t and writes it first, and a pair
-        t < u reads the (u, t) block of S^-1, transposed.
+        pair (t, t) covers all of block t, and a pair t < u reads the
+        (u, t) block of S^-1, transposed.
         """
-        spans, pos, size, _, _, pairs = self._layout
+        shape, blocks, pairs, _, _ = self._geometry
         inv = gram._inverse()
-        blocks = self._blocks
-        out = np.empty(size)
-        views = self._views(out)
+        k = self._stored
+        g = np.zeros(shape)
         for t, u, ct, cu in pairs:
+            rt, ru = blocks[t][0], blocks[u][0]
             if t == u:
-                views[t][...] = dsymm(1.0, inv[spans[t][3], spans[t][3]], blocks[t].T, side=1, lower=1).T
+                g[:, ct] += dsymm(1.0, inv[rt, rt], k[:, ct].T, side=1, lower=1).T
             else:
-                part = inv[spans[t][3], spans[u][3]] if t > u else inv[spans[u][3], spans[t][3]].T
-                views[t][:, ct] += part @ blocks[u][:, cu]
-        return self._collect(out[pos])
+                g[:, ct] += (inv[rt, ru] if t > u else inv[ru, rt].T) @ k[:, cu]
+        return self._to_kernel(g)
 
     def fold(self, left, right):
-        spans, pos, size, order, _, _ = self._layout
-        out = np.empty(size)
-        for (lo, hi, _, rows), block in zip(spans, self._views(out)):
-            np.matmul(right[:, order[rows]].T, left[:, lo:hi], out=block)
-        return self._collect(out[pos])
+        shape, blocks, _, _, _ = self._geometry
+        left, right = _swap(left, *self.in_shape[:2]), _swap(right, *self.out_shape[:2])
+        g = np.zeros(shape)
+        for rows, span, cols in blocks:
+            g[:, cols] += right[:, rows].T @ left[:, span]
+        return self._to_kernel(g)
 
     def collect_matrix_grad(self, g):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.n_in, self.n_out):
             raise ShapeMismatchError(f"matrix grad shape {g.shape} != {(self.n_in, self.n_out)}")
-        return self._collect(np.ravel(g)[self._wiring[1]])
-
-    def _collect(self, vals):
-        """Sum one value per tap onto the tap's parameter."""
-        flat = np.bincount(self._wiring[2], weights=vals, minlength=self._params.size)
-        return flat.reshape(self._params.shape)
+        shape, blocks, _, _, _ = self._geometry
+        g = _swap(_swap(g, *self.out_shape[:2]).T, *self.in_shape[:2])
+        out = np.zeros(shape)
+        for rows, span, cols in blocks:
+            out[:, cols] += g[rows, span]
+        return self._to_kernel(out)
 
 
 class GramFactor:
@@ -462,7 +458,7 @@ class GramFactor:
         self._order = self._back = None
         if isinstance(map_, ConvMap):
             s = map_._gram()
-            _, _, _, self._order, self._back, _ = map_._layout
+            *_, self._order, self._back = map_._geometry
         else:
             a = map_.materialize()
             s = a @ a.T

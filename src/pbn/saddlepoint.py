@@ -45,7 +45,8 @@ parameters change only in place in a training skeleton, whose update
 ends with the map's ``refresh``: it rewrites the map's stored matrix
 and drops the kept factor, so no solve can see a stale one.  The
 solver reads the map only through ``forward``, ``adjoint`` and its
-factors, so a convolution's products run on its output-row blocks.
+factors, so a convolution's products run on its output-row blocks,
+the column slices of its one row-window matrix.
 
 A (B, n_out) stack of targets is solved as one stacked Newton
 iteration, one column per target.  Each column keeps its own line

@@ -6,7 +6,8 @@ cleared example database or a cut log.  The ``pbn`` profile is loaded
 unless pytest's ``--hypothesis-profile`` names another.  The deeper
 ``pbn-deep`` profile runs 1,000 examples of each property that takes its
 budget from ``helpers.examples``: the batched-vs-oracle properties of
-``test_batch.py`` and the prior properties of ``test_priors.py``.
+``test_batch.py``, the prior properties of ``test_priors.py``, and the
+conv and dense map sweeps of ``test_linops.py``.
 """
 
 from helpers import DEEP_PROFILE

@@ -286,6 +286,24 @@ class TestTrain:
         assert [ln.split(",")[:2] for ln in body] == [["pbn", "1"]]
         assert any(isinstance(m, ConvMap) for m in stacked)
 
+    @pytest.mark.parametrize("kernel", ["0x3", "3x0"])
+    def test_empty_conv_kernel_exits_2(self, tmp_path, toy_archive, capsys, kernel):
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text(
+            f"arch=custom\ninput_shape=1x2x3\nlayers=conv:1:{kernel}:1x1:linear,dense:2:shift\n"
+            "n_classes=2\nC=20\nstandardize=true\nepochs=1\n"
+        )
+        model = tmp_path / "m.json"
+        rc, out, err = run(
+            capsys,
+            "train", "--features", toy_archive, "--config", str(cfg),
+            "--out-model", str(model), "--pretrain",
+        )
+        shape = (1, 1) + tuple(int(v) for v in kernel.split("x"))
+        assert (rc, out) == (2, "")
+        assert err == f"error: conv kernel dimensions must be positive, got {shape}\n"
+        assert not model.exists()
+
     def test_pretrain_phase_rows(self, tmp_path, toy_archive, toy_config, capsys):
         model = str(tmp_path / "mp.json")
         rc, _, _ = run(

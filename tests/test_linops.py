@@ -1,5 +1,7 @@
 """Linear map wiring, parameter gradients, and the weighted Gram factor."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -9,7 +11,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
 
 import oracle
-from helpers import full_inverse
+from helpers import examples, full_inverse
 from pbn import gradient, training
 from pbn.errors import ShapeMismatchError, SingularityError
 from pbn.linops import ConvMap, DenseMap, GramFactor, GramStack
@@ -62,6 +64,23 @@ def brute_conv_matrix(k, in_shape, strides):
     return a
 
 
+def assert_taps_match_the_oracle(m):
+    """materialize() and collect_matrix_grad against the oracle's taps, exactly.
+
+    The matrix is the parameters scattered onto the taps' entries, and
+    the collected gradient sums each tap's entry of a dense gradient onto
+    the tap's parameter.  The gradient's entries are small integers, so
+    every order of that sum is exact.
+    """
+    dense_idx, grad_idx, par_idx = oracle.conv_wiring(m)
+    want = np.zeros(m.n_out * m.n_in)
+    want[dense_idx] = m.params.ravel()[par_idx]
+    np.testing.assert_array_equal(m.materialize(), want.reshape(m.n_out, m.n_in))
+    g = np.random.default_rng(m.n_in).integers(-8, 9, (m.n_in, m.n_out)).astype(float)
+    sums = np.bincount(par_idx, weights=g.ravel()[grad_idx], minlength=m.params.size)
+    np.testing.assert_array_equal(m.collect_matrix_grad(g), sums.reshape(m.params.shape))
+
+
 class TestConvWiring:
     def test_tiny_strided_column(self):
         # One channel, 4x1 image, 3x1 kernel, stride 2.  Output row 0 is
@@ -94,22 +113,19 @@ class TestConvWiring:
 
     @pytest.mark.parametrize("cfg", WORDPAIR_CONVS, ids=["conv1", "conv2"])
     def test_each_tap_hits_its_own_matrix_entry(self, cfg):
-        # The matrix is one assignment per tap, so no two taps may share an
-        # (output, input) pair; the reference accumulates tap by tap.
+        # No two taps may share an (output, input) pair, so the matrix is
+        # one assignment per tap; the reference accumulates tap by tap.
         m = make_conv(np.random.default_rng(2), cfg)
-        dense_idx = m._wiring[0]
+        dense_idx = oracle.conv_wiring(m)[0]
         assert np.unique(dense_idx).size == dense_idx.size
         want = brute_conv_matrix(m.params, cfg["in_shape"], cfg["strides"])
         np.testing.assert_array_equal(m.materialize(), want)
 
     @pytest.mark.parametrize("cfg", WORDPAIR_CONVS, ids=["conv1", "conv2"])
     def test_wiring_equals_the_full_index_grid_oracle(self, cfg):
-        m = make_conv(np.random.default_rng(3), cfg)
-        for got, want in zip(m._wiring, oracle.conv_wiring(m)):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        assert_taps_match_the_oracle(make_conv(np.random.default_rng(3), cfg))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(
         c_in=st.integers(1, 3),
         c_out=st.integers(1, 3),
@@ -124,10 +140,9 @@ class TestConvWiring:
         # even kernels, strides past the kernel and images smaller than it
         h, w = sy + extra_h, sx + extra_w
         assume(c_out * (h // sy) * (w // sx) <= c_in * h * w)
-        m = ConvMap(np.ones((c_out, c_in, kh, kw)), (c_in, h, w), (sy, sx))
-        for got, want in zip(m._wiring, oracle.conv_wiring(m)):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        # distinct parameters, so a tap on the wrong entry shows
+        k = np.arange(1.0, 1 + c_out * c_in * kh * kw).reshape(c_out, c_in, kh, kw)
+        assert_taps_match_the_oracle(ConvMap(k, (c_in, h, w), (sy, sx)))
 
     def test_forward_is_materialized_product(self):
         # the block products sum in their own order
@@ -150,7 +165,7 @@ class TestAdjointIdentity:
             assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(h)
 
     @given(st.integers(1, 25), st.integers(1, 25), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_dense_pairing(self, a, b, seed):
         n_in, n_out = max(a, b), min(a, b)
         rng = np.random.default_rng(seed)
@@ -236,7 +251,7 @@ class TestFold:
     larger, as the kept inverse is.
     """
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     @given(
         c_in=st.integers(1, 3),
         c_out=st.integers(1, 3),
@@ -267,8 +282,9 @@ class TestFold:
         assert_within(m.adjoint(right), right @ a)
         assert_within(m.adjoint(right[0]), right[0] @ a)
         gram = a @ a.T
-        # the block W'W is formed on and above its diagonal, in block order
-        order = m._layout[3]
+        # the block W'W is formed on and above its diagonal, in block order:
+        # by output row, then channel and column
+        order = np.arange(m.n_out).reshape(m.out_shape).transpose(1, 0, 2).ravel()
         assert_within(np.triu(m._gram()), np.triu(gram[np.ix_(order, order)]))
         try:
             factor = GramFactor(m)
@@ -289,7 +305,7 @@ class TestFold:
         left = m.materialize() if rows == "n_out" else rng.standard_normal((k, m.n_in))
         assert_fold_is_the_collected_product(m, left, rng.standard_normal((k, m.n_out)))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(st.integers(1, 25), st.integers(1, 25), st.integers(1, 12), st.integers(0, 2**32 - 1))
     def test_dense_maps(self, a, b, rows, seed):
         rng = np.random.default_rng(seed)
@@ -297,12 +313,13 @@ class TestFold:
         left = rng.standard_normal((rows, m.n_in))
         assert_fold_is_the_collected_product(m, left, rng.standard_normal((rows, m.n_out)))
 
-    def test_siblings_share_the_plan_built_on_first_use(self):
+    def test_sibling_matches_the_oracle_taps(self):
+        # a sibling reads its own parameters through the geometry it shares
         m = make_conv(np.random.default_rng(5), WORDPAIR_CONVS[0])
+        m.forward(np.ones(m.n_in))
         twin = m.with_params(2.0 * m.params)
-        assert not m._wiring[3]  # a map that never multiplies builds no block layout
-        twin.fold(np.ones((1, m.n_in)), np.ones((1, m.n_out)))
-        assert m._wiring[3] and m._wiring[3] is twin._wiring[3]
+        assert_taps_match_the_oracle(twin)
+        assert_taps_match_the_oracle(m)
 
     def test_hot_paths_never_materialize_a_conv_map(self, monkeypatch):
         # every product, factor and fold of a conv map runs on its blocks
@@ -323,6 +340,68 @@ class TestFold:
         assert all(np.all(np.isfinite(g)) for g in grads_w)
         rows, errors = reconstruct_from_layer(net, 4, trace.zs[3])
         assert errors == [None] * 4 and np.all(np.isfinite(rows))
+
+
+class TestRowWindow:
+    """A conv map keeps W' as one row-window matrix K, and each output row's block is a view of it."""
+
+    @pytest.mark.parametrize("cfg", WORDPAIR_CONVS, ids=["conv1", "conv2"])
+    def test_each_block_is_a_view_of_k(self, cfg):
+        m = make_conv(np.random.default_rng(21), cfg)
+        c_out, h_out, w_out = m.out_shape
+        kh, w = cfg["kernel"][0], cfg["in_shape"][2]
+        assert m._stored.shape == (c_out * w_out, kh * cfg["in_shape"][0] * w)
+        assert len(m._blocks) == h_out
+        for block in m._blocks:
+            assert np.shares_memory(block, m._stored)
+        # each block holds its output row's nonzero columns of W'
+        a = m.materialize().reshape(c_out, h_out, w_out, -1)
+        for t, block in enumerate(m._blocks):
+            assert np.count_nonzero(block) == np.count_nonzero(a[:, t])
+
+    def test_refresh_rewrites_k_in_place(self):
+        m = make_conv(np.random.default_rng(22), WORDPAIR_CONVS[1])
+        values = m.params.copy()
+        view = values.view()
+        view.flags.writeable = False
+        live = m.with_shared_params(view)
+        k, blocks = live._stored, live._blocks
+        values *= -3.0
+        live.refresh()
+        assert live._stored is k and all(a is b for a, b in zip(live._blocks, blocks))
+        np.testing.assert_array_equal(k, m.with_params(values)._stored)
+        np.testing.assert_array_equal(live.materialize(), -3.0 * m.materialize())
+
+    def test_siblings_share_the_geometry_not_k(self):
+        m = make_conv(np.random.default_rng(23), WORDPAIR_CONVS[0])
+        twin = m.with_params(2.0 * m.params)
+        assert twin._geometry is m._geometry
+        assert not np.shares_memory(twin._stored, m._stored)
+        np.testing.assert_array_equal(twin._stored, 2.0 * m._stored)
+
+    def test_empty_stacks(self):
+        # a batch whose rows all dropped out folds to zero
+        m = make_conv(np.random.default_rng(26), WORDPAIR_CONVS[1])
+        assert m.forward(np.zeros((0, m.n_in))).shape == (0, m.n_out)
+        assert m.adjoint(np.zeros((0, m.n_out))).shape == (0, m.n_in)
+        np.testing.assert_array_equal(
+            m.fold(np.zeros((0, m.n_in)), np.zeros((0, m.n_out))), np.zeros(m.params.shape)
+        )
+
+    def test_fold_allocates_nothing_as_large_as_the_taps(self):
+        # the 900->405 map has 100,701 taps; no per-tap array is built
+        m = make_conv(np.random.default_rng(24), WORDPAIR_CONVS[0])
+        rng = np.random.default_rng(25)
+        params = rng.standard_normal(m.params.shape)
+        left, right = rng.standard_normal((8, m.n_in)), rng.standard_normal((8, m.n_out))
+        assert oracle.conv_wiring(m)[0].size == 100_701
+        tracemalloc.start()
+        try:
+            m.with_params(params).fold(left, right)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_701 * 8
 
 
 class TestImmutability:
@@ -356,6 +435,11 @@ class TestShapeValidation:
             m.forward(np.zeros(3))
         with pytest.raises(ShapeMismatchError):
             m.adjoint(np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 0, 3), (1, 1, 3, 0), (0, 1, 3, 3), (1, 0, 3, 3)])
+    def test_empty_kernel_rejected(self, shape):
+        with pytest.raises(ShapeMismatchError, match="^conv kernel dimensions must be positive"):
+            ConvMap(np.zeros(shape), (shape[1], 8, 8), (1, 1))
 
     def test_conv_channel_mismatch(self):
         with pytest.raises(ShapeMismatchError):
