@@ -656,16 +656,15 @@ _MALLOC_POLICY = ((-3, 32 * 1024 * 1024), (-1, 256 * 1024 * 1024))
 def _keep_freed_memory():
     """Keep this process's freed heap pages for reuse; True if the policy was applied.
 
-    Every training step allocates and frees multi-megabyte arrays (Gram
-    matrices and their inverses, parameter gradients).  By default glibc
-    serves blocks above a threshold set by the largest block freed so far
-    from fresh mmaps, and trims the heap top once twice that is free, so
-    each step faults the same pages in again.  Under this policy blocks
-    under 32 MiB come from the heap and freed pages stay resident, for
-    about 1-2% more peak memory.  Only ``main`` sets it, so importing the
-    package changes nothing.  Other C libraries number mallopt's
-    parameters differently or stub it, so anywhere but glibc this does
-    nothing.
+    A command allocates and frees the same multi-megabyte arrays batch
+    after batch.  By default glibc serves blocks above a threshold set by
+    the largest block freed so far from fresh mmaps, and trims the heap
+    top once twice that is free, so each batch faults the same pages in
+    again.  Under this policy blocks under 32 MiB come from the heap and
+    freed pages stay resident; the README gives the measured gain and
+    memory cost.  Only ``main`` sets it, so importing the package changes
+    nothing.  Other C libraries number mallopt's parameters differently
+    or stub it, so anywhere but glibc this does nothing.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):

@@ -17,19 +17,16 @@ under the kernel's rows as its columns; each output row's block is a
 column slice of K over one contiguous span of inputs.  Its products,
 its unit Gram factor and its gradients run block by block, and
 ``materialize`` builds the dense output-order W' on demand, as a
-reference.  A map keeps its stored matrix, unit Gram factor and log-det
-gradient once built.  A sibling from ``with_params`` shares the
-convolution's geometry and keeps its parameters for life; one from
-``with_shared_params`` reads a vector that the training loop updates in
-place, and ``refresh`` then writes the new parameters into the stored
-matrix and drops the other caches.  ``GramFactor`` factors
-a map's unit Gram matrix W'W, the curvature of a Gaussian-prior layer,
-in the buffer that formed it (one syrk product, or for a convolution
-the products of the block pairs whose spans meet, in block order), and
-inverts it on and below the diagonal by a blocked triangular inverse;
-``GramStack`` factors the weighted W' diag(w) W of each row of a weight
-stack, the curvature under any other prior, in one batched call, solves
-with each factor, and forms W S^-1 only when asked.
+reference.  A map's parameters never change, so it keeps its stored
+matrix, unit Gram factor and log-det gradient once built; a sibling
+from ``with_params`` shares the convolution's geometry.  ``GramFactor``
+factors a map's unit Gram matrix W'W, the curvature of a Gaussian-prior
+layer, in the buffer that formed it (one syrk product, or for a
+convolution the products of the block pairs whose spans meet, in block
+order), and inverts it on and below the diagonal by a blocked
+triangular inverse; ``GramStack`` factors the weighted W' diag(w) W of
+each row of a weight stack, the curvature under any other prior, in one
+batched call, solves with each factor, and forms W S^-1 only when asked.
 """
 
 import functools
@@ -94,8 +91,7 @@ class LinearMap:
 
     * ``materialize()``, the dense n_out x n_in matrix A = W' in output
       order, with ``forward(x)`` equal to A @ x up to rounding;
-    * ``_stored`` and ``_fill(a)``, the kept matrix and the writing of
-      the parameters into it;
+    * ``_stored``, the kept matrix that the products read;
     * ``with_params(params)``, a sibling map with new parameters;
     * ``fold(left, right)``, equal to ``collect_matrix_grad(left' right)``
       for (K, n_in) and (K, n_out) row stacks: the fold of x and s
@@ -113,16 +109,14 @@ class LinearMap:
     def gram(self):
         """The unit-weight GramFactor of S = W'W, built on first use and kept.
 
-        Like ``materialize()`` it depends on the parameters alone.  A map
-        built by ``with_params`` keeps its parameters for life; a map
-        built by ``with_shared_params`` drops the factor in ``refresh``
-        after every update, so a kept factor can never go stale.
+        Like ``materialize()`` it depends on the parameters alone, which
+        a map keeps for life.
         """
         return GramFactor(self)
 
     @functools.cached_property
     def logdet_grad(self):
-        """d(log det W'W)/dparams / 2, the fold of W S^-1, kept and dropped with ``gram``.
+        """d(log det W'W)/dparams / 2, the fold of W S^-1, kept like ``gram``.
 
         The map keeps it, not the factor, so that a factor holds no
         reference back to its map; the fold reads S^-1's lower triangle.
@@ -130,34 +124,6 @@ class LinearMap:
         g = self._logdet_fold(self.gram)
         g.flags.writeable = False
         return g
-
-    def with_shared_params(self, params):
-        """A sibling map whose parameters are the read-only view ``params`` itself, not a copy.
-
-        Its owner writes new values through the view's writeable base and
-        then calls ``refresh`` before the map is used again.
-        """
-        if params.flags.writeable:
-            raise ValueError("shared parameters must be a read-only view")
-        twin = self.with_params(params)
-        twin._params = params
-        return twin
-
-    def refresh(self):
-        """Bring the kept caches up to date after the parameters changed in place.
-
-        The stored matrix takes the new parameters where it stands (a
-        convolution's K keeps its shape, and its blocks stay views of it),
-        and the kept Gram factor and log-det gradient are dropped, to be
-        built on first use.
-        """
-        vars(self).pop("gram", None)
-        vars(self).pop("logdet_grad", None)
-        a = vars(self).get("_stored")
-        if a is not None:
-            a.flags.writeable = True
-            self._fill(a)
-            a.flags.writeable = False
 
     def forward(self, x):
         """W'x for one vector or for each row of a (B, n_in) stack."""
@@ -188,15 +154,12 @@ class DenseMap(LinearMap):
         return self.n_in
 
     def materialize(self):
-        """W' itself, built on first use and kept (read-only); ``refresh`` writes into it."""
+        """W' itself, built on first use and kept (read-only)."""
         return self._stored
 
     @functools.cached_property
     def _stored(self):
         return _readonly(self._params.T)
-
-    def _fill(self, a):
-        np.copyto(a, self._params.T)
 
     def with_params(self, params):
         p = np.asarray(params, dtype=np.float64)
@@ -230,8 +193,8 @@ class ConvMap(LinearMap):
     and bottom edge, so the map stores W' as one row-window matrix K
     (``_stored``): its rows are the outputs (c_out, tx) of one output
     row, its columns the inputs (dy, c_in, ix) under the kernel's rows
-    across the whole image width, and ``_fill`` writes the kernel into
-    it by one strided (Toeplitz) copy.  Output row ty's block is the
+    across the whole image width, and the kernel is written into it by
+    one strided (Toeplitz) copy.  Output row ty's block is the
     column slice of K over its in-image kernel rows, a view, and it reads
     one contiguous span of the input taken in (iy, c_in, ix) order.  The
     products run block by block, with the outputs in block order
@@ -269,15 +232,14 @@ class ConvMap(LinearMap):
         self._geometry = self._plan() if _geometry is None else _geometry
 
     def _plan(self):
-        """The geometry, (shape, blocks, pairs, order, back), from the shapes alone.
+        """The geometry, (shape, blocks, pairs), from the shapes alone.
 
         ``shape`` is K's.  ``blocks`` holds, per output row t, its rows in
         block order, the span of the (iy, c_in, ix) input that it reads
         and its columns of K.  ``pairs`` holds (t, u, ct, cu) for each
         ordered pair of output rows whose spans meet, ct and cu being the
         columns of K that blocks t and u put on the input rows they share,
-        by t and with the pair (t, t) first.  ``order`` is the output
-        index of each row in block order and ``back`` its inverse.
+        by t and with the pair (t, t) first.
         """
         c_out, c_in, kh, _ = self._params.shape
         _, h, w = self.in_shape
@@ -300,8 +262,7 @@ class ConvMap(LinearMap):
             for a, b in [(max(rows[t][0], rows[u][0]), min(rows[t][1], rows[u][1]))]
             if a < b
         ]
-        order = np.arange(self.n_out).reshape(self.out_shape).transpose(1, 0, 2).ravel()
-        return (m, kh * row), blocks, pairs, order, np.argsort(order)
+        return (m, kh * row), blocks, pairs
 
     @property
     def fan_in(self):
@@ -318,13 +279,7 @@ class ConvMap(LinearMap):
 
     @functools.cached_property
     def _stored(self):
-        a = np.empty(self._geometry[0])
-        self._fill(a)
-        a.flags.writeable = False
-        return a
-
-    def _fill(self, a):
-        """Write the kernel into K: row (co, tx) holds kernel row (co, dy, ci) shifted by tx*sx."""
+        """K, read-only: row (co, tx) holds kernel row (co, dy, ci) shifted by tx*sx."""
         c_out, c_in, kh, kw = self._params.shape
         w, w_out, sx = self.in_shape[2], self.out_shape[2], self.strides[1]
         # each kernel row, zero-padded so that every shifted window of w entries lies inside it;
@@ -337,10 +292,13 @@ class ConvMap(LinearMap):
         rows = np.lib.stride_tricks.as_strided(
             pad[..., at:], (c_out, w_out, kh, c_in, w), (s[0], -sx * s[3], s[1], s[2], s[3])
         )
+        a = np.empty(self._geometry[0])
         np.copyto(a.reshape(rows.shape), rows)
+        a.flags.writeable = False
+        return a
 
     def _to_kernel(self, g):
-        """The kernel gradient of a K-shaped gradient: the adjoint of ``_fill``, a sum over tx."""
+        """The kernel gradient of a K-shaped gradient: the adjoint of ``_stored``, a sum over tx."""
         c_out, c_in, kh, kw = self._params.shape
         w, w_out, sx = self.in_shape[2], self.out_shape[2], self.strides[1]
         left = (kw - 1) // 2
@@ -383,7 +341,7 @@ class ConvMap(LinearMap):
         Only the blocks on and above the diagonal are formed: they are the
         lower triangle of the transpose, which is all that potrf reads.
         """
-        _, blocks, pairs, _, _ = self._geometry
+        _, blocks, pairs = self._geometry
         k = self._stored
         s = np.zeros((self.n_out, self.n_out))
         for t, u, ct, cu in pairs:
@@ -399,7 +357,7 @@ class ConvMap(LinearMap):
         pair (t, t) covers all of block t, and a pair t < u reads the
         (u, t) block of S^-1, transposed.
         """
-        shape, blocks, pairs, _, _ = self._geometry
+        shape, blocks, pairs = self._geometry
         inv = gram._inverse()
         k = self._stored
         g = np.zeros(shape)
@@ -412,7 +370,7 @@ class ConvMap(LinearMap):
         return self._to_kernel(g)
 
     def fold(self, left, right):
-        shape, blocks, _, _, _ = self._geometry
+        shape, blocks, _ = self._geometry
         left, right = _swap(left, *self.in_shape[:2]), _swap(right, *self.out_shape[:2])
         g = np.zeros(shape)
         for rows, span, cols in blocks:
@@ -423,7 +381,7 @@ class ConvMap(LinearMap):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.n_in, self.n_out):
             raise ShapeMismatchError(f"matrix grad shape {g.shape} != {(self.n_in, self.n_out)}")
-        shape, blocks, _, _, _ = self._geometry
+        shape, blocks, _ = self._geometry
         g = _swap(_swap(g, *self.out_shape[:2]).T, *self.in_shape[:2])
         out = np.zeros(shape)
         for rows, span, cols in blocks:
@@ -455,10 +413,10 @@ class GramFactor:
     """
 
     def __init__(self, map_):
-        self._order = self._back = None
+        self._dims = None
         if isinstance(map_, ConvMap):
             s = map_._gram()
-            *_, self._order, self._back = map_._geometry
+            self._dims = map_.out_shape[:2]
         else:
             a = map_.materialize()
             s = a @ a.T
@@ -474,10 +432,13 @@ class GramFactor:
 
     def solve(self, r):
         """Solve S u = r for one vector or for each row of a (B, n_out) stack."""
-        b = np.asarray(r, dtype=np.float64).T
-        if self._order is None:
-            return dpotrs(self._chol, b, lower=1)[0].T
-        return dpotrs(self._chol, b[self._order], lower=1)[0][self._back].T
+        r = np.asarray(r, dtype=np.float64)
+        if self._dims is None:
+            return dpotrs(self._chol, r.T, lower=1)[0].T
+        c_out, h_out = self._dims
+        u = dpotrs(self._chol, _swap(r, c_out, h_out).T, lower=1)[0].T
+        # Fortran-ordered like the dense path's result, so that products with it round alike
+        return np.asfortranarray(_swap(u, h_out, c_out))
 
     def _inverse(self):
         """S^-1 on and below the diagonal, in the factor's order; above it, not S^-1.

@@ -109,6 +109,9 @@ class OutputPriorConfig:
     n_classes: int
 
     def __post_init__(self):
+        for key in ("c", "level"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"output prior {key} must be finite")
         if self.c < 0.0:
             raise ConfigError("output shift scale C must be nonnegative")
         if self.level <= 0.0:
@@ -465,8 +468,9 @@ def build_network(input_shape, layer_cfgs, rng, output_prior=None, standardize=N
     layer config is a dict: dense layers {"type": "dense", "units": n,
     "activation": tag}, conv layers {"type": "conv", "channels": c,
     "kernel": (kh, kw), "strides": (sy, sx), "activation": tag}.  Conv
-    layers require the running shape to still be spatial.  Weights are
-    drawn U(-a, a) with a = sqrt(3/fan_in); biases start at zero.
+    layers require the running shape to still be spatial.  A size below 1
+    raises ConfigError before any array is built.  Weights are drawn
+    U(-a, a) with a = sqrt(3/fan_in); biases start at zero.
     """
     if isinstance(input_shape, int):
         shape = None
@@ -476,6 +480,8 @@ def build_network(input_shape, layer_cfgs, rng, output_prior=None, standardize=N
         if len(shape) != 3:
             raise ConfigError("spatial input shape must be (channels, h, w)")
         n_in = int(np.prod(shape))
+    if min(shape or (n_in,)) < 1:
+        raise ConfigError(f"input shape sizes must be positive, got {input_shape}")
 
     layers = []
     prior_kind = "gaussian"
@@ -484,13 +490,16 @@ def build_network(input_shape, layer_cfgs, rng, output_prior=None, standardize=N
         if kind == "conv":
             if shape is None:
                 raise ConfigError("conv layer after the spatial structure was flattened")
-            c_out = int(cfg["channels"])
-            kh, kw = (int(v) for v in cfg["kernel"])
-            probe = ConvMap(np.zeros((c_out, shape[0], kh, kw)), shape, cfg["strides"])
+            dims = (int(cfg["channels"]), shape[0], *(int(v) for v in cfg["kernel"]))
+            if min(dims) < 1:
+                raise ConfigError(f"conv kernel dimensions must be positive, got {dims}")
+            probe = ConvMap(np.zeros(dims), shape, cfg["strides"])
             map_ = probe.with_params(scaled_uniform_init(rng, probe))
             shape = map_.out_shape
         elif kind == "dense":
             units = int(cfg["units"])
+            if units < 1:
+                raise ConfigError(f"dense layer units must be positive, got {units}")
             probe = DenseMap(np.zeros((n_in, units)))
             map_ = DenseMap(scaled_uniform_init(rng, probe))
             shape = None
@@ -589,8 +598,6 @@ def network_from_dict(doc):
     output_prior = None
     if doc.get("output_prior") is not None:
         p = doc["output_prior"]
-        for key in ("c", "level"):
-            _finite(p[key], f"output prior {key}")
         output_prior = OutputPriorConfig(c=p["c"], level=p["level"], n_classes=p["n_classes"])
     standardize = None
     if doc.get("standardize") is not None:

@@ -40,10 +40,7 @@ factor: the solver decides this once per solve, from the prior, and
 the solution carries the kept factor instead of a rebuilt copy; the
 likelihood gradient then reads the map's kept fold of W S^-1
 (``LinearMap.logdet_grad``), not a dense W S^-1.  Under every other
-prior the curvature is a GramStack, one factor per column.  A map's
-parameters change only in place in a training skeleton, whose update
-ends with the map's ``refresh``: it rewrites the map's stored matrix
-and drops the kept factor, so no solve can see a stale one.  The
+prior the curvature is a GramStack, one factor per column.  The
 solver reads the map only through ``forward``, ``adjoint`` and its
 factors, so a convolution's products run on its output-row blocks,
 the column slices of its one row-window matrix.

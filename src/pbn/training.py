@@ -49,13 +49,7 @@ import numpy as np
 
 from .errors import TrainingError
 from .linops import DenseMap
-from .network import (
-    LayerSpec,
-    Network,
-    label_signal,
-    output_shift,
-    row_chunks,
-)
+from .network import label_signal, output_shift, row_chunks
 from .priors import activation_prior
 
 
@@ -357,51 +351,30 @@ def _layer_arrays(net):
 
 def _unflatten(flat, like):
     """Views of ``flat`` with the shapes of the arrays ``like``, in order."""
-    ends = np.cumsum([a.size for a in like])
-    return [v.reshape(a.shape) for v, a in zip(np.split(flat, ends[:-1]), like)]
-
-
-def _skeleton(net):
-    """(skeleton, theta): a copy of ``net``, validated once, to be trained in place.
-
-    Every layer's parameters and bias in the skeleton are read-only
-    views of the vector theta, laid out as ``_layer_arrays``; an update
-    writes theta in one operation and then refreshes each map.
-    """
-    arrays = _layer_arrays(net)
-    theta = np.concatenate([a.ravel() for a in arrays])
-    frozen = theta.view()
-    frozen.flags.writeable = False
-    views = _unflatten(frozen, arrays)
-    layers = []
-    for spec, w, b in zip(net.layers, views, views[net.depth :]):
-        layer = LayerSpec(spec.map.with_shared_params(w), b, spec.input_prior, spec.activation)
-        layer.bias = b
-        layers.append(layer)
-    return Network(layers, net.output_prior, net.standardize), theta
-
-
-def _checkpoint(theta):
-    """A copy of the parameter vector, all a checkpoint holds.
-
-    Every update refreshes the skeleton's caches in place, so there is
-    no cache to keep; the run builds one network from the kept vector
-    when it returns.
-    """
-    return theta.copy()
+    ends = np.cumsum([0] + [a.size for a in like])
+    return [flat[s:e].reshape(a.shape) for s, e, a in zip(ends, ends[1:], like)]
 
 
 def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
     """Minibatch ascent; ``rng`` shuffles every epoch (and drives any dropout).
 
-    ``net`` is left as it is; the run trains a skeleton copy in place
-    and returns a new network built from the best checkpoint, or ``net``
-    itself when no epoch completed.
+    The optimizer updates one parameter vector theta in place, laid out
+    as ``_layer_arrays``, and every step reads a network built anew from
+    it; ``net`` itself is never trained.  Returns a network built from
+    the best checkpoint, a copy of theta, or ``net`` itself when no
+    epoch completed.
     """
     if not len(data):
         raise TrainingError("the training set is empty")
-    skeleton, theta = _skeleton(net)
-    weights = theta[: sum(spec.map.params.size for spec in net.layers)]
+    arrays = _layer_arrays(net)
+    theta = np.concatenate([a.ravel() for a in arrays])
+    weights = theta[: sum(a.size for a in arrays[: net.depth])]
+
+    def build(flat):
+        views = _unflatten(flat, arrays)
+        return net.with_layer_params(views[: net.depth], views[net.depth :])
+
+    step_net = build(theta)
     opt = _make_optimizer(config)
     history = []
     best, best_acc = None, -1.0
@@ -414,7 +387,7 @@ def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
         for start in range(0, len(order), size):
             idx = order[start : start + size]
             try:
-                grad, value, defined = _batch(skeleton, weights, data, idx, config.l2, batch_grad)
+                grad, value, defined = _batch(step_net, weights, data, idx, config.l2, batch_grad)
             except TrainingError as exc:
                 if epoch == 1 and start == 0:
                     raise
@@ -424,14 +397,13 @@ def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
                 reason = "non-finite objective or gradient"
                 break
             opt.step(theta, grad)
-            for spec in skeleton.layers:
-                spec.map.refresh()
+            step_net = build(theta)
             value_sum += value * defined
             defined_sum += defined
             attempted_sum += len(idx)
         if reason is not None:
             break
-        val_acc = None if val_data is None else val_fn(skeleton, val_data)
+        val_acc = None if val_data is None else val_fn(step_net, val_data)
         history.append(
             dict(
                 epoch=epoch,
@@ -441,10 +413,9 @@ def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
             )
         )
         if val_data is None or val_acc >= best_acc:
-            best_acc, best = val_acc, _checkpoint(theta)
+            best_acc, best = val_acc, theta.copy()
     if best is not None:
-        views = _unflatten(best, _layer_arrays(net))
-        net = net.with_layer_params(views[: net.depth], views[net.depth :])
+        net = build(best)
     return TrainResult(network=net, history=history, aborted=reason is not None, reason=reason)
 
 

@@ -6,8 +6,10 @@ cleared example database or a cut log.  The ``pbn`` profile is loaded
 unless pytest's ``--hypothesis-profile`` names another.  The deeper
 ``pbn-deep`` profile runs 1,000 examples of each property that takes its
 budget from ``helpers.examples``: the batched-vs-oracle properties of
-``test_batch.py``, the prior properties of ``test_priors.py``, and the
-conv and dense map sweeps of ``test_linops.py``.
+``test_batch.py``, the prior properties of ``test_priors.py``, the
+conv and dense map sweeps of ``test_linops.py``, the log-mel and
+archive properties of ``test_features.py``, and the CSV reader fuzzer
+of ``test_cli.py``.
 """
 
 from helpers import DEEP_PROFILE

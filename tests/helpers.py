@@ -18,10 +18,18 @@ def examples(local):
 
 
 def full_inverse(factor):
-    """The whole S^-1 of a GramFactor in output order, mirrored from the lower triangle it forms."""
+    """The whole S^-1 of a GramFactor in output order, mirrored from the lower triangle it forms.
+
+    A convolution's factor is in block order (h_out, c_out, w_out); its
+    ``_dims`` (c_out, h_out) give the permutation back to output order.
+    """
     inv = np.tril(factor._inverse())
     inv += np.tril(inv, -1).T
-    return inv if factor._back is None else inv[np.ix_(factor._back, factor._back)]
+    if factor._dims is None:
+        return inv
+    c_out, h_out = factor._dims
+    back = np.arange(len(inv)).reshape(h_out, c_out, -1).transpose(1, 0, 2).ravel()
+    return inv[np.ix_(back, back)]
 
 
 def scalar_pdf(kind, x):

@@ -28,7 +28,7 @@ from pbn.cli import _keep_freed_memory, _read_csv, _standardize_on, build_from_c
 from pbn.errors import ConfigError, PbnError
 from pbn.features import extract_directory, read_archive, write_archive_binary, write_archive_text
 from pbn.linops import ConvMap, GramStack
-from helpers import write_non_finite_archive
+from helpers import examples, write_non_finite_archive
 
 
 def damaged_model(where, value):
@@ -286,11 +286,35 @@ class TestTrain:
         assert [ln.split(",")[:2] for ln in body] == [["pbn", "1"]]
         assert any(isinstance(m, ConvMap) for m in stacked)
 
-    @pytest.mark.parametrize("kernel", ["0x3", "3x0"])
-    def test_empty_conv_kernel_exits_2(self, tmp_path, toy_archive, capsys, kernel):
+    @pytest.mark.parametrize(
+        "layers, reason",
+        [
+            pytest.param(
+                "conv:1:0x3:1x1:linear,dense:2:shift",
+                "conv kernel dimensions must be positive, got (1, 1, 0, 3)",
+                id="0x3",
+            ),
+            pytest.param(
+                "conv:1:3x0:1x1:linear,dense:2:shift",
+                "conv kernel dimensions must be positive, got (1, 1, 3, 0)",
+                id="3x0",
+            ),
+            ("dense:0:linear", "dense layer units must be positive, got 0"),
+            ("dense:-1:linear", "dense layer units must be positive, got -1"),
+            (
+                "conv:-1:3x3:1x1:linear,dense:2:shift",
+                "conv kernel dimensions must be positive, got (-1, 1, 3, 3)",
+            ),
+            (
+                "conv:2:-1x3:1x1:linear,dense:2:shift",
+                "conv kernel dimensions must be positive, got (2, 1, -1, 3)",
+            ),
+        ],
+    )
+    def test_empty_conv_kernel_exits_2(self, tmp_path, toy_archive, capsys, layers, reason):
         cfg = tmp_path / "conv.cfg"
         cfg.write_text(
-            f"arch=custom\ninput_shape=1x2x3\nlayers=conv:1:{kernel}:1x1:linear,dense:2:shift\n"
+            f"arch=custom\ninput_shape=1x2x3\nlayers={layers}\n"
             "n_classes=2\nC=20\nstandardize=true\nepochs=1\n"
         )
         model = tmp_path / "m.json"
@@ -299,9 +323,8 @@ class TestTrain:
             "train", "--features", toy_archive, "--config", str(cfg),
             "--out-model", str(model), "--pretrain",
         )
-        shape = (1, 1) + tuple(int(v) for v in kernel.split("x"))
         assert (rc, out) == (2, "")
-        assert err == f"error: conv kernel dimensions must be positive, got {shape}\n"
+        assert err == f"error: {reason}\n"
         assert not model.exists()
 
     def test_pretrain_phase_rows(self, tmp_path, toy_archive, toy_config, capsys):
@@ -491,7 +514,10 @@ class TestTrain:
             ("l2=-1", "l2 must be finite and nonnegative"),
             ("pretrain_l2=inf", "l2 must be finite and nonnegative"),
             ("C=abc", "config key C='abc' is not a number"),
+            ("C=nan", "output prior c must be finite"),
+            ("L=inf", "output prior level must be finite"),
             ("input_shape=6x6", "input_shape: expected N or CxHxW, got '6x6'"),
+            ("input_shape=-6", "input shape sizes must be positive, got -6"),
             (
                 "layers=pool:2",
                 "layers: bad layer 'pool:2' (dense:units:act or conv:ch:KHxKW:SYxSX:act)",
@@ -1124,7 +1150,7 @@ class TestCombine:
         assert err == "error: no sample has finite scores in both families\n"
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(raw=st.binary(max_size=200) | st.text(alphabet=",#\n\r0a\xff", max_size=40).map(str.encode))
 def test_read_csv_raises_only_package_errors(tmp_path_factory, raw):
     path = tmp_path_factory.mktemp("csv") / "table.csv"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import oracle
-from helpers import write_non_finite_archive
+from helpers import examples, write_non_finite_archive
 from pbn import Dataset, IngestionError
 from pbn.features import (
     ENERGY_FLOOR,
@@ -122,7 +122,7 @@ class TestLogmelAgainstPerFrameOracle:
         rng = np.random.default_rng(length)
         assert_matches_per_frame_oracle(rng.uniform(-0.5, 0.5, length))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(
         length=st.integers(256, 40000),
         log_amplitude=st.floats(-7.0, 0.0),
@@ -427,7 +427,7 @@ def archive_records(draw):
     return Dataset(x, np.array(labels, dtype=np.int64), ids)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[FUNCTION_SCOPED])
+@settings(max_examples=examples(150), deadline=None, suppress_health_check=[FUNCTION_SCOPED])
 @given(data=archive_records(), binary=st.booleans())
 def test_archive_round_trips_or_refuses(tmp_path, data, binary):
     """Any record set either comes back exactly or is refused with IngestionError."""
@@ -445,7 +445,7 @@ def test_archive_round_trips_or_refuses(tmp_path, data, binary):
     np.testing.assert_array_equal(np.signbit(back.x[finite]), np.signbit(data.x[finite]))
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[FUNCTION_SCOPED])
+@settings(max_examples=examples(200), deadline=None, suppress_health_check=[FUNCTION_SCOPED])
 @given(raw=st.binary(max_size=120), binary=st.booleans())
 def test_damaged_archive_raises_only_ingestion_error(tmp_path, raw, binary):
     path = tmp_path / "damaged"
