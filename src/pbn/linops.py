@@ -22,8 +22,8 @@ matrix, unit Gram factor and log-det gradient once built; a sibling
 from ``with_params`` shares the convolution's geometry.  ``GramFactor``
 factors a map's unit Gram matrix W'W, the curvature of a Gaussian-prior
 layer, in the buffer that formed it (one syrk product, or for a
-convolution the products of the block pairs whose spans meet, in block
-order), and inverts it on and below the diagonal by a blocked
+convolution one product per group of block pairs on the same columns of
+K, in block order), and inverts it on and below the diagonal by a blocked
 triangular inverse; ``GramStack`` factors the weighted W' diag(w) W of
 each row of a weight stack, the curvature under any other prior, in one
 batched call, solves with each factor, and forms W S^-1 only when asked.
@@ -232,14 +232,16 @@ class ConvMap(LinearMap):
         self._geometry = self._plan() if _geometry is None else _geometry
 
     def _plan(self):
-        """The geometry, (shape, blocks, pairs), from the shapes alone.
+        """The geometry, (shape, blocks, diagonal, lower), from the shapes alone.
 
         ``shape`` is K's.  ``blocks`` holds, per output row t, its rows in
         block order, the span of the (iy, c_in, ix) input that it reads
-        and its columns of K.  ``pairs`` holds (t, u, ct, cu) for each
-        ordered pair of output rows whose spans meet, ct and cu being the
-        columns of K that blocks t and u put on the input rows they share,
-        by t and with the pair (t, t) first.
+        and its columns of K.  Output rows t and u whose spans meet
+        multiply the columns ct and cu of K on the input rows they share,
+        and the pairs are grouped by (ct, cu).  The rows' tops increase
+        strictly with t, so no group mixes t = u, t > u and t < u, and
+        each t < u group mirrors a t > u one.  ``diagonal`` holds (ct, ts)
+        and ``lower`` (ct, cu, ts, us), ts > us, with index arrays ts, us.
         """
         c_out, c_in, kh, _ = self._params.shape
         _, h, w = self.in_shape
@@ -249,20 +251,21 @@ class ConvMap(LinearMap):
         rows = [(max(top, 0), min(top + kh, h)) for top in tops]
 
         def cols(t, a, b):
-            return slice((a - tops[t]) * row, (b - tops[t]) * row)
+            return (a - tops[t]) * row, (b - tops[t]) * row
 
         blocks = [
-            (slice(t * m, t * m + m), slice(a * row, b * row), cols(t, a, b))
+            (slice(t * m, t * m + m), slice(a * row, b * row), slice(*cols(t, a, b)))
             for t, (a, b) in enumerate(rows)
         ]
-        pairs = [
-            (t, u, cols(t, a, b), cols(u, a, b))
-            for t in range(h_out)
-            for u in sorted(range(h_out), key=lambda u: u != t)
-            for a, b in [(max(rows[t][0], rows[u][0]), min(rows[t][1], rows[u][1]))]
-            if a < b
-        ]
-        return (m, kh * row), blocks, pairs
+        pairs = {}  # keyed by the bounds of (ct, cu): slices are not hashable before Python 3.12
+        for t, u in ((t, u) for t in range(h_out) for u in range(t + 1)):
+            a, b = max(rows[t][0], rows[u][0]), min(rows[t][1], rows[u][1])
+            if a < b:
+                pairs.setdefault((cols(t, a, b), cols(u, a, b)), []).append((t, u))
+        groups = [(slice(*ct), slice(*cu), *np.array(tu).T) for (ct, cu), tu in pairs.items()]
+        diagonal = [(ct, ts) for ct, cu, ts, _ in groups if ct == cu]
+        lower = [group for group in groups if group[0] != group[1]]
+        return (m, kh * row), blocks, diagonal, lower
 
     @property
     def fan_in(self):
@@ -336,41 +339,45 @@ class ConvMap(LinearMap):
         return _swap(out, *self.in_shape[1::-1])
 
     def _gram(self):
-        """W'W in block order, formed from the block pairs whose spans meet.
+        """W'W in block order, one product per group of block pairs whose spans meet.
 
-        Only the blocks on and above the diagonal are formed: they are the
-        lower triangle of the transpose, which is all that potrf reads.
+        Only the blocks on and above the diagonal, which potrf reads, are
+        formed: a lower group's go to its mirrors (u, t) as K[:, cu] K[:, ct]'.
         """
-        _, blocks, pairs = self._geometry
+        shape, blocks, diagonal, lower = self._geometry
         k = self._stored
         s = np.zeros((self.n_out, self.n_out))
-        for t, u, ct, cu in pairs:
-            if t <= u:
-                np.matmul(k[:, ct], k[:, cu].T, out=s[blocks[t][0], blocks[u][0]])
+        s4 = s.reshape(len(blocks), shape[0], len(blocks), shape[0])  # block (t, u) is s4[t, :, u]
+        for c, ts in diagonal:
+            s4[ts, :, ts, :] = k[:, c] @ k[:, c].T
+        for ct, cu, ts, us in lower:
+            s4[us, :, ts, :] = k[:, cu] @ k[:, ct].T
         return s
 
     def _logdet_fold(self, gram):
         """The fold of W S^-1, from the lower triangle of S^-1 in the block order of ``gram``.
 
-        Block t of S^-1 W' sums S^-1 against only the blocks whose spans
-        meet block t's, each over the inputs the two spans share; the
-        pair (t, t) covers all of block t, and a pair t < u reads the
-        (u, t) block of S^-1, transposed.
+        Block t of S^-1 W' sums S^-1 against the blocks whose spans meet
+        block t's.  A group's pairs share their columns of K, so its
+        blocks of S^-1, all on or below the diagonal, are summed into one
+        A first: a lower group adds A K[:, cu] into g[:, ct] and A' K[:, ct]
+        into g[:, cu]; symm reads a diagonal group's A from its lower triangle.
         """
-        shape, blocks, pairs = self._geometry
-        inv = gram._inverse()
+        shape, blocks, diagonal, lower = self._geometry
+        # block (t, u) of S^-1 is inv[:, t, :, u], a view of the Fortran-ordered inverse
+        inv = np.reshape(gram._inverse(), (shape[0], len(blocks)) * 2, order="F")
         k = self._stored
         g = np.zeros(shape)
-        for t, u, ct, cu in pairs:
-            rt, ru = blocks[t][0], blocks[u][0]
-            if t == u:
-                g[:, ct] += dsymm(1.0, inv[rt, rt], k[:, ct].T, side=1, lower=1).T
-            else:
-                g[:, ct] += (inv[rt, ru] if t > u else inv[ru, rt].T) @ k[:, cu]
+        for c, ts in diagonal:
+            g[:, c] += dsymm(1.0, inv[:, ts, :, ts].sum(axis=0), k[:, c].T, side=1, lower=1).T
+        for ct, cu, ts, us in lower:
+            a = inv[:, ts, :, us].sum(axis=0)
+            g[:, ct] += a @ k[:, cu]
+            g[:, cu] += a.T @ k[:, ct]
         return self._to_kernel(g)
 
     def fold(self, left, right):
-        shape, blocks, _ = self._geometry
+        shape, blocks = self._geometry[:2]
         left, right = _swap(left, *self.in_shape[:2]), _swap(right, *self.out_shape[:2])
         g = np.zeros(shape)
         for rows, span, cols in blocks:
@@ -381,7 +388,7 @@ class ConvMap(LinearMap):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.n_in, self.n_out):
             raise ShapeMismatchError(f"matrix grad shape {g.shape} != {(self.n_in, self.n_out)}")
-        shape, blocks, _ = self._geometry
+        shape, blocks = self._geometry[:2]
         g = _swap(_swap(g, *self.out_shape[:2]).T, *self.in_shape[:2])
         out = np.zeros(shape)
         for rows, span, cols in blocks:
@@ -398,9 +405,9 @@ class GramFactor:
     potrf factors it in the buffer that product wrote: S is exactly
     symmetric, so its transpose is the Fortran-ordered matrix potrf
     takes.  A convolution's factor is formed and factored in block
-    order instead, from the products of the block pairs whose spans
-    meet; ``solve`` permutes in and out of that order, and the log
-    determinant does not depend on it.  A failed factorization, a
+    order instead, one product per group of block pairs on the same
+    columns of K; ``solve`` permutes in and out of that order, and the
+    log determinant does not depend on it.  A failed factorization, a
     non-finite S, or a pivot collapsing to zero relative to the trace,
     raises SingularityError.  Every entry of a Gram matrix is bounded by
     its diagonal, so a finite trace means a finite S.

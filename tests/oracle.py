@@ -235,16 +235,21 @@ def gradient(net, x_raw, label=None):
 
 
 def reconstruct_from_layer(net, layer, z_layer):
+    return reconstruction_walk(net, layer, z_layer)[0]
+
+
+def reconstruction_walk(net, layer, z_layer):
+    """(raw reconstruction, the layer-1 solve it came from) of one preactivation."""
     spec = net.layers[layer - 1]
-    x = solve_saddle(spec.map, spec.input_prior, z_layer - spec.bias, label=f"layer {layer}").x_hat
+    sol = solve_saddle(spec.map, spec.input_prior, z_layer - spec.bias, label=f"layer {layer}")
     for l in range(layer - 1, 0, -1):
         spec = net.layers[l - 1]
         act = activation_prior(spec.activation)
-        if not act.in_support(x):
+        if not act.in_support(sol.x_hat):
             raise DomainError(f"layer {l}: outside the activation range")
-        z = act.activation_inverse(x)
-        x = solve_saddle(spec.map, spec.input_prior, z - spec.bias, label=f"layer {l}").x_hat
-    return net.destandardize(x)
+        z = act.activation_inverse(sol.x_hat)
+        sol = solve_saddle(spec.map, spec.input_prior, z - spec.bias, label=f"layer {l}")
+    return net.destandardize(sol.x_hat), sol
 
 
 def reconstruction_statistic(net, x_raw, layer):

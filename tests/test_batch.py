@@ -15,7 +15,11 @@ Cholesky factor.  With Gaussian priors on the wide layers the gradient
 is held to 1e-12.  The reconstruction statistic is -log of a
 mean squared difference of nearly equal vectors, held to 1e-10.  Over
 800 random batches the largest differences seen were 3.3e-13
-(Gaussian-conv gradient) and 1.1e-12 (statistic).
+(Gaussian-conv gradient) and 1.1e-12 (statistic).  A reconstruction
+also gets the rounding floor of its last product W h^ (see
+``reconstruction_floor``), which passes 1e-12 of the row only when the
+solve ends deep in a prior's tail: the batched and per-sample solves
+then take the same Newton steps and still differ by that rounding.
 """
 
 import contextlib
@@ -24,7 +28,7 @@ import numpy as np
 import oracle
 import pytest
 from helpers import examples
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbn import gradient, reconstruct_from_layer, reconstruction_statistic, solve_saddle
@@ -108,11 +112,32 @@ def batch(net_name, seed, kinds):
     return np.array(rows), labels
 
 
-def close(got, want, rtol=RTOL):
-    """Equal to rtol relative to the largest magnitude of ``want``."""
+def close(got, want, rtol=RTOL, floor=0.0):
+    """Equal to rtol relative to the largest magnitude of ``want``, plus ``floor`` per entry."""
     got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
     scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
-    assert np.max(np.abs(got - want), initial=0.0) <= rtol * scale, (got, want)
+    assert np.all(np.abs(got - want) <= rtol * scale + floor), (got, want)
+
+
+def reconstruction_floor(net, sol):
+    """The rounding floor of a raw reconstruction, per entry, from its layer-1 solve.
+
+    The row is x^ = k'(alpha), alpha = W h^, destandardized.  A batch
+    and a single row form W h^ in different summation orders, and any
+    order is within gamma_n |W| |h^| of the exact product for the n =
+    n_out terms of each entry, gamma_n = n u / (1 - n u) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, eq. 3.5).
+    So two correct reconstructions can differ by 2 gamma_n k''(alpha)
+    |W| |h^| per entry, times the destandardizing scale.  Where h^ is
+    of the size of alpha this is below RTOL; a solve that ends deep in
+    a prior's tail has |h^| far above |alpha|, and the floor rises
+    with it.
+    """
+    m = net.layers[0].map
+    nu = m.n_out * np.finfo(np.float64).eps
+    k2 = net.layers[0].input_prior.cgf_derivs(sol.alpha)[2]
+    sigma = 1.0 if net.standardize is None else net.standardize[1]
+    return 2.0 * nu / (1.0 - nu) * k2 * (np.abs(sol.h_hat) @ np.abs(m.materialize())) * sigma
 
 
 def oracle_layer(net, x):
@@ -165,6 +190,9 @@ def check_likelihood(name, seed, kinds):
 
 @settings(max_examples=examples(30), deadline=None)
 @given(batches, st.integers(1, 2))
+# row 1's layer-1 solve ends deep in the tg tail: |h| is about 24,000, and W h sums terms
+# near 16,000 to entries near 2
+@example(("tg", 11024, ["plain", "plain", "plain"]), 2)
 def test_batched_reconstruction_matches_the_oracle(case, layer):
     with fragile_tg():
         check_reconstruction(*case, layer)
@@ -178,13 +206,13 @@ def check_reconstruction(name, seed, kinds, layer):
     stats = reconstruction_statistic(net, x, layer, trace=net.interior_trace(x))
     for i, row in enumerate(x):
         try:
-            want = oracle.reconstruct_from_layer(net, layer, zs[layer - 1][i])
+            want, sol = oracle.reconstruction_walk(net, layer, zs[layer - 1][i])
         except (DomainError, ReconstructionError) as exc:
             assert np.all(np.isnan(got[i])) and np.isnan(stats[i])
             assert type(errors[i]) is type(exc)
             continue
         assert errors[i] is None
-        close(got[i], want)
+        close(got[i], want, floor=reconstruction_floor(net, sol))
         close(stats[i], oracle.reconstruction_statistic(net, row, layer), STATISTIC_RTOL)
 
 

@@ -26,6 +26,27 @@ WORDPAIR_CONVS = [
 ]
 
 
+# conv geometries with even kernels, strides past the kernel, images
+# smaller than it and a single output row
+CONV_GEOMETRY = dict(
+    c_in=st.integers(1, 3),
+    c_out=st.integers(1, 3),
+    kh=st.integers(1, 6),
+    kw=st.integers(1, 6),
+    sy=st.integers(1, 8),
+    sx=st.integers(1, 8),
+    extra_h=st.integers(0, 9),
+    extra_w=st.integers(0, 9),
+)
+
+
+def sweep_conv(kernel, c_in, c_out, kh, kw, sy, sx, extra_h, extra_w):
+    """The conv map of one CONV_GEOMETRY draw, its kernel from kernel(shape)."""
+    h, w = sy + extra_h, sx + extra_w
+    assume(c_out * (h // sy) * (w // sx) <= c_in * h * w)
+    return ConvMap(kernel((c_out, c_in, kh, kw)), (c_in, h, w), (sy, sx))
+
+
 def make_conv(rng, cfg):
     c_in = cfg["in_shape"][0]
     k = rng.standard_normal((cfg["c_out"], c_in) + cfg["kernel"])
@@ -126,23 +147,13 @@ class TestConvWiring:
         assert_taps_match_the_oracle(make_conv(np.random.default_rng(3), cfg))
 
     @settings(max_examples=examples(60), deadline=None)
-    @given(
-        c_in=st.integers(1, 3),
-        c_out=st.integers(1, 3),
-        kh=st.integers(1, 6),
-        kw=st.integers(1, 6),
-        sy=st.integers(1, 8),
-        sx=st.integers(1, 8),
-        extra_h=st.integers(0, 9),
-        extra_w=st.integers(0, 9),
-    )
-    def test_wiring_sweep_equals_the_oracle(self, c_in, c_out, kh, kw, sy, sx, extra_h, extra_w):
-        # even kernels, strides past the kernel and images smaller than it
-        h, w = sy + extra_h, sx + extra_w
-        assume(c_out * (h // sy) * (w // sx) <= c_in * h * w)
+    @given(**CONV_GEOMETRY)
+    def test_wiring_sweep_equals_the_oracle(self, **geometry):
         # distinct parameters, so a tap on the wrong entry shows
-        k = np.arange(1.0, 1 + c_out * c_in * kh * kw).reshape(c_out, c_in, kh, kw)
-        assert_taps_match_the_oracle(ConvMap(k, (c_in, h, w), (sy, sx)))
+        def kernel(shape):
+            return np.arange(1.0, 1 + np.prod(shape)).reshape(shape)
+
+        assert_taps_match_the_oracle(sweep_conv(kernel, **geometry))
 
     def test_forward_is_materialized_product(self):
         # the block products sum in their own order
@@ -252,26 +263,11 @@ class TestFold:
     """
 
     @settings(max_examples=examples(80), deadline=None)
-    @given(
-        c_in=st.integers(1, 3),
-        c_out=st.integers(1, 3),
-        kh=st.integers(1, 6),
-        kw=st.integers(1, 6),
-        sy=st.integers(1, 8),
-        sx=st.integers(1, 8),
-        extra_h=st.integers(0, 9),
-        extra_w=st.integers(0, 9),
-        rows=st.integers(1, 12),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_conv_sweep(self, c_in, c_out, kh, kw, sy, sx, extra_h, extra_w, rows, seed):
-        # even kernels, strides past the kernel, images smaller than it, a
-        # single output row, and stacks with more rows than the map has
-        # outputs
-        h, w = sy + extra_h, sx + extra_w
-        assume(c_out * (h // sy) * (w // sx) <= c_in * h * w)
+    @given(**CONV_GEOMETRY, rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_conv_sweep(self, rows, seed, **geometry):
+        # the sweep's geometries, and stacks with more rows than the map has outputs
         rng = np.random.default_rng(seed)
-        m = ConvMap(rng.standard_normal((c_out, c_in, kh, kw)), (c_in, h, w), (sy, sx))
+        m = sweep_conv(rng.standard_normal, **geometry)
         left = rng.standard_normal((rows, m.n_in))
         right = rng.standard_normal((rows, m.n_out))
         assert_fold_is_the_collected_product(m, left, right)
@@ -286,6 +282,8 @@ class TestFold:
         # by output row, then channel and column
         order = np.arange(m.n_out).reshape(m.out_shape).transpose(1, 0, 2).ravel()
         assert_within(np.triu(m._gram()), np.triu(gram[np.ix_(order, order)]))
+        assert_groups_cover_the_pairs(m)
+        np.testing.assert_array_equal(m._gram(), per_pair_gram(m))
         try:
             factor = GramFactor(m)
         except SingularityError:
@@ -340,6 +338,77 @@ class TestFold:
         assert all(np.all(np.isfinite(g)) for g in grads_w)
         rows, errors = reconstruct_from_layer(net, 4, trace.zs[3])
         assert errors == [None] * 4 and np.all(np.isfinite(rows))
+
+
+def enumerated_pairs(m):
+    """{(t, u): (ct, cu)} for each ordered pair of output rows whose spans meet, from their tops.
+
+    ct and cu are the (start, stop) columns of K under the input rows
+    that t and u share.
+    """
+    _, c_in, kh, _ = m.params.shape
+    _, h, w = m.in_shape
+    tops = [t * m.strides[0] - (kh - 1) // 2 for t in range(m.out_shape[1])]
+    row = c_in * w
+    pairs = {}
+    for t, top_t in enumerate(tops):
+        for u, top_u in enumerate(tops):
+            a, b = max(top_t, top_u, 0), min(top_t + kh, top_u + kh, h)
+            if a < b:
+                pairs[t, u] = tuple(((a - top) * row, (b - top) * row) for top in (top_t, top_u))
+    return pairs
+
+
+def assert_groups_cover_the_pairs(m):
+    """Each ordered pair lies in exactly one group: a diagonal one, a lower one or its mirror."""
+    _, _, diagonal, lower = m._geometry
+
+    def bounds(c):
+        return c.start, c.stop
+
+    got = []
+    for c, ts in diagonal:
+        got += [((t, t), (bounds(c),) * 2) for t in ts]
+    for ct, cu, ts, us in lower:
+        assert np.all(ts > us)
+        got += [((t, u), (bounds(ct), bounds(cu))) for t, u in zip(ts, us)]
+        got += [((u, t), (bounds(cu), bounds(ct))) for t, u in zip(ts, us)]
+    assert len({tu for tu, _ in got}) == len(got)
+    assert dict(got) == enumerated_pairs(m)
+
+
+def per_pair_gram(m):
+    """The blocks of W'W on and above the diagonal, one product per pair of output rows."""
+    k, n = m._stored, m._stored.shape[0]
+    s = np.zeros((m.n_out, m.n_out))
+    for (t, u), (ct, cu) in enumerated_pairs(m).items():
+        if t <= u:
+            s[t * n : t * n + n, u * n : u * n + n] = k[:, slice(*ct)] @ k[:, slice(*cu)].T
+    return s
+
+
+class TestBlockPairGroups:
+    """A conv map forms each distinct block product of W'W, and of its log-det fold, once."""
+
+    @pytest.mark.parametrize(
+        "cfg, pairs, groups, products",
+        # ordered pairs and those on and above the diagonal; diagonal and lower
+        # groups; Gram products (one per group) and fold GEMMs (two per lower group)
+        [
+            (WORDPAIR_CONVS[0], (61, 35), (5, 6), (11, 17)),
+            (WORDPAIR_CONVS[1], (7, 5), (2, 1), (3, 4)),
+        ],
+        ids=["conv1", "conv2"],
+    )
+    def test_wordpair_groups(self, cfg, pairs, groups, products):
+        m = make_conv(np.random.default_rng(27), cfg)
+        each = enumerated_pairs(m)
+        assert (len(each), sum(t <= u for t, u in each)) == pairs
+        _, _, diagonal, lower = m._geometry
+        assert (len(diagonal), len(lower)) == groups
+        assert (len(diagonal) + len(lower), len(diagonal) + 2 * len(lower)) == products
+        assert_groups_cover_the_pairs(m)
+        np.testing.assert_array_equal(m._gram(), per_pair_gram(m))
 
 
 class TestRowWindow:
@@ -530,21 +599,21 @@ class TestGramFactor:
         assert np.max(np.abs(full_inverse(GramFactor(m)) - want)) <= bound * np.max(np.abs(want))
 
     @pytest.mark.parametrize("layer", [0, 1, 2])
-    def test_logdet_fold_reads_only_the_lower_triangle(self, layer, monkeypatch):
+    def test_logdet_fold_reads_only_the_lower_triangle(self, layer):
         # layers 1 and 2 are conv maps, layer 3 a dense one
-        map_ = wordpair_network(np.random.default_rng(20)).layers[layer].map
-        want = map_.with_params(map_.params).logdet_grad
-        inverse = GramFactor._inverse
+        net = wordpair_network(np.random.default_rng(20))
+        assert_fold_reads_only_the_lower_triangle(net.layers[layer].map)
 
-        def poisoned(self):
-            inv = inverse(self)
-            inv[np.triu_indices(len(inv), 1)] = np.nan
-            return inv
-
-        monkeypatch.setattr(GramFactor, "_inverse", poisoned)
-        got = map_.logdet_grad
-        assert np.all(np.isfinite(got))
-        np.testing.assert_array_equal(got, want)
+    @settings(max_examples=examples(60), deadline=None)
+    @given(**CONV_GEOMETRY, seed=st.integers(0, 2**32 - 1))
+    def test_logdet_fold_reads_only_the_lower_triangle_on_the_sweep(self, seed, **geometry):
+        # a group summed from an upper block of S^-1 reads NaN
+        m = sweep_conv(np.random.default_rng(seed).standard_normal, **geometry)
+        try:
+            m.gram
+        except SingularityError:
+            reject()
+        assert_fold_reads_only_the_lower_triangle(m)
 
     def test_weighted_gram_is_the_symmetric_product(self):
         # a stack keeps only the factor, so the factor is held to that of the product
@@ -585,6 +654,23 @@ class TestGramFactor:
         with pytest.raises(SingularityError, match="^gram matrix is ") as raised:
             GramFactor(DenseMap(w))
         assert_seed_failure_names_the_layer(DenseMap(w), "layer 3", raised.value)
+
+
+def assert_fold_reads_only_the_lower_triangle(map_):
+    """The log-det gradient is unchanged, bit for bit, when S^-1 is NaN above its diagonal."""
+    want = map_.with_params(map_.params).logdet_grad
+    inverse = GramFactor._inverse
+
+    def poisoned(self):
+        inv = inverse(self)
+        inv[np.triu_indices(len(inv), 1)] = np.nan
+        return inv
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GramFactor, "_inverse", poisoned)
+        got = map_.logdet_grad
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, want)
 
 
 def assert_seed_failure_names_the_layer(map_, label, factor_error):
