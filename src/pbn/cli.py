@@ -10,7 +10,6 @@ nothing is lost to normalization.
 """
 
 import argparse
-import ctypes
 import hashlib
 import os
 import sys
@@ -647,42 +646,7 @@ def build_parser():
     return parser
 
 
-# glibc's mallopt parameters (malloc.h) and the values the CLI sets:
-# M_MMAP_THRESHOLD at the largest glibc accepts on 64-bit, M_TRIM_THRESHOLD
-# above any working set of the stock network
-_MALLOC_POLICY = ((-3, 32 * 1024 * 1024), (-1, 256 * 1024 * 1024))
-
-
-def _keep_freed_memory():
-    """Keep this process's freed heap pages for reuse; True if the policy was applied.
-
-    A command allocates and frees the same multi-megabyte arrays batch
-    after batch.  By default glibc serves blocks above a threshold set by
-    the largest block freed so far from fresh mmaps, and trims the heap
-    top once twice that is free, so each batch faults the same pages in
-    again.  Under this policy blocks under 32 MiB come from the heap and
-    freed pages stay resident; the README gives the measured gain and
-    memory cost.  Only ``main`` sets it, so importing the package changes
-    nothing.  Other C libraries number mallopt's parameters differently
-    or stub it, so anywhere but glibc this does nothing.
-    """
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return False
-    except (AttributeError, ValueError, OSError):
-        return False
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    # a list, not a generator: set every parameter even if one is refused
-    return all([mallopt(param, value) == 1 for param, value in _MALLOC_POLICY])
-
-
 def main(argv=None):
-    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

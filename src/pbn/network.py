@@ -46,10 +46,9 @@ from .errors import (
     SingularityError,
 )
 from .linops import ConvMap, DenseMap
-from .priors import activation_prior, get_prior
+from .priors import LOG_2PI, activation_prior, get_prior
 from .saddlepoint import solve_saddle
 
-LOG_2PI = math.log(2.0 * math.pi)
 SIGMA_FLOOR = 1e-12
 INNER_ACTIVATIONS = ("linear", "tg", "ted")
 
@@ -73,8 +72,9 @@ def label_signal(label, n_classes, level):
     An array of labels gives one row per label.
     """
     labels = np.asarray(label).astype(int)
-    if np.any((labels < 0) | (labels >= n_classes)):
-        raise DomainError(f"label {label} outside 0..{n_classes - 1}")
+    outside = labels[(labels < 0) | (labels >= n_classes)]
+    if outside.size:
+        raise DomainError(f"label {outside.flat[0]} outside 0..{n_classes - 1}")
     return np.where(np.arange(n_classes) == labels[..., None], float(level), -float(level))
 
 

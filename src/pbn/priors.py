@@ -54,13 +54,15 @@ from .errors import DomainError, PbnError
 LOG_2PI = math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+NEWTON_MAX_ITER = 140  # steps of _bracketed_newton
+NEWTON_TOL = 1e-13  # and its tolerance on |f(x) - y| relative to 1 + |y|
 
 
 def _npdf(a):
     return np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
 
 
-def _bracketed_newton(f_df, y, lo, hi, *, max_iter=140, tol=1e-13):
+def _bracketed_newton(f_df, y, lo, hi):
     """Solve f(x) = y for increasing f with f(lo) < y < f(hi), elementwise.
 
     ``f_df(x)`` returns the pair f(x), f'(x).  Newton steps are accepted
@@ -77,11 +79,11 @@ def _bracketed_newton(f_df, y, lo, hi, *, max_iter=140, tol=1e-13):
     hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), shape).flatten()
     x = 0.5 * (lo + hi)
     live = np.arange(y.size)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         yl, xl, lol, hil = y[live], x[live], lo[live], hi[live]
         fx, dfx = f_df(xl)
         fx = fx - yl
-        going = ~(np.abs(fx) <= tol * (1.0 + np.abs(yl)))
+        going = ~(np.abs(fx) <= NEWTON_TOL * (1.0 + np.abs(yl)))
         if not going.any():
             return x.reshape(shape)
         live, fx, dfx, xl = live[going], fx[going], dfx[going], xl[going]

@@ -55,15 +55,13 @@ column that fails carries its error in ``SaddleSolution.errors`` and
 never fails the batch.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ReconstructionError, ShapeMismatchError, SingularityError
 from .linops import GramStack
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .priors import LOG_2PI
 
 # Base cap on the per-iteration move of any preactivation component.
 # Far from the solution the curvature can be nearly flat and the raw
@@ -73,7 +71,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 # reached geometrically, while single-step explosions stay impossible.
 ALPHA_STEP_CAP = 25.0
 
-# Halvings of the Newton step before the line search counts as stalled.
+# Newton iterations before an unconverged column fails, and halvings of
+# the Newton step before the line search counts as stalled.
+MAX_ITER = 200
 LINE_SEARCH_TRIES = 60
 
 # An objective change within this many units of rounding of the objective
@@ -93,8 +93,8 @@ class SaddleSolution:
     ``curvature`` is the map's kept GramFactor under the Gaussian prior,
     else a GramStack of each column's Cholesky factor, which builds S^-1
     only if the gradient asks for it.
-    ``iterations`` is the largest column count, ``column_iterations``
-    has each one.
+    ``column_iterations`` holds each column's Newton iterations, and
+    ``iterations`` is the largest of them.
     """
 
     h_hat: np.ndarray
@@ -103,10 +103,13 @@ class SaddleSolution:
     residual: object
     curvature: object
     curvature_weights: np.ndarray
-    iterations: int
     objective: object
     column_iterations: np.ndarray
     errors: list
+
+    @property
+    def iterations(self):
+        return int(np.max(self.column_iterations, initial=0))
 
     @property
     def log_density(self):
@@ -124,7 +127,6 @@ class SaddleSolution:
             residual=self.residual[idx],
             curvature=curv.take(idx) if isinstance(curv, GramStack) else curv,
             curvature_weights=self.curvature_weights[idx],
-            iterations=int(np.max(self.column_iterations[idx], initial=0)),
             objective=self.objective[idx],
             column_iterations=self.column_iterations[idx],
             errors=[self.errors[i] for i in idx],
@@ -175,7 +177,7 @@ def _direction(map_, factor, weights, resid):
     return delta, failures
 
 
-def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"):
+def solve_saddle(map_, prior, z_tilde, *, tol=1e-9, label="saddle"):
     """Newton iteration on B(h), damped by objective backtracking.
 
     ``z_tilde`` is a (B, n_out) stack of targets, solved column by
@@ -222,19 +224,19 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
             errors[col].__cause__ = exc
         cols = cols[:0]
 
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         if not cols.size:
             break
         rmax = state[7]
         done = rmax <= lim
-        keep = np.isfinite(rmax) if it < max_iter else done
+        keep = np.isfinite(rmax) if it < MAX_ITER else done
         if not keep.all():
             for j in np.flatnonzero(~keep):
                 r = float(rmax[j])
                 if not np.isfinite(r):
                     fail(cols[j], f"non-finite residual at iteration {it}", it, r)
                 else:
-                    fail(cols[j], f"saddle point not reached in {max_iter} iterations", max_iter, r)
+                    fail(cols[j], f"saddle point not reached in {MAX_ITER} iterations", MAX_ITER, r)
             cols, zc, lim, done = cols[keep], zc[keep], lim[keep], done[keep]
             state = [v[keep] for v in state]
             if not cols.size:
@@ -320,7 +322,6 @@ def solve_saddle(map_, prior, z_tilde, *, max_iter=200, tol=1e-9, label="saddle"
         residual=residual,
         curvature=_assemble(map_, converged, n_cols, errors, unit),
         curvature_weights=k2_out,
-        iterations=int(np.max(iterations, initial=0)),
         objective=objective,
         column_iterations=iterations,
         errors=errors,

@@ -431,6 +431,9 @@ def pretrain_discriminative(net, data, config, val_data=None):
     """Softmax cross-entropy warm start on the logits z_L."""
     if data.labels is None:
         raise TrainingError("pretraining needs labeled data")
+    outside = data.labels[(data.labels < 0) | (data.labels >= net.n_out)]
+    if outside.size:
+        raise TrainingError(f"label {outside[0]} outside 0..{net.n_out - 1}")
     rng = np.random.default_rng(config.seed)
 
     def batch_grad(n, x_raw, labels):

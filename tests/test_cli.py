@@ -1,10 +1,7 @@
-import ctypes
 import json
 import math
 import os
 import shutil
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -12,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-import pbn
 from pbn import (
     Dataset,
     DenseMap,
@@ -24,7 +20,7 @@ from pbn import (
     saddlepoint,
     save_model,
 )
-from pbn.cli import _keep_freed_memory, _read_csv, _standardize_on, build_from_config, main, parse_config
+from pbn.cli import _read_csv, _standardize_on, build_from_config, main, parse_config
 from pbn.errors import ConfigError, PbnError
 from pbn.features import extract_directory, read_archive, write_archive_binary, write_archive_text
 from pbn.linops import ConvMap, GramStack
@@ -539,6 +535,28 @@ class TestTrain:
         )
         assert (rc, out) == (2, "")
         assert err == f"error: {reason}\n"
+        assert not model.exists()
+
+    def test_pretrain_on_more_classes_than_logits_exits_2(self, tmp_path, wav_tree, capsys):
+        shutil.copytree(os.path.join(wav_tree, "bird"), os.path.join(wav_tree, "cat"))
+        arch = str(tmp_path / "three.csv")
+        rc, out, _ = run(
+            capsys, "extract", "--wav-dir", wav_tree, "--out", arch, "--n-train", "4", "--n-val", "2"
+        )
+        assert rc == 0 and "3 classes" in out
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(
+            "arch=custom\ninput_shape=900\nlayers=dense:2:shift\nn_classes=2\nC=20\n"
+            "standardize=true\nepochs=1\npretrain_epochs=1\n"
+        )
+        model = tmp_path / "m.json"
+        rc, out, err = run(
+            capsys,
+            "train", "--features", arch, "--config", str(cfg),
+            "--out-model", str(model), "--pretrain",
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: label 2 outside 0..1\n"
         assert not model.exists()
 
     def test_malformed_archive_exits_2(self, tmp_path, capsys):
@@ -1177,93 +1195,3 @@ class TestParser:
         cfg.write_text("justaword\n")
         with pytest.raises(ConfigError):
             parse_config(str(cfg))
-
-
-# Allocates, touches and frees eight 3.2 MB arrays per round (below numpy's
-# 4 MiB huge-page cut) and prints each round's minor faults and the pages
-# one round touches.  A round is a function, so that no loop variable keeps
-# an array alive at the top of the heap.
-FAULT_PROBE = """
-import json, resource, sys
-import numpy as np
-import pbn.cli
-if sys.argv[1] == "policy":
-    assert pbn.cli._keep_freed_memory()
-def one_round():
-    arrays = [np.empty(400_000) for _ in range(8)]
-    for a in arrays:
-        a.fill(1.0)
-faults, pages = [], 8 * 400_000 * 8 // resource.getpagesize()
-for _ in range(5):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    one_round()
-    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-print(json.dumps([faults, pages]))
-"""
-
-
-def _on_glibc():
-    try:
-        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
-    except (AttributeError, ValueError, OSError):
-        return False
-
-
-def _probe_faults(mode):
-    """Minor faults of rounds 2-5 of FAULT_PROBE and the pages they touched.
-
-    A fresh process, because the policy is process-wide and this one has
-    already run ``main``; round 1 grows the heap and faults either way.
-    """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pbn.__file__)))
-    # glibc reads its own malloc settings from these, which would make the
-    # control run keep its freed pages too
-    env = {
-        k: v for k, v in os.environ.items()
-        if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"
-    }
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", FAULT_PROBE, mode],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    faults, pages = json.loads(proc.stdout)
-    return sum(faults[1:]), 4 * pages
-
-
-def _raising(exc):
-    def fake(name):
-        raise exc
-
-    return fake
-
-
-class TestMemoryPolicy:
-    @pytest.mark.skipif(not _on_glibc(), reason="the policy applies on glibc only")
-    def test_freed_pages_are_reused_across_rounds(self):
-        faults, touched = _probe_faults("policy")
-        assert faults <= 0.05 * touched
-        control, touched = _probe_faults("default")
-        assert control > 0.5 * touched
-
-    @pytest.mark.parametrize(
-        "module, name, fake",
-        [
-            (ctypes, "CDLL", _raising(OSError("no C library"))),
-            (ctypes, "CDLL", lambda name: object()),
-            (os, "confstr", _raising(ValueError("unrecognized configuration name"))),
-        ],
-        ids=["no C library", "no mallopt", "not glibc"],
-    )
-    def test_declines_quietly_and_main_still_runs(
-        self, module, name, fake, monkeypatch, tmp_path, toy_archive, toy_config, capsys
-    ):
-        monkeypatch.setattr(module, name, fake)
-        assert _keep_freed_memory() is False
-        rc, out, _ = run(
-            capsys,
-            "train", "--features", toy_archive, "--config", toy_config,
-            "--out-model", str(tmp_path / "m.json"),
-        )
-        assert rc == 0 and out.startswith("trained ")

@@ -76,6 +76,10 @@ class TestOutputShift:
         with pytest.raises(DomainError):
             label_signal(-1, 3, 1.0)
 
+    def test_label_signal_names_the_first_label_outside_the_classes(self):
+        with pytest.raises(DomainError, match=r"^label 7 outside 0\.\.2$"):
+            label_signal(np.array([0, 2, 7, 1, -1]), 3, 1.0)
+
 
 def linear_chain(rng, dims, standardize=None):
     layers = []

@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 from pbn import (
     Dataset,
     DenseMap,
+    DomainError,
     LayerSpec,
     LinearMap,
     Network,
@@ -475,6 +476,22 @@ class TestPretrain:
         net = blob_net(rng)
         with pytest.raises(TrainingError):
             pretrain_discriminative(net, Dataset(np.ones((2, 2))), TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_refuses_a_label_the_logits_cannot_index_before_a_step(self, bad, monkeypatch):
+        net = blob_net(np.random.default_rng(55))
+        data = Dataset(np.random.default_rng(56).normal(size=(12, 2)), np.array([0, 1, bad] * 4))
+        steps = []
+        monkeypatch.setattr(training, "_pretrain_batch", lambda *a: steps.append(a))
+        with pytest.raises(TrainingError, match=rf"^label {bad} outside 0\.\.1$"):
+            pretrain_discriminative(net, data, TrainConfig(epochs=2, batch_size=4))
+        assert steps == []
+
+    def test_likelihood_phase_names_the_first_label_outside_the_classes(self):
+        net = blob_net(np.random.default_rng(57))
+        data = Dataset(np.random.default_rng(58).normal(size=(12, 2)), np.array([0, 1, 2] * 4))
+        with pytest.raises(DomainError, match=r"^label 2 outside 0\.\.1$"):
+            train(net, data, TrainConfig(epochs=1))
 
     def test_dropout_changes_training_and_stays_deterministic(self):
         data = blob_data(np.random.default_rng(53), n_per=10)
