@@ -29,6 +29,7 @@ from .features import (
 from .network import (
     OutputPriorConfig,
     build_network,
+    check_labels,
     load_model,
     row_chunks,
     save_model,
@@ -403,6 +404,7 @@ def _load_models(args, names, layer, top):
 def cmd_eval(args):
     (net,) = _load_models(args, ["model"], "stat_layer", top=1)
     data = read_archive(args.features)
+    check_labels(data.labels, net.n_classes)
     rows, correct, undefined = [], 0, 0
     for idx in row_chunks(len(data)):
         x, labels = data.x[idx], data.labels[idx]

@@ -66,15 +66,20 @@ def row_chunks(n):
 # label-dependent output shift
 
 
+def check_labels(labels, n_classes):
+    """Raise DomainError naming the first label of an array outside 0..n_classes-1."""
+    outside = labels[(labels < 0) | (labels >= n_classes)]
+    if outside.size:
+        raise DomainError(f"label {outside.flat[0]} outside 0..{n_classes - 1}")
+
+
 def label_signal(label, n_classes, level):
     """The +/-level target vector for a class label: +level at the label.
 
     An array of labels gives one row per label.
     """
     labels = np.asarray(label).astype(int)
-    outside = labels[(labels < 0) | (labels >= n_classes)]
-    if outside.size:
-        raise DomainError(f"label {outside.flat[0]} outside 0..{n_classes - 1}")
+    check_labels(labels, n_classes)
     return np.where(np.arange(n_classes) == labels[..., None], float(level), -float(level))
 
 

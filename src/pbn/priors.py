@@ -2,9 +2,8 @@
 
 Each prior gives its cumulant generating function and the derivatives
 the rest of the package builds on through two functions.  They act
-elementwise on arrays of any shape, as does ``activation_inverse``; a
-Python scalar becomes a 0-d array, so it needs no special case and gives
-a 0-d result:
+elementwise on arrays of any shape; a Python scalar becomes a 0-d array,
+so it needs no special case and gives a 0-d result:
 
 * ``cgf_derivs``       (k(a), k'(a), k''(a)) in one pass, with
   k(a) = log E[exp(a*x)] under the prior, k'(a) the activation (the
@@ -49,70 +48,27 @@ from itertools import zip_longest
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, PbnError
+from .errors import DomainError
 
 LOG_2PI = math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-NEWTON_MAX_ITER = 140  # steps of _bracketed_newton
-NEWTON_TOL = 1e-13  # and its tolerance on |f(x) - y| relative to 1 + |y|
 
 
 def _npdf(a):
     return np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
 
 
-def _bracketed_newton(f_df, y, lo, hi):
-    """Solve f(x) = y for increasing f with f(lo) < y < f(hi), elementwise.
-
-    ``f_df(x)`` returns the pair f(x), f'(x).  Newton steps are accepted
-    only while they stay inside the current bracket; otherwise the
-    iterate falls back to bisection, so convergence is guaranteed.  An
-    element stops iterating once it has converged, so each result is the
-    one its scalar solve would give, whatever the other elements of the
-    array.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    shape = y.shape
-    y = y.ravel()
-    lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), shape).flatten()
-    hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), shape).flatten()
-    x = 0.5 * (lo + hi)
-    live = np.arange(y.size)
-    for _ in range(NEWTON_MAX_ITER):
-        yl, xl, lol, hil = y[live], x[live], lo[live], hi[live]
-        fx, dfx = f_df(xl)
-        fx = fx - yl
-        going = ~(np.abs(fx) <= NEWTON_TOL * (1.0 + np.abs(yl)))
-        if not going.any():
-            return x.reshape(shape)
-        live, fx, dfx, xl = live[going], fx[going], dfx[going], xl[going]
-        lol, hil = lol[going], hil[going]
-        below = fx < 0.0
-        lol = np.where(below, xl, lol)
-        hil = np.where(below, hil, xl)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = xl - fx / dfx
-        bad = ~np.isfinite(xn) | (xn <= lol) | (xn >= hil)
-        x[live] = np.where(bad, 0.5 * (lol + hil), xn)
-        lo[live], hi[live] = lol, hil
-    fx = f_df(x[live])[0] - y[live]
-    if np.all(np.abs(fx) <= 1e-9 * (1.0 + np.abs(y[live]))):
-        return x.reshape(shape)
-    raise PbnError("activation inverse did not converge")
-
-
 class ScalarPrior:
     """Interface shared by the three maximum-entropy priors.
 
     A prior has a ``kind`` and an ``activation_tag`` (the table above)
-    and six members.  ``cgf_derivs`` and ``cgf_third_deriv`` are
-    elementwise (see above), and ``activation_inverse`` inverts k',
-    raising DomainError outside its range.  On a stack of rows,
-    ``log_density`` gives the log prior density of each row (-inf where
-    any element leaves the support) and ``in_support`` whether each row
-    lies in the open support, one vector giving a 0-d array;
-    ``grad_log_density`` is the elementwise gradient of the log density.
+    and five members.  ``cgf_derivs`` and ``cgf_third_deriv`` are
+    elementwise (see above).  On a stack of rows, ``log_density`` gives
+    the log prior density of each row (-inf where any element leaves the
+    support) and ``in_support`` whether each row lies in the open
+    support, one vector giving a 0-d array; ``grad_log_density`` is the
+    elementwise gradient of the log density.
     """
 
     def __repr__(self):
@@ -132,12 +88,6 @@ class GaussianPrior(ScalarPrior):
     def cgf_third_deriv(self, a):
         a = np.asarray(a, dtype=np.float64)
         return np.zeros_like(a)
-
-    def activation_inverse(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        if not np.all(np.isfinite(y)):
-            raise DomainError("linear activation inverse requires finite values")
-        return y.copy()
 
     def log_density(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -278,14 +228,6 @@ class TruncatedGaussianPrior(ScalarPrior):
     def cgf_third_deriv(self, a):
         return _tg_k3(a)
 
-    def activation_inverse(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        if not np.all(np.isfinite(y)) or np.any(y <= 0.0):
-            raise DomainError("tg activation inverse requires values in (0, inf)")
-        # lambda(-1/y) < y < lambda(y + 1) holds for every y > 0 (Mills
-        # ratio bound r(-t) < t + 1/t), so the bracket needs no search.
-        return _bracketed_newton(lambda v: self.cgf_derivs(v)[1:], y, -1.0 / y, y + 1.0)
-
     def log_density(self, x):
         x = np.asarray(x, dtype=np.float64)
         n = x.shape[-1]
@@ -389,13 +331,6 @@ class UniformPrior(ScalarPrior):
         t = np.exp(m)
         out[neg] = -2.0 / m**3 + t * (1.0 + t) / np.expm1(m) ** 3
         return out
-
-    def activation_inverse(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        if not np.all(np.isfinite(y)) or np.any(y <= 0.0) or np.any(y >= 1.0):
-            raise DomainError("ted activation inverse requires values in (0, 1)")
-        # lambda(-1/y) < y and lambda(1/(1-y)) > y hold for all y in (0, 1).
-        return _bracketed_newton(lambda v: self.cgf_derivs(v)[1:], y, -1.0 / y, 1.0 / (1.0 - y))
 
     def log_density(self, x):
         return np.where(self.in_support(x), 0.0, -np.inf)

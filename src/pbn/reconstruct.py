@@ -1,30 +1,72 @@
 """Reconstruction and synthesis by walking the network backwards.
 
 From a preactivation z_k the layer input is estimated by the saddle
-point conditional mean; from a layer input the preactivation below is
-recovered by inverting its mean activation exactly.  Alternating the
-two steps walks any hidden state back to the raw input space.  The
-walk preserves every feature it passed through: running the network
-forward on a reconstruction reproduces z_k to solver accuracy, because
-each conditional mean satisfies its saddle constraint exactly.
+point conditional mean x^ = k'(alpha), and the solution's alpha = W h^
+is the preactivation of the layer below, whose activation is that k'.
+Repeating the solve walks any hidden state back to the raw input
+space.  The walk preserves every feature it passed through: running
+the network forward on a reconstruction reproduces z_k to solver
+accuracy, because each conditional mean satisfies its saddle
+constraint exactly.
 
 A reconstructed preactivation need not be reachable by the layer below
 (its feasible cone is a strict subset once a prior has bounded
-support), so any backstep can fail; callers count such failures rather
+support), so any step can fail; callers count such failures rather
 than treating them as crashes.  Every walk takes a (B, n) stack and
 walks all rows at once; a row that fails comes back NaN, with its
-ReconstructionError (or DomainError, for a value outside an activation
-range) in the walk's error list.
+ReconstructionError (or DomainError, for a non-finite target) in the
+walk's error list.
 """
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeMismatchError
+from .errors import ConfigError, DomainError, PbnError, ShapeMismatchError
 from .network import label_signal, output_shift
-from .priors import _bracketed_newton, activation_prior
 from .saddlepoint import solve_saddle
 
 MSE_FLOOR = 1e-12
+NEWTON_MAX_ITER = 140  # steps of _bracketed_newton
+NEWTON_TOL = 1e-13  # and its tolerance on |f(x) - y| relative to 1 + |y|
+
+
+def _bracketed_newton(f_df, y, lo, hi):
+    """Solve f(x) = y for increasing f with f(lo) < y < f(hi), elementwise.
+
+    ``f_df(x)`` returns the pair f(x), f'(x).  Newton steps are accepted
+    only while they stay inside the current bracket; otherwise the
+    iterate falls back to bisection, so convergence is guaranteed.  An
+    element stops iterating once it has converged, so each result is the
+    one its scalar solve would give, whatever the other elements of the
+    array.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    shape = y.shape
+    y = y.ravel()
+    lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), shape).flatten()
+    hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), shape).flatten()
+    x = 0.5 * (lo + hi)
+    live = np.arange(y.size)
+    for _ in range(NEWTON_MAX_ITER):
+        yl, xl, lol, hil = y[live], x[live], lo[live], hi[live]
+        fx, dfx = f_df(xl)
+        fx = fx - yl
+        going = ~(np.abs(fx) <= NEWTON_TOL * (1.0 + np.abs(yl)))
+        if not going.any():
+            return x.reshape(shape)
+        live, fx, dfx, xl = live[going], fx[going], dfx[going], xl[going]
+        lol, hil = lol[going], hil[going]
+        below = fx < 0.0
+        lol = np.where(below, xl, lol)
+        hil = np.where(below, hil, xl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = xl - fx / dfx
+        bad = ~np.isfinite(xn) | (xn <= lol) | (xn >= hil)
+        x[live] = np.where(bad, 0.5 * (lol + hil), xn)
+        lo[live], hi[live] = lol, hil
+    fx = f_df(x[live])[0] - y[live]
+    if np.all(np.abs(fx) <= 1e-9 * (1.0 + np.abs(y[live]))):
+        return x.reshape(shape)
+    raise PbnError("output shift inverse did not converge")
 
 
 def invert_output_shift(x_out, signal, c, level):
@@ -44,54 +86,32 @@ def invert_output_shift(x_out, signal, c, level):
     return _bracketed_newton(f_df, y, y - 0.5 * c - 1.0, y + 0.5 * c + 1.0)
 
 
-def _conditional_means(net, layer, z_layer, trace=None):
-    """(E[x_l | z~_l] per row, per-row errors) at a 1-based layer.
+def _walk_down(net, layer, z, trace=None):
+    """Walk (B, n) preactivations of a 1-based layer down to raw inputs.
 
-    Rows the interior ``trace`` of the same batch solved at this layer
-    reuse its solution; the others are solved here.
+    Each layer solves the rows that have not failed; the solution's
+    alpha = W h^ is the layer below's preactivation, the only preimage
+    of x^ = k'(alpha) under that layer's activation.  Rows the interior
+    ``trace`` of the same batch solved at the top layer reuse its
+    solution.  Returns (rows, errors): a failed row is NaN, with the
+    error of the layer where it failed.
     """
-    spec = net.layers[layer - 1]
-    z_tilde = z_layer - spec.bias
-    x = np.full((len(z_tilde), spec.map.n_in), np.nan)
-    errors = [None] * len(z_tilde)
-    todo = np.arange(len(z_tilde))
-    if trace is not None and trace.solutions[layer - 1] is not None:
-        rows, sol = trace.rows[layer - 1], trace.solutions[layer - 1]
-        x[rows] = sol.x_hat
-        for r, err in zip(rows, sol.errors):
-            errors[r] = err
-        todo = np.setdiff1d(todo, rows)
-    if todo.size:
-        sol = solve_saddle(spec.map, spec.input_prior, z_tilde[todo], label=f"layer {layer}")
-        x[todo] = sol.x_hat
-        for r, err in zip(todo, sol.errors):
-            errors[r] = err
-    return x, errors
-
-
-def _backstep(spec, x_next, label):
-    """(estimates of x_l, per-row errors) for each row of x_next; a failed row is NaN."""
-    act = activation_prior(spec.activation)
-    out = np.full((len(x_next), spec.map.n_in), np.nan)
-    errors = [None] * len(x_next)
-    inside = act.in_support(x_next)
-    for r in np.flatnonzero(~inside):
-        errors[r] = DomainError(f"{label}: value outside the {spec.activation} activation range")
-    rows = np.flatnonzero(inside)
-    if rows.size:
-        z = act.activation_inverse(x_next[rows])
-        sol = solve_saddle(spec.map, spec.input_prior, z - spec.bias, label=label)
-        out[rows] = sol.x_hat
-        for r, err in zip(rows, sol.errors):
-            errors[r] = err
-    return out, errors
-
-
-def _walk_down(net, layer, x, errors):
-    """Walk (B, n) estimates of a layer's input down to raw inputs; a row keeps its first error."""
-    for l in range(layer - 1, 0, -1):
-        x, step = _backstep(net.layers[l - 1], x, f"layer {l}")
-        errors = [err or new for err, new in zip(errors, step)]
+    errors = [None] * len(z)
+    for l in range(layer, 0, -1):
+        spec = net.layers[l - 1]
+        x, alpha = np.full((2, len(z), spec.map.n_in), np.nan)
+        todo, solved = np.flatnonzero([err is None for err in errors]), []
+        if l == layer and trace is not None and trace.solutions[l - 1] is not None:
+            solved.append((trace.rows[l - 1], trace.solutions[l - 1]))
+            todo = np.setdiff1d(todo, trace.rows[l - 1])
+        if todo.size:
+            sol = solve_saddle(spec.map, spec.input_prior, z[todo] - spec.bias, label=f"layer {l}")
+            solved.append((todo, sol))
+        for rows, sol in solved:
+            x[rows], alpha[rows] = sol.x_hat, sol.alpha
+            for r, err in zip(rows, sol.errors):
+                errors[r] = err
+        z = alpha
     return net.destandardize(x), errors
 
 
@@ -107,7 +127,7 @@ def reconstruct_from_layer(net, layer, z_layer):
     z = np.asarray(z_layer, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != n_out:
         raise ShapeMismatchError(f"layer {layer} emits (B, {n_out}), got {z.shape}")
-    return _walk_down(net, layer, *_conditional_means(net, layer, z))
+    return _walk_down(net, layer, z)
 
 
 def synthesize(net, seeds, label=None):
@@ -131,7 +151,7 @@ def synthesize(net, seeds, label=None):
         z_last = invert_output_shift(
             u, label_signal(label, cfg.n_classes, cfg.level), cfg.c, cfg.level
         )
-    return _walk_down(net, net.depth, *_conditional_means(net, net.depth, z_last))
+    return _walk_down(net, net.depth, z_last)
 
 
 def reconstruction_statistic(net, x_raw, layer, trace=None):
@@ -150,7 +170,6 @@ def reconstruction_statistic(net, x_raw, layer, trace=None):
     if x.ndim != 2:
         raise ShapeMismatchError(f"input shape {x.shape} != (B, {net.n_in})")
     zs = trace.zs if trace is not None else net.forward_pass(x)[1]
-    start, errors = _conditional_means(net, layer, zs[layer - 1], trace)
-    x_hat, _ = _walk_down(net, layer, start, errors)
+    x_hat, _ = _walk_down(net, layer, zs[layer - 1], trace)
     mse = np.mean((x - x_hat) ** 2, axis=1)
     return -np.log(np.maximum(mse, MSE_FLOOR))

@@ -88,8 +88,10 @@ class SaddleSolution:
 
     Every array has a leading column axis; ``residual`` and
     ``objective`` hold one value per column; a failed column is NaN,
-    with its error in ``errors``.  ``curvature_weights`` holds
-    k''(alpha), the weights of the curvature S = W' diag(k'') W.
+    with its error in ``errors``.  ``alpha`` is W h^ and ``x_hat`` is
+    k'(alpha), bit for bit, which the backward walk of ``reconstruct``
+    relies on.  ``curvature_weights`` holds k''(alpha), the weights of
+    the curvature S = W' diag(k'') W.
     ``curvature`` is the map's kept GramFactor under the Gaussian prior,
     else a GramStack of each column's Cholesky factor, which builds S^-1
     only if the gradient asks for it.

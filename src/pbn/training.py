@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import TrainingError
 from .linops import DenseMap
-from .network import label_signal, output_shift, row_chunks
+from .network import check_labels, label_signal, output_shift, row_chunks
 from .priors import activation_prior
 
 
@@ -419,21 +419,26 @@ def _run_epochs(net, data, config, val_data, batch_grad, val_fn, rng):
     return TrainResult(network=net, history=history, aborted=reason is not None, reason=reason)
 
 
+def _check_labels(n_classes, data, val_data):
+    """Refuse unlabeled training data, and a label outside 0..n_classes-1, before any step."""
+    if data.labels is None:
+        raise TrainingError("training needs labeled data")
+    for d in (data, val_data):
+        if d is not None and d.labels is not None:
+            check_labels(d.labels, n_classes)
+
+
 def train(net, data, config, val_data=None):
     """Generative (likelihood-ascent) training."""
-    if net.output_prior is not None and data.labels is None:
-        raise TrainingError("this network needs labeled data")
+    if net.output_prior is not None:
+        _check_labels(net.n_classes, data, val_data)
     rng = np.random.default_rng(config.seed)
     return _run_epochs(net, data, config, val_data, gradient, evaluate, rng)
 
 
 def pretrain_discriminative(net, data, config, val_data=None):
     """Softmax cross-entropy warm start on the logits z_L."""
-    if data.labels is None:
-        raise TrainingError("pretraining needs labeled data")
-    outside = data.labels[(data.labels < 0) | (data.labels >= net.n_out)]
-    if outside.size:
-        raise TrainingError(f"label {outside[0]} outside 0..{net.n_out - 1}")
+    _check_labels(net.n_out, data, val_data)
     rng = np.random.default_rng(config.seed)
 
     def batch_grad(n, x_raw, labels):

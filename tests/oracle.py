@@ -6,10 +6,11 @@ its own SciPy Cholesky factors (``Factor``), one interior trace, one
 likelihood and one reverse sweep per sample, one reconstruction walk per
 sample.  The solver follows the package's rules (its line search counts
 a change within rounding as flat, and a non-finite residual fails the
-solve).  It uses the package's priors, maps and output-shift helpers,
-which act elementwise, and nothing from its Gram factors, saddle,
-network, training or reconstruction code.  Tests compare the batched
-results with these.
+solve), and so does the walk: each solve's alpha = W h^ is the
+preactivation of the layer below.  It uses the package's priors, maps
+and output-shift helpers, which act elementwise, and nothing from its
+Gram factors, saddle, network, training or reconstruction code.  Tests
+compare the batched results with these.
 
 Two front-end pieces are kept the same way: ``logmel`` with one FFT and
 one filterbank product per frame, and ``conv_wiring``, the tap indices
@@ -240,15 +241,10 @@ def reconstruct_from_layer(net, layer, z_layer):
 
 def reconstruction_walk(net, layer, z_layer):
     """(raw reconstruction, the layer-1 solve it came from) of one preactivation."""
-    spec = net.layers[layer - 1]
-    sol = solve_saddle(spec.map, spec.input_prior, z_layer - spec.bias, label=f"layer {layer}")
-    for l in range(layer - 1, 0, -1):
+    for l in range(layer, 0, -1):
         spec = net.layers[l - 1]
-        act = activation_prior(spec.activation)
-        if not act.in_support(sol.x_hat):
-            raise DomainError(f"layer {l}: outside the activation range")
-        z = act.activation_inverse(sol.x_hat)
-        sol = solve_saddle(spec.map, spec.input_prior, z - spec.bias, label=f"layer {l}")
+        sol = solve_saddle(spec.map, spec.input_prior, z_layer - spec.bias, label=f"layer {l}")
+        z_layer = sol.alpha
     return net.destandardize(sol.x_hat), sol
 
 

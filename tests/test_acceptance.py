@@ -215,7 +215,7 @@ def test_criterion_06_gradient_gate():
 
 
 def test_criterion_07_hidden_variable_recovery():
-    # Layer sizes and seed are chosen so every backstep target is
+    # Layer sizes and seed are chosen so every target of the walk is
     # structurally feasible: the last map is square (inverting it puts
     # no subspace restriction on the next target down) and each hidden
     # TG layer's weights admit a strictly positive null combination,

@@ -673,6 +673,18 @@ class TestEval:
             blobs.append([read_bytes(root / name) for name in ("f.csv", "f_split.csv", "scores.csv")])
         assert blobs[0] == blobs[1]
 
+    def test_label_the_model_has_no_class_for_exits_2(self, tmp_path, toy_archive, toy_model, capsys):
+        data = read_archive(toy_archive)
+        data.labels[::3] = 2
+        three = str(tmp_path / "three.csv")
+        write_archive_text(three, data)
+        scores = tmp_path / "s.csv"
+        rc, out, err = run(
+            capsys, "eval", "--model", toy_model, "--features", three, "--out-scores", str(scores)
+        )
+        assert (rc, out, err) == (2, "", "error: label 2 outside 0..1\n")
+        assert not scores.exists()
+
     def test_bad_stat_layer(self, tmp_path, toy_archive, toy_model, capsys):
         rc, _, err = run(
             capsys,

@@ -1,4 +1,4 @@
-"""Backward walks: shift inversion, backsteps, synthesis, reconstruction scores."""
+"""Backward walks: shift inversion, walk steps, synthesis, reconstruction scores."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from pbn.network import (
     output_shift,
 )
 from pbn.reconstruct import (
-    _backstep,
     invert_output_shift,
     reconstruct_from_layer,
     reconstruction_statistic,
@@ -129,19 +128,13 @@ class TestBacksteps:
         l2 = LayerSpec(DenseMap(np.array([[2.0]])), np.zeros(1), "uniform", "linear")
         return Network([l1, l2])
 
-    def test_backstep_range_check(self):
-        net = self.ted_pair()
-        x, errors = _backstep(net.layers[0], np.array([[1.5], [0.5]]), "layer 1")
-        assert isinstance(errors[0], DomainError)  # outside (0, 1)
-        assert np.all(np.isnan(x[0])) and errors[1] is None
-
     def test_feasible_walk_succeeds(self):
         net = self.ted_pair()
         x, errors = reconstruct_from_layer(net, 2, np.array([[1.2]]))
         assert x.shape == (1, 2) and errors == [None]
         assert np.all((x > 0.0) & (x < 1.0))
 
-    def test_infeasible_backstep_raises(self):
+    def test_infeasible_step_below_raises(self):
         # z_2 = 1.99 forces the layer-1 feature to about 200, far
         # outside the (0, 2) cone.
         net = self.ted_pair()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from helpers import sample, sum_density_grid, sum_moments
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import multivariate_normal
 
 from pbn.errors import DomainError, ReconstructionError, ShapeMismatchError
@@ -92,6 +92,8 @@ class TestFeasibleBatch:
             assert sol.residual[0] <= tol * (1.0 + np.max(np.abs(z)))
             assert_allclose(m.forward(sol.x_hat[0]), z, atol=1e-7)
             assert prior.in_support(sol.x_hat[0])
+            # the backward walk takes alpha as the exact preimage of x_hat
+            assert_array_equal(prior.cgf_derivs(sol.alpha)[1], sol.x_hat)
 
     def test_objective_path_decreases(self, monkeypatch):
         # Every trial point of a solve costs one cgf_derivs call, at

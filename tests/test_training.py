@@ -483,7 +483,7 @@ class TestPretrain:
         data = Dataset(np.random.default_rng(56).normal(size=(12, 2)), np.array([0, 1, bad] * 4))
         steps = []
         monkeypatch.setattr(training, "_pretrain_batch", lambda *a: steps.append(a))
-        with pytest.raises(TrainingError, match=rf"^label {bad} outside 0\.\.1$"):
+        with pytest.raises(DomainError, match=rf"^label {bad} outside 0\.\.1$"):
             pretrain_discriminative(net, data, TrainConfig(epochs=2, batch_size=4))
         assert steps == []
 
@@ -492,6 +492,29 @@ class TestPretrain:
         data = Dataset(np.random.default_rng(58).normal(size=(12, 2)), np.array([0, 1, 2] * 4))
         with pytest.raises(DomainError, match=r"^label 2 outside 0\.\.1$"):
             train(net, data, TrainConfig(epochs=1))
+
+    def test_likelihood_phase_refuses_a_label_in_a_later_minibatch_before_a_step(self, monkeypatch):
+        net = blob_net(np.random.default_rng(57))
+        cfg = TrainConfig(epochs=1, batch_size=4, seed=5)
+        labels = np.array([0, 1] * 6)
+        labels[np.random.default_rng(cfg.seed).permutation(12)[-1]] = 2  # in the last minibatch
+        data = Dataset(np.random.default_rng(58).normal(size=(12, 2)), labels)
+        steps = []
+        monkeypatch.setattr(training._Sgd, "step", lambda self, theta, grad: steps.append(grad))
+        with pytest.raises(DomainError, match=r"^label 2 outside 0\.\.1$"):
+            train(net, data, cfg)
+        assert steps == []
+
+    @pytest.mark.parametrize("phase", [train, pretrain_discriminative], ids=["likelihood", "warm-start"])
+    def test_refuses_a_validation_label_outside_the_classes_before_a_step(self, phase, monkeypatch):
+        net = blob_net(np.random.default_rng(57))
+        x = np.random.default_rng(58).normal(size=(4, 2))
+        steps = []
+        monkeypatch.setattr(training._Sgd, "step", lambda self, theta, grad: steps.append(grad))
+        with pytest.raises(DomainError, match=r"^label 5 outside 0\.\.1$"):
+            phase(net, Dataset(x, np.array([0, 1, 0, 1])), TrainConfig(epochs=1),
+                  val_data=Dataset(x, np.array([0, 1, 5, -1])))
+        assert steps == []
 
     def test_dropout_changes_training_and_stays_deterministic(self):
         data = blob_data(np.random.default_rng(53), n_per=10)
