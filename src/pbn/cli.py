@@ -27,35 +27,37 @@ from .features import (
     write_archive_text,
 )
 from .network import (
+    WORDPAIR_INPUT_SHAPE,
+    WORDPAIR_LAYERS,
     OutputPriorConfig,
     build_network,
     check_labels,
     load_model,
+    parse_input_shape,
+    parse_layers,
     row_chunks,
     save_model,
-    wordpair_network,
 )
 from .reconstruct import reconstruct_from_layer, reconstruction_statistic, synthesize
 from .training import TrainConfig, TrainResult, pretrain_discriminative, train
 
-CONFIG_DEFAULTS = {
-    "arch": "wordpair",
-    "input_shape": "900",
-    "layers": "",
-    "n_classes": "2",
-    "C": "200",
-    "L": "1",
-    "standardize": "true",
-    "epochs": "10",
-    "learning_rate": "0.0001",
-    "batch_size": "",
-    "optimizer": "sgd",
-    "l2": "0",
-    "pretrain_epochs": "10",
-    "pretrain_learning_rate": "0.001",
-    "pretrain_optimizer": "adam",
-    "pretrain_dropout": "0",
-    "pretrain_l2": "0",
+# Every config key: its default text and the type its value parses to.
+CONFIG_KEYS = {
+    "input_shape": (WORDPAIR_INPUT_SHAPE, parse_input_shape),
+    "layers": (WORDPAIR_LAYERS, parse_layers),
+    "C": ("200", float),
+    "L": ("1", float),
+    "standardize": ("true", bool),
+    "epochs": ("10", int),
+    "learning_rate": ("0.0001", float),
+    "batch_size": ("", int),  # empty: the whole training set is one batch
+    "optimizer": ("sgd", str),
+    "l2": ("0", float),
+    "pretrain_epochs": ("10", int),
+    "pretrain_learning_rate": ("0.001", float),
+    "pretrain_optimizer": ("adam", str),
+    "pretrain_dropout": ("0", float),
+    "pretrain_l2": ("0", float),
 }
 
 
@@ -93,95 +95,61 @@ def _in_range(args, name, lo, hi=None):
         raise ConfigError(f"--{name.replace('_', '-')} must {bounds}")
 
 
-def parse_config(path):
-    """Flat key=value file onto the defaults; unknown keys are errors."""
-    resolved = dict(CONFIG_DEFAULTS)
-    if path is None:
-        return resolved
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
-    for ln, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if key not in CONFIG_DEFAULTS:
-            raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
-        resolved[key] = value
-    return resolved
-
-
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
 # the TrainConfig fields a training phase reads from its own config keys
-_PHASE_KEYS = (
-    ("epochs", int), ("learning_rate", float), ("optimizer", str), ("l2", float), ("dropout", float)
-)
+_PHASE_FIELDS = ("epochs", "learning_rate", "optimizer", "l2", "dropout")
 
 
-def _typed(value, key, kind):
-    """The text ``value`` of config key ``key`` as a bool, int or float."""
+def _typed(key, text):
+    """The value of config key ``key`` from its ``text``, parsed by its CONFIG_KEYS type."""
+    kind = CONFIG_KEYS[key][1]
+    if kind not in _KIND_NAMES:
+        return kind(text)  # str, or a network parser that names the key in its errors
+    if key == "batch_size" and not text:
+        return None
     try:
-        return _BOOLS[value.lower()] if kind is bool else kind(value)
+        return _BOOLS[text.lower()] if kind is bool else kind(text)
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"config key {key}={value!r} is not {_KIND_NAMES[kind]}") from exc
+        raise ConfigError(f"config key {key}={text!r} is not {_KIND_NAMES[kind]}") from exc
 
 
-def _train_config(cfg, prefix, seed):
+def parse_config(path):
+    """The flat key=value file at ``path`` (None: none) over the defaults: (text, values).
+
+    ``text`` maps every key to its resolved text, which the model file
+    and the header hash record; ``values`` maps it to that text typed.
+    An unknown key or a value that does not parse raises ConfigError.
+    """
+    text = {key: default for key, (default, _) in CONFIG_KEYS.items()}
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+        for ln, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
+            text[key] = value
+    return text, {key: _typed(key, value) for key, value in text.items()}
+
+
+def _train_config(values, prefix, seed):
     """The TrainConfig of the phase whose keys start with ``prefix``; batch_size is shared.
 
     Only the warm start has a dropout key.
     """
-    fields = {
-        name: _typed(cfg[prefix + name], prefix + name, kind)
-        for name, kind in _PHASE_KEYS
-        if prefix + name in cfg
-    }
-    batch = _typed(cfg["batch_size"], "batch_size", int) if cfg["batch_size"] else None
-    return TrainConfig(**fields, batch_size=batch, seed=seed)
-
-
-def _parse_dims(text, key, forms):
-    """The integers of an "AxB..." value; ``forms`` names the pattern of each allowed count."""
-    parts = text.split("x")
-    if len(parts) not in forms:
-        raise ConfigError(f"{key}: expected {' or '.join(forms.values())}, got {text!r}")
-    return tuple(_typed(p, key, int) for p in parts)
-
-
-def _parse_layers(text):
-    cfgs = []
-    for item in filter(None, (s.strip() for s in text.split(","))):
-        parts = item.split(":")
-        if parts[0] == "dense" and len(parts) == 3:
-            cfgs.append(
-                {"type": "dense", "units": _typed(parts[1], "layers", int), "activation": parts[2]}
-            )
-        elif parts[0] == "conv" and len(parts) == 5:
-            cfgs.append(
-                {
-                    "type": "conv",
-                    "channels": _typed(parts[1], "layers", int),
-                    "kernel": _parse_dims(parts[2], "layers", {2: "AxB"}),
-                    "strides": _parse_dims(parts[3], "layers", {2: "AxB"}),
-                    "activation": parts[4],
-                }
-            )
-        else:
-            raise ConfigError(
-                f"layers: bad layer {item!r} (dense:units:act or conv:ch:KHxKW:SYxSX:act)"
-            )
-    if not cfgs:
-        raise ConfigError("layers: a custom architecture needs at least one layer")
-    return cfgs
+    fields = {name: values[prefix + name] for name in _PHASE_FIELDS if prefix + name in values}
+    return TrainConfig(**fields, batch_size=values["batch_size"], seed=seed)
 
 
 def _mean_and_spread(values, axis=None):
@@ -194,28 +162,12 @@ def _mean_and_spread(values, axis=None):
     return mu, np.where(sd > 1e-12 * np.abs(mu), sd, 1.0)
 
 
-def build_from_config(cfg, rng, x_train):
-    """The untrained network of ``cfg``, standardized on the rows ``x_train`` if it asks."""
-    standardize = None
-    if _typed(cfg["standardize"], "standardize", bool):
-        standardize = _mean_and_spread(x_train, axis=0)
-    c = _typed(cfg["C"], "C", float)
-    level = _typed(cfg["L"], "L", float)
-    if cfg["arch"] == "wordpair":
-        return wordpair_network(rng, c=c, level=level, standardize=standardize)
-    if cfg["arch"] != "custom":
-        raise ConfigError(f"arch must be wordpair or custom, got {cfg['arch']!r}")
-    dims = _parse_dims(cfg["input_shape"], "input_shape", {1: "N", 3: "CxHxW"})
-    input_shape = dims[0] if len(dims) == 1 else dims
-    layer_cfgs = _parse_layers(cfg["layers"])
-    output_prior = None
-    if layer_cfgs[-1]["activation"] == "shift":
-        output_prior = OutputPriorConfig(
-            c=c, level=level, n_classes=_typed(cfg["n_classes"], "n_classes", int)
-        )
-    return build_network(
-        input_shape, layer_cfgs, rng, output_prior=output_prior, standardize=standardize
-    )
+def build_from_config(values, rng, x_train):
+    """The untrained network of typed config ``values``, standardized on ``x_train`` if asked."""
+    standardize = _mean_and_spread(x_train, axis=0) if values["standardize"] else None
+    shift = values["layers"][-1]["activation"] == "shift"
+    prior = OutputPriorConfig(c=values["C"], level=values["L"]) if shift else None
+    return build_network(values["input_shape"], values["layers"], rng, prior, standardize)
 
 
 def _write_csv(path, header_comment, columns, rows):
@@ -336,7 +288,11 @@ def cmd_extract(args):
 
 
 def cmd_train(args):
-    cfg = parse_config(args.config)
+    text, values = parse_config(args.config)
+    phases = [("pretrain", "pretrain_", pretrain_discriminative)] if args.pretrain else []
+    phases.append(("pbn", "", train))
+    # both phases' settings are checked before the archive is read, whichever run
+    configs = {prefix: _train_config(values, prefix, args.seed) for prefix in ("pretrain_", "")}
     data = read_archive(args.features)
     if args.split:
         split = _read_table(args.split, ["id", "split"])
@@ -346,17 +302,14 @@ def cmd_train(args):
         train_data, val_data = data, None
     if not len(train_data):
         raise TrainingError("the training set is empty")
-    net = build_from_config(cfg, np.random.default_rng(args.seed), train_data.x)
+    net = build_from_config(values, np.random.default_rng(args.seed), train_data.x)
 
-    phases = [("pretrain", "pretrain_", pretrain_discriminative)] if args.pretrain else []
-    phases.append(("pbn", "", train))
     columns = ["phase", "epoch", "objective", "val_accuracy", "efficiency"]
     history = []
     aborted = None
     for i, (phase, prefix, fit) in enumerate(phases):
-        config = _train_config(cfg, prefix, args.seed)
         try:
-            result = fit(net, train_data, config, val_data=val_data)
+            result = fit(net, train_data, configs[prefix], val_data=val_data)
         except TrainingError as exc:
             # the warm start left a network this phase cannot start from;
             # the warm-start model is the last good checkpoint
@@ -375,13 +328,13 @@ def cmd_train(args):
     meta = {
         "version": __version__,
         "seed": args.seed,
-        "config_hash": _config_hash(cfg),
-        "config": dict(sorted(cfg.items())),
+        "config_hash": _config_hash(text),
+        "config": dict(sorted(text.items())),
     }
     save_model(net, args.out_model, meta=meta)
 
     out_history = args.out_history or (os.path.splitext(args.out_model)[0] + "_history.csv")
-    _write_csv(out_history, _header(args, config=cfg), columns, history)
+    _write_csv(out_history, _header(args, config=text), columns, history)
     if aborted is not None:
         note = f"saved the last good checkpoint to {args.out_model}"
         print(f"error: {aborted}; {note}", file=sys.stderr)

@@ -109,9 +109,10 @@ def output_shift(z, signal, c, level):
 
 @dataclass(frozen=True)
 class OutputPriorConfig:
+    """The output shift's scale C and level L; the shift layer's width is the class count."""
+
     c: float
     level: float
-    n_classes: int
 
     def __post_init__(self):
         for key in ("c", "level"):
@@ -121,8 +122,6 @@ class OutputPriorConfig:
             raise ConfigError("output shift scale C must be nonnegative")
         if self.level <= 0.0:
             raise ConfigError("output level must be positive")
-        if self.n_classes < 2:
-            raise ConfigError("need at least two classes")
 
 
 class LayerSpec:
@@ -243,11 +242,8 @@ class Network:
         if output_prior is not None:
             if last.activation != "shift":
                 raise ConfigError("an output prior requires the last activation to be 'shift'")
-            if output_prior.n_classes != last.map.n_out:
-                raise ConfigError(
-                    f"output prior has {output_prior.n_classes} classes, "
-                    f"last layer emits {last.map.n_out}"
-                )
+            if last.map.n_out < 2:
+                raise ConfigError("need at least two classes")
         elif last.activation == "shift":
             raise ConfigError("the shift activation requires an output prior")
         self.layers = list(layers)
@@ -275,9 +271,10 @@ class Network:
 
     @property
     def n_classes(self):
+        """The output shift's width: one unit per class."""
         if self.output_prior is None:
             raise ConfigError("network has no output prior, so no classes")
-        return self.output_prior.n_classes
+        return self.n_out
 
     def with_layer_params(self, params_list, bias_list):
         layers = [
@@ -402,7 +399,7 @@ class Network:
             if labels is None:
                 raise ConfigError("network has an output prior; a label hypothesis is required")
             cfg = self.output_prior
-            signal = label_signal(labels, cfg.n_classes, cfg.level)
+            signal = label_signal(labels, self.n_classes, cfg.level)
             x_out, slope, _ = output_shift(z_last, signal, cfg.c, cfg.level)
             # An output prior comes with a shift on the last layer (see __init__).
             shift_jac = np.sum(np.log(slope), axis=1)
@@ -517,17 +514,58 @@ def build_network(input_shape, layer_cfgs, rng, output_prior=None, standardize=N
     return Network(layers, output_prior=output_prior, standardize=standardize)
 
 
+# The stock word-pair network: 45 frames x 20 bands, two linear conv
+# layers, two tg dense layers and the two-class output shift.
+WORDPAIR_INPUT_SHAPE = "1x45x20"
+WORDPAIR_LAYERS = (
+    "conv:9:21x17:5x4:linear,conv:24:5x3:3x2:linear,dense:64:tg,dense:24:tg,dense:2:shift"
+)
+
+
+def _parse_dims(text, key, forms):
+    """The integers of an "AxB..." value; ``forms`` names the pattern of each allowed count."""
+    try:
+        dims = tuple(int(p) for p in text.split("x"))
+    except ValueError:
+        dims = ()  # not integers: no allowed count
+    if len(dims) not in forms:
+        raise ConfigError(f"{key}: expected {' or '.join(forms.values())}, got {text!r}")
+    return dims
+
+
+def parse_input_shape(text):
+    """An input shape "N" or "CxHxW" as build_network takes it: an int or (c, h, w)."""
+    dims = _parse_dims(text, "input_shape", {1: "N", 3: "CxHxW"})
+    return dims[0] if len(dims) == 1 else dims
+
+
+def parse_layers(text):
+    """build_network's layer configs from a comma list of "dense:units:act" and
+    "conv:ch:KHxKW:SYxSX:act" items."""
+    cfgs = []
+    for item in filter(None, (s.strip() for s in text.split(","))):
+        parts = item.split(":")
+        if parts[0] == "dense" and len(parts) == 3:
+            cfg = {"units": _parse_dims(parts[1], "layers", {1: "an integer"})[0]}
+        elif parts[0] == "conv" and len(parts) == 5:
+            (channels,) = _parse_dims(parts[1], "layers", {1: "an integer"})
+            kernel, strides = (_parse_dims(p, "layers", {2: "AxB"}) for p in parts[2:4])
+            cfg = {"channels": channels, "kernel": kernel, "strides": strides}
+        else:
+            raise ConfigError(
+                f"layers: bad layer {item!r} (dense:units:act or conv:ch:KHxKW:SYxSX:act)"
+            )
+        cfgs.append({"type": parts[0], **cfg, "activation": parts[-1]})
+    if not cfgs:
+        raise ConfigError("layers: a custom architecture needs at least one layer")
+    return cfgs
+
+
 def wordpair_network(rng, c=200.0, level=1.0, standardize=None):
     """The stock two-class spectrogram-pair architecture (900 inputs)."""
-    cfgs = [
-        dict(type="conv", channels=9, kernel=(21, 17), strides=(5, 4), activation="linear"),
-        dict(type="conv", channels=24, kernel=(5, 3), strides=(3, 2), activation="linear"),
-        dict(type="dense", units=64, activation="tg"),
-        dict(type="dense", units=24, activation="tg"),
-        dict(type="dense", units=2, activation="shift"),
-    ]
-    prior = OutputPriorConfig(c=c, level=level, n_classes=2)
-    return build_network((1, 45, 20), cfgs, rng, output_prior=prior, standardize=standardize)
+    shape, cfgs = parse_input_shape(WORDPAIR_INPUT_SHAPE), parse_layers(WORDPAIR_LAYERS)
+    prior = OutputPriorConfig(c=c, level=level)
+    return build_network(shape, cfgs, rng, output_prior=prior, standardize=standardize)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +619,7 @@ def network_to_dict(net):
     }
     if net.output_prior is not None:
         cfg = net.output_prior
-        doc["output_prior"] = {"c": cfg.c, "level": cfg.level, "n_classes": cfg.n_classes}
+        doc["output_prior"] = {"c": cfg.c, "level": cfg.level}
     if net.standardize is not None:
         mu, sigma = net.standardize
         doc["standardize"] = {"mu": mu.tolist(), "sigma": sigma.tolist()}
@@ -603,12 +641,17 @@ def network_from_dict(doc):
     output_prior = None
     if doc.get("output_prior") is not None:
         p = doc["output_prior"]
-        output_prior = OutputPriorConfig(c=p["c"], level=p["level"], n_classes=p["n_classes"])
+        output_prior = OutputPriorConfig(c=p["c"], level=p["level"])
     standardize = None
     if doc.get("standardize") is not None:
         s = doc["standardize"]
         standardize = tuple(_finite(s[key], f"standardization {key}") for key in ("mu", "sigma"))
-    return Network(layers, output_prior=output_prior, standardize=standardize)
+    net = Network(layers, output_prior=output_prior, standardize=standardize)
+    # older files also state the class count, which must be the output width
+    n_classes = (doc.get("output_prior") or {}).get("n_classes", net.n_out)
+    if n_classes != net.n_out:
+        raise ConfigError(f"output prior has {n_classes} classes, last layer emits {net.n_out}")
+    return net
 
 
 def save_model(net, path, meta=None):

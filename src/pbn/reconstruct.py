@@ -149,7 +149,7 @@ def synthesize(net, seeds, label=None):
             raise ConfigError("network has an output prior; a label is required")
         cfg = net.output_prior
         z_last = invert_output_shift(
-            u, label_signal(label, cfg.n_classes, cfg.level), cfg.c, cfg.level
+            u, label_signal(label, net.n_classes, cfg.level), cfg.c, cfg.level
         )
     return _walk_down(net, net.depth, z_last)
 

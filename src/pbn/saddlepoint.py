@@ -71,8 +71,10 @@ from .priors import LOG_2PI
 # reached geometrically, while single-step explosions stay impossible.
 ALPHA_STEP_CAP = 25.0
 
+# A column converges once no residual component exceeds TOL * (1 + max |z~|).
 # Newton iterations before an unconverged column fails, and halvings of
 # the Newton step before the line search counts as stalled.
+TOL = 1e-9
 MAX_ITER = 200
 LINE_SEARCH_TRIES = 60
 
@@ -179,7 +181,7 @@ def _direction(map_, factor, weights, resid):
     return delta, failures
 
 
-def solve_saddle(map_, prior, z_tilde, *, tol=1e-9, label="saddle"):
+def solve_saddle(map_, prior, z_tilde, *, label="saddle"):
     """Newton iteration on B(h), damped by objective backtracking.
 
     ``z_tilde`` is a (B, n_out) stack of targets, solved column by
@@ -217,7 +219,7 @@ def solve_saddle(map_, prior, z_tilde, *, tol=1e-9, label="saddle"):
     for col in np.flatnonzero(~finite):
         errors[col] = DomainError(f"{label}: target must be finite")
     cols = np.flatnonzero(finite)
-    zc, lim = z[cols], tol * (1.0 + np.max(np.abs(z[cols]), axis=1))
+    zc, lim = z[cols], TOL * (1.0 + np.max(np.abs(z[cols]), axis=1))
     try:
         state = _trial(map_, prior, map_.gram.solve(zc), zc)
     except SingularityError as exc:

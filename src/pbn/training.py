@@ -142,7 +142,7 @@ def gradient(net, x_raw, label=None, trace=None):
         bar_z = -z_last
     else:
         cfg = net.output_prior
-        signal = label_signal(np.atleast_1d(label)[idx], cfg.n_classes, cfg.level)
+        signal = label_signal(np.atleast_1d(label)[idx], net.n_classes, cfg.level)
         x_out, slope, curvature = output_shift(z_last, signal, cfg.c, cfg.level)
         bar_z = -x_out * slope + curvature / slope
 

@@ -183,7 +183,7 @@ def log_likelihood(net, x_raw, label=None):
         x_out = z_last
     else:
         cfg = net.output_prior
-        signal = label_signal(label, cfg.n_classes, cfg.level)
+        signal = label_signal(label, net.n_classes, cfg.level)
         x_out, slope, _ = output_shift(z_last, signal, cfg.c, cfg.level)
         total += float(np.sum(np.log(slope)))
     total += -0.5 * x_out.size * LOG_2PI - 0.5 * float(x_out @ x_out)
@@ -203,7 +203,7 @@ def gradient(net, x_raw, label=None):
         bar_z = -z_last.copy()
     else:
         cfg = net.output_prior
-        signal = label_signal(label, cfg.n_classes, cfg.level)
+        signal = label_signal(label, net.n_classes, cfg.level)
         x_out, slope, curvature = output_shift(z_last, signal, cfg.c, cfg.level)
         bar_z = -x_out * slope + curvature / slope
     bar_x = None

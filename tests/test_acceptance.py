@@ -187,7 +187,7 @@ def test_criterion_06_gradient_gate():
         w = DenseMap(scaled_uniform_init(rng, DenseMap(np.zeros((n, m)))))
         act = "shift" if i == len(dims) - 2 else "tg"
         layers.append(LayerSpec(w, np.zeros(m), "truncated_gaussian", act))
-    net = Network(layers, output_prior=OutputPriorConfig(c=200.0, level=1.0, n_classes=2))
+    net = Network(layers, output_prior=OutputPriorConfig(c=200.0, level=1.0))
     data = Dataset(np.abs(rng.normal(size=(3, 8))) + 0.1, np.array([0, 1, 0]))
 
     analytic = None
@@ -230,7 +230,7 @@ def test_criterion_07_hidden_variable_recovery():
             {"type": "dense", "units": 2, "activation": "shift"},
         ],
         rng,
-        output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2),
+        output_prior=OutputPriorConfig(c=20.0, level=1.0),
     )
     fit_data = Dataset(rng.normal(size=(40, 12)), rng.integers(0, 2, size=40))
     net = train(net, fit_data, TrainConfig(epochs=3, learning_rate=1e-4, seed=0)).network
@@ -271,7 +271,7 @@ def test_criterion_08_toy_end_to_end():
             {"type": "dense", "units": 2, "activation": "shift"},
         ],
         rng,
-        output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2),
+        output_prior=OutputPriorConfig(c=20.0, level=1.0),
     )
     data = _blob_data(np.random.default_rng(1080), 80)
     val = _blob_data(np.random.default_rng(1081), 30)
@@ -328,7 +328,7 @@ def _pair_net(rng):
             {"type": "dense", "units": 2, "activation": "shift"},
         ],
         rng,
-        output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2),
+        output_prior=OutputPriorConfig(c=20.0, level=1.0),
     )
 
 
@@ -423,8 +423,8 @@ def test_criterion_11_determinism(tmp_path, capsys, monkeypatch):
     data = Dataset(np.vstack(rows), np.concatenate(labels),
                    [f"c{l}/s{i}" for l in (0, 1) for i in range(10)])
     config_text = (
-        "arch=custom\ninput_shape=6\nlayers=dense:4:tg,dense:2:shift\n"
-        "n_classes=2\nC=20\nepochs=2\npretrain_epochs=2\npretrain_learning_rate=0.01\n"
+        "input_shape=6\nlayers=dense:4:tg,dense:2:shift\n"
+        "C=20\nepochs=2\npretrain_epochs=2\npretrain_learning_rate=0.01\n"
     )
 
     # The two passes run the byte-for-byte same command lines, each from
@@ -477,7 +477,7 @@ def test_criterion_12_paper_scale(tmp_path, capsys):
         scores = str(tmp_path / f"{pair}_scores.csv")
         config = tmp_path / f"{pair}.cfg"
         config.write_text(
-            "arch=wordpair\nepochs=40\nlearning_rate=0.0001\nbatch_size=32\n"
+            "epochs=40\nlearning_rate=0.0001\nbatch_size=32\n"
             "pretrain_epochs=20\npretrain_learning_rate=0.001\npretrain_dropout=0.5\n"
         )
         assert cli_main(["extract", "--wav-dir", pair_dir, "--out", archive,

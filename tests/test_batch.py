@@ -50,7 +50,7 @@ def tg_net(seed):
         LayerSpec(DenseMap(0.7 * rng.standard_normal((5, 3))), 0.1 * rng.standard_normal(3), "truncated_gaussian", "ted"),
         LayerSpec(DenseMap(rng.standard_normal((3, 2))), np.zeros(2), "uniform", "shift"),
     ]
-    return Network(layers, output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2))
+    return Network(layers, output_prior=OutputPriorConfig(c=20.0, level=1.0))
 
 
 def conv_net(seed):
@@ -62,7 +62,7 @@ def conv_net(seed):
         dict(type="dense", units=2, activation="shift"),
     ]
     standardize = (rng.standard_normal(30), rng.uniform(0.5, 2.0, 30))
-    prior = OutputPriorConfig(c=20.0, level=1.0, n_classes=2)
+    prior = OutputPriorConfig(c=20.0, level=1.0)
     return build_network((1, 6, 5), cfgs, rng, output_prior=prior, standardize=standardize)
 
 

@@ -101,7 +101,7 @@ def test_one_undefined_sample_raises_from_both_calls():
         LayerSpec(DenseMap(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])), np.zeros(2), "truncated_gaussian", "tg"),
         LayerSpec(DenseMap(np.eye(2)), np.zeros(2), "truncated_gaussian", "shift"),
     ]
-    net = Network(layers, output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2))
+    net = Network(layers, output_prior=OutputPriorConfig(c=20.0, level=1.0))
     x = np.array([1.0, -1.0, 1.0])
     for call in (net.log_likelihood, functools.partial(gradient, net)):
         with pytest.raises(LikelihoodUndefinedError) as ei:

@@ -19,11 +19,13 @@ from pbn import (
     reconstruct,
     saddlepoint,
     save_model,
+    wordpair_network,
 )
 from pbn.cli import _read_csv, _standardize_on, build_from_config, main, parse_config
 from pbn.errors import ConfigError, PbnError
 from pbn.features import extract_directory, read_archive, write_archive_binary, write_archive_text
 from pbn.linops import ConvMap, GramStack
+from pbn.network import WORDPAIR_INPUT_SHAPE, WORDPAIR_LAYERS
 from helpers import examples, write_non_finite_archive
 
 
@@ -34,7 +36,7 @@ def damaged_model(where, value):
             LayerSpec(DenseMap(np.eye(6)[:, :4]), np.zeros(4), "gaussian", "tg"),
             LayerSpec(DenseMap(np.eye(4)[:, :2]), np.zeros(2), "truncated_gaussian", "shift"),
         ],
-        output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2),
+        output_prior=OutputPriorConfig(c=20.0, level=1.0),
         standardize=(np.zeros(6), np.ones(6)),
     )
     doc = network.network_to_dict(net)
@@ -89,10 +91,8 @@ def toy_archive(tmp_path):
 def toy_config(tmp_path):
     path = tmp_path / "toy.cfg"
     path.write_text(
-        "arch=custom\n"
         "input_shape=6\n"
         "layers=dense:4:tg,dense:2:shift\n"
-        "n_classes=2\n"
         "C=20\n"
         "standardize=true\n"
         "epochs=2\n"
@@ -255,9 +255,9 @@ class TestTrain:
         write_archive_text(features, Dataset(x, np.repeat([0, 1], 6), ids))
         cfg = tmp_path / "conv.cfg"
         cfg.write_text(
-            "arch=custom\ninput_shape=1x10x10\n"
+            "input_shape=1x10x10\n"
             "layers=conv:2:3x3:2x2:tg,conv:2:3x3:1x1:tg,dense:2:shift\n"
-            "n_classes=2\nC=20\nstandardize=true\nepochs=1\nbatch_size=4\n"
+            "C=20\nstandardize=true\nepochs=1\nbatch_size=4\n"
         )
         stacked = []
         factor = GramStack.factor.__func__
@@ -310,8 +310,8 @@ class TestTrain:
     def test_empty_conv_kernel_exits_2(self, tmp_path, toy_archive, capsys, layers, reason):
         cfg = tmp_path / "conv.cfg"
         cfg.write_text(
-            f"arch=custom\ninput_shape=1x2x3\nlayers={layers}\n"
-            "n_classes=2\nC=20\nstandardize=true\nepochs=1\n"
+            f"input_shape=1x2x3\nlayers={layers}\n"
+            "C=20\nstandardize=true\nepochs=1\n"
         )
         model = tmp_path / "m.json"
         rc, out, err = run(
@@ -359,7 +359,7 @@ class TestTrain:
 
     def test_unknown_config_key(self, tmp_path, toy_archive, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("arch=wordpair\nwhat=ever\n")
+        cfg.write_text("C=20\nwhat=ever\n")
         rc, _, err = run(
             capsys,
             "train", "--features", toy_archive, "--config", str(cfg),
@@ -370,7 +370,7 @@ class TestTrain:
 
     def test_non_utf8_config_exits_2(self, tmp_path, toy_archive, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(b"arch=wordpair\nC=\xff\n")
+        cfg.write_bytes(b"L=1\nC=\xff\n")
         rc, out, err = run(
             capsys,
             "train", "--features", toy_archive, "--config", str(cfg),
@@ -433,7 +433,7 @@ class TestTrain:
         # with a finite objective, and the likelihood phase then has no
         # defined sample in its first batch
         diverge = (
-            "arch=custom\ninput_shape=6\nlayers=dense:4:tg,dense:2:shift\nC=20\n"
+            "input_shape=6\nlayers=dense:4:tg,dense:2:shift\nC=20\n"
             "pretrain_epochs=4\npretrain_optimizer=sgd\npretrain_learning_rate=1e30\n"
         )
         docs = []
@@ -474,7 +474,7 @@ class TestTrain:
         cfg = tmp_path / "diverge.cfg"
         # one step this large overflows the second epoch's logits
         cfg.write_text(
-            "arch=custom\ninput_shape=6\nlayers=dense:4:tg,dense:2:shift\nC=20\n"
+            "input_shape=6\nlayers=dense:4:tg,dense:2:shift\nC=20\n"
             "pretrain_epochs=4\npretrain_optimizer=sgd\npretrain_learning_rate=1e200\n"
         )
         model = str(tmp_path / "d.json")
@@ -519,7 +519,10 @@ class TestTrain:
                 "layers: bad layer 'pool:2' (dense:units:act or conv:ch:KHxKW:SYxSX:act)",
             ),
             ("layers=,", "layers: a custom architecture needs at least one layer"),
-            ("arch=resnet", "arch must be wordpair or custom, got 'resnet'"),
+            ("layers=dense:four:tg", "layers: expected an integer, got 'four'"),
+            ("layers=conv:2:3x3:1:tg", "layers: expected AxB, got '1'"),
+            ("input_shape=1x4xw", "input_shape: expected N or CxHxW, got '1x4xw'"),
+            ("standardize=maybe", "config key standardize='maybe' is not a boolean"),
         ],
     )
     def test_out_of_range_training_config_exits_2(
@@ -546,7 +549,7 @@ class TestTrain:
         assert rc == 0 and "3 classes" in out
         cfg = tmp_path / "two.cfg"
         cfg.write_text(
-            "arch=custom\ninput_shape=900\nlayers=dense:2:shift\nn_classes=2\nC=20\n"
+            "input_shape=900\nlayers=dense:2:shift\nC=20\n"
             "standardize=true\nepochs=1\npretrain_epochs=1\n"
         )
         model = tmp_path / "m.json"
@@ -607,10 +610,60 @@ class TestTrain:
         assert not model.exists()
 
     def test_config_defaults_resolve(self):
-        cfg = parse_config(None)
-        assert cfg["arch"] == "wordpair"
-        assert cfg["C"] == "200"
-        assert cfg["L"] == "1"
+        text, values = parse_config(None)
+        assert len(text) == len(values) == 15
+        assert (text["input_shape"], text["layers"]) == (WORDPAIR_INPUT_SHAPE, WORDPAIR_LAYERS)
+        assert (text["C"], text["L"], text["batch_size"]) == ("200", "1", "")
+        assert (values["C"], values["L"], values["batch_size"]) == (200.0, 1.0, None)
+
+    def test_default_config_builds_the_wordpair_network(self):
+        x = np.random.default_rng(3).uniform(1.0, 2.0, (20, 900))
+        net = build_from_config(parse_config(None)[1], np.random.default_rng(8), x)
+        stock = wordpair_network(np.random.default_rng(8), standardize=net.standardize)
+        assert json.dumps(network.network_to_dict(net)) == json.dumps(
+            network.network_to_dict(stock)
+        )
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            pytest.param(line, reason, id=line)
+            for line, reason in (
+                ("arch=resnet", "{cfg}:1: unknown config key 'arch'"),
+                ("arch=custom", "{cfg}:1: unknown config key 'arch'"),
+                ("n_classes=3", "{cfg}:1: unknown config key 'n_classes'"),
+                ("pretrain_learning_rate=abc", "config key pretrain_learning_rate='abc' is not a number"),
+                ("pretrain_optimizer=nadam", "unknown optimizer 'nadam'"),
+            )
+        ],
+    )
+    def test_config_is_checked_before_the_archive(self, tmp_path, capsys, line, reason):
+        # the archive does not exist: reading it would fail with another error;
+        # the warm-start keys are checked although --pretrain is not given
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        model = tmp_path / "m.json"
+        rc, out, err = run(
+            capsys,
+            "train", "--features", str(tmp_path / "missing.pbnf"), "--config", str(cfg),
+            "--out-model", str(model),
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"error: {reason.format(cfg=cfg)}\n"
+        assert not model.exists()
+
+    def test_input_shape_the_default_layers_cannot_take_exits_2(
+        self, tmp_path, toy_archive, capsys
+    ):
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text("input_shape=7\n")
+        rc, out, err = run(
+            capsys,
+            "train", "--features", toy_archive, "--config", str(cfg),
+            "--out-model", str(tmp_path / "m.json"),
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: conv layer after the spatial structure was flattened\n"
 
     def test_a_constant_training_column_keeps_unit_scale(self):
         # sigma = 1: the column adds nothing to log_standardize (a 1e-12
@@ -618,7 +671,7 @@ class TestTrain:
         rng = np.random.default_rng(3)
         x = rng.uniform(1.0, 2.0, (20, 900))
         x[:, 7] = 0.1
-        net = build_from_config(parse_config(None), rng, x)
+        net = build_from_config(parse_config(None)[1], rng, x)
         mu, sigma = net.standardize
         assert sigma[7] == 1.0
         assert np.array_equal(np.delete(sigma, 7), np.delete(x.std(axis=0), 7))
@@ -731,6 +784,20 @@ class TestEval:
             )
 
 
+    def test_older_model_file_with_its_class_count_loads(self, tmp_path, toy_archive, capsys):
+        # files written before the class count became the output width state it too
+        model = tmp_path / "older.json"
+        model.write_text(damaged_model(("output_prior", "n_classes"), 2))
+        doc = json.loads(model.read_text())
+        del doc["output_prior"]["n_classes"]
+        assert network.network_to_dict(network.load_model(str(model))) == doc
+        rc, out, _ = run(
+            capsys,
+            "eval", "--model", str(model), "--features", toy_archive,
+            "--out-scores", str(tmp_path / "s.csv"),
+        )
+        assert rc == 0 and "n=24" in out
+
     @pytest.mark.parametrize(
         "text,reason",
         [
@@ -751,10 +818,13 @@ class TestEval:
              "ConfigError: output prior c must be finite"),
             (damaged_model(("output_prior", "level"), math.inf),
              "ConfigError: output prior level must be finite"),
+            (damaged_model(("output_prior", "n_classes"), 3),
+             "ConfigError: output prior has 3 classes, last layer emits 2"),
         ],
         ids=[
             "not-json", "no-layers", "layer-without-map", "layers-not-a-list", "not-an-object",
             "nan-weight", "inf-bias", "nan-mu", "inf-sigma", "nan-c", "inf-level",
+            "class-count-off-width",
         ],
     )
     def test_damaged_model_exits_2(self, tmp_path, toy_archive, capsys, text, reason):
@@ -1200,7 +1270,8 @@ class TestParser:
     def test_config_file_with_comments(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# a comment\n\nC=50\n")
-        assert parse_config(str(cfg))["C"] == "50"
+        text, values = parse_config(str(cfg))
+        assert (text["C"], values["C"]) == ("50", 50.0)
 
     def test_config_rejects_bare_words(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -129,7 +129,7 @@ class TestGaussianChainExactness:
 def small_shift_net(rng, c=200.0, dims=(8, 5, 3, 2)):
     cfgs = [dict(type="dense", units=u, activation="tg") for u in dims[1:-1]]
     cfgs.append(dict(type="dense", units=dims[-1], activation="shift"))
-    prior = OutputPriorConfig(c=c, level=1.0, n_classes=dims[-1])
+    prior = OutputPriorConfig(c=c, level=1.0)
     return build_network(dims[0], cfgs, rng, output_prior=prior)
 
 
@@ -254,7 +254,7 @@ class TestClassification:
                 "shift",
             )
         ]
-        net = Network(layers, output_prior=OutputPriorConfig(200.0, 1.0, 2))
+        net = Network(layers, output_prior=OutputPriorConfig(200.0, 1.0))
         x = -np.abs(rng.standard_normal(6))
         trace = net.interior_trace(x[None])
         assert isinstance(trace.undefined[0], LikelihoodUndefinedError)
@@ -327,13 +327,20 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Network([mk(8, 2, "gaussian", "shift")])  # shift without output prior
         with pytest.raises(ConfigError):
-            Network([mk(8, 2, "gaussian", "linear")], output_prior=OutputPriorConfig(200.0, 1.0, 2))
+            Network([mk(8, 2, "gaussian", "linear")], output_prior=OutputPriorConfig(200.0, 1.0))
 
     def test_class_count_must_match_width(self):
         rng = np.random.default_rng(13)
         layer = LayerSpec(DenseMap(rng.standard_normal((8, 3))), np.zeros(3), "gaussian", "shift")
-        with pytest.raises(ConfigError):
-            Network([layer], output_prior=OutputPriorConfig(200.0, 1.0, 2))
+        net = Network([layer], output_prior=OutputPriorConfig(200.0, 1.0))
+        assert net.n_classes == 3
+        doc = network_to_dict(net)
+        doc["output_prior"]["n_classes"] = 2  # an older file's class count
+        with pytest.raises(ConfigError, match="output prior has 2 classes, last layer emits 3"):
+            network_from_dict(doc)
+        one = LayerSpec(DenseMap(rng.standard_normal((8, 1))), np.zeros(1), "gaussian", "shift")
+        with pytest.raises(ConfigError, match="need at least two classes"):
+            Network([one], output_prior=OutputPriorConfig(200.0, 1.0))
 
     def test_input_validation(self):
         rng = np.random.default_rng(14)
@@ -345,11 +352,9 @@ class TestValidation:
 
     def test_output_prior_config_validation(self):
         with pytest.raises(ConfigError):
-            OutputPriorConfig(-1.0, 1.0, 2)
+            OutputPriorConfig(-1.0, 1.0)
         with pytest.raises(ConfigError):
-            OutputPriorConfig(200.0, 0.0, 2)
-        with pytest.raises(ConfigError):
-            OutputPriorConfig(200.0, 1.0, 1)
+            OutputPriorConfig(200.0, 0.0)
 
     def test_conv_after_flatten_rejected(self):
         rng = np.random.default_rng(15)
@@ -402,5 +407,5 @@ class TestSerialization:
         net = small_shift_net(rng)
         doc = network_to_dict(net)
         assert doc["format"] == "pbn-model"
-        assert doc["output_prior"] == {"c": 200.0, "level": 1.0, "n_classes": 2}
+        assert doc["output_prior"] == {"c": 200.0, "level": 1.0}
         assert len(doc["layers"]) == 3

@@ -159,7 +159,7 @@ def shift_net(rng):
     )
     w2 = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     l2 = LayerSpec(DenseMap(w2), np.zeros(2), "truncated_gaussian", "shift")
-    return Network([l1, l2], output_prior=OutputPriorConfig(c=C, level=LEVEL, n_classes=2))
+    return Network([l1, l2], output_prior=OutputPriorConfig(c=C, level=LEVEL))
 
 
 def plain_linear_net(rng, n=5):

@@ -11,7 +11,7 @@ from scipy.stats import multivariate_normal
 from pbn.errors import DomainError, ReconstructionError, ShapeMismatchError
 from pbn.linops import DenseMap, GramFactor, GramStack
 from pbn.priors import GAUSSIAN, TRUNCATED_GAUSSIAN, UNIFORM, TruncatedGaussianPrior, get_prior
-from pbn.saddlepoint import solve_saddle
+from pbn.saddlepoint import TOL, solve_saddle
 
 
 class TestGaussianExactness:
@@ -84,12 +84,11 @@ class TestFeasibleBatch:
     def test_hundred_draws_all_converge(self, prior):
         rng = np.random.default_rng(11)
         m = DenseMap(rng.standard_normal((7, 3)))
-        tol = 1e-9
         for _ in range(100):
             z = m.forward(sample(prior, rng, 7))
-            sol = solve_saddle(m, prior, z[None], tol=tol)
+            sol = solve_saddle(m, prior, z[None])
             assert sol.errors == [None]
-            assert sol.residual[0] <= tol * (1.0 + np.max(np.abs(z)))
+            assert sol.residual[0] <= TOL * (1.0 + np.max(np.abs(z)))
             assert_allclose(m.forward(sol.x_hat[0]), z, atol=1e-7)
             assert prior.in_support(sol.x_hat[0])
             # the backward walk takes alpha as the exact preimage of x_hat

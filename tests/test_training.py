@@ -86,7 +86,7 @@ def tg_shift_net(rng, dims=(6, 4, 3, 2), c=200.0):
     cfgs = [{"type": "dense", "units": d, "activation": "tg"} for d in dims[1:-1]]
     cfgs.append({"type": "dense", "units": dims[-1], "activation": "shift"})
     net = build_network(
-        dims[0], cfgs, rng, output_prior=OutputPriorConfig(c=c, level=1.0, n_classes=dims[-1])
+        dims[0], cfgs, rng, output_prior=OutputPriorConfig(c=c, level=1.0)
     )
     return net
 
@@ -107,7 +107,7 @@ def blob_net(rng, c=20.0):
             {"type": "dense", "units": 2, "activation": "shift"},
         ],
         rng,
-        output_prior=OutputPriorConfig(c=c, level=1.0, n_classes=2),
+        output_prior=OutputPriorConfig(c=c, level=1.0),
     )
 
 
@@ -124,7 +124,7 @@ def unit_curvature_tg_net(rng):
         LayerSpec(DenseMap(w), np.zeros(3), "truncated_gaussian", "tg"),
         LayerSpec(DenseMap(0.1 * rng.standard_normal((3, 2))), np.zeros(2), "truncated_gaussian", "shift"),
     ]
-    net = Network(layers, output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2))
+    net = Network(layers, output_prior=OutputPriorConfig(c=20.0, level=1.0))
     x = TRUNCATED_GAUSSIAN.cgf_derivs(rng.uniform(6.0, 8.0, (3, 3)) @ w.T)[1]
     return net, Dataset(x, np.array([0, 1, 0]))
 
@@ -637,7 +637,7 @@ class TestEvaluate:
     def test_unclassifiable_counts_as_wrong(self):
         w = np.array([[1.0, 1.0], [1.0, -1.0]])
         spec = LayerSpec(DenseMap(w), np.zeros(2), "truncated_gaussian", "shift")
-        net = Network([spec], output_prior=OutputPriorConfig(c=20.0, level=1.0, n_classes=2))
+        net = Network([spec], output_prior=OutputPriorConfig(c=20.0, level=1.0))
         good = np.array([1.0, 2.0])
         label = int(np.argmax(net.class_scores(good[None])[0]))
         data = Dataset(np.vstack([good, [-1.0, -1.0]]), np.array([label, 0]))
