@@ -409,13 +409,13 @@ def cmd_synthesize(args):
     label = args.label if net.output_prior is not None else None
     rejects = []
     for idx in row_chunks(args.count):
-        seeds = args.seed + idx
+        seeds = [args.seed + int(i) for i in idx]  # Python ints: no int64 wrap-around
         for seed, x, err in zip(seeds, *synthesize(net, seeds, label=label)):
             name = f"synth_{seed:06d}"
             if err is not None:
                 # every walk error starts with the label of its layer, "layer N: "
                 layer, _, reason = str(err).partition(": ")
-                rejects.append((name, int(seed), layer.removeprefix("layer "), reason))
+                rejects.append((name, seed, layer.removeprefix("layer "), reason))
                 continue
             images.add(name, x, name)
     images.write_raw_values(["id"], net.n_in)
@@ -604,6 +604,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _in_range(args, "seed", 0)  # numpy's generators take no negative seed
         return args.fn(args)
     except (PbnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,13 @@ one multiply, and sent through one real FFT along the frame axis and
 one (frames x 513) x (513 x 20) filterbank product; nothing is batched
 across clips.
 
+WAV files are read with ``struct`` over their RIFF chunks, as the
+binary archive is: a ``fmt `` chunk, plain or WAVE_FORMAT_EXTENSIBLE
+with the PCM sub-format, then a ``data`` chunk, with any other chunk
+(``LIST``, ``fact``, ...) and its pad byte skipped.  Only PCM16 mono
+16 kHz is accepted; a file cut short, or with no data chunk, is an
+ingestion error.
+
 Archives store (id, label, 900 floats) records either as delimited
 text or as a little-endian binary stream with an identifying magic;
 ``read_archive`` sniffs which one it was given.
@@ -25,7 +32,6 @@ import os
 import struct
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import IngestionError
 from .training import Dataset
@@ -43,6 +49,11 @@ FEATURE_DIM = N_FRAMES * N_BANDS
 _MAGIC = b"PBNFEAT\x00"
 _BINARY_VERSION = 1
 _MAX_ID_BYTES = 2**16 - 1
+
+_WAVE_FORMAT_PCM = 1
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# the KSDATAFORMAT_SUBTYPE_PCM GUID, as a WAVE_FORMAT_EXTENSIBLE fmt chunk stores it
+_PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
 
 
 def hz_to_mel(f):
@@ -90,19 +101,54 @@ def logmel(wave, rate=SAMPLE_RATE):
     return out
 
 
-def load_wav(path):
-    """Strictly PCM16 mono 16 kHz; returns the waveform scaled to [-1, 1)."""
-    try:
-        rate, data = wavfile.read(path)
-    except (ValueError, OSError) as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
+def _check_pcm16(path, body):
+    """Raise IngestionError unless the ``fmt `` chunk ``body`` is PCM16 mono 16 kHz."""
+    if len(body) < 16:
+        raise IngestionError(f"{path}: fmt chunk of {len(body)} bytes")
+    tag, channels, rate, byte_rate, align, bits = struct.unpack_from("<HHIIHH", body)
+    cb_size = int.from_bytes(body[16:18], "little")
+    if tag == _WAVE_FORMAT_EXTENSIBLE and cb_size >= 22 and body[24:40] == _PCM_GUID:
+        tag = _WAVE_FORMAT_PCM
     if rate != SAMPLE_RATE:
         raise IngestionError(f"{path}: sample rate {rate} != {SAMPLE_RATE}")
-    if data.dtype != np.int16:
-        raise IngestionError(f"{path}: samples are {data.dtype}, expected PCM16")
-    if data.ndim != 1:
-        raise IngestionError(f"{path}: {data.shape[1]} channels, expected mono")
-    return data.astype(np.float64) / 32768.0
+    if tag != _WAVE_FORMAT_PCM or not 8 < bits <= 16 or align != 2 * channels:
+        raise IngestionError(f"{path}: format {tag} with {bits}-bit samples, expected PCM16")
+    if channels != 1:
+        raise IngestionError(f"{path}: {channels} channels, expected mono")
+    if byte_rate != rate * align:
+        raise IngestionError(f"{path}: byte rate {byte_rate} != {rate} x {align}")
+
+
+def load_wav(path):
+    """Strictly PCM16 mono 16 kHz; returns the waveform scaled to [-1, 1).
+
+    Chunks are walked up to the end the RIFF header gives; the first
+    ``data`` chunk after a ``fmt `` chunk is the waveform.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise IngestionError(f"{path}: not a RIFF WAVE file")
+    end, pos, has_format = 8 + int.from_bytes(raw[4:8], "little"), 12, False
+    while pos < end:
+        if pos + 8 > len(raw):
+            raise IngestionError(f"{path}: file ends inside a chunk header")
+        chunk, size = struct.unpack_from("<4sI", raw, pos)
+        body = raw[pos + 8 : pos + 8 + size]
+        if len(body) < size:
+            raise IngestionError(f"{path}: {chunk.decode('latin-1')!r} chunk cut short")
+        if chunk == b"fmt ":
+            _check_pcm16(path, body)
+            has_format = True
+        elif chunk == b"data":
+            if not has_format:
+                raise IngestionError(f"{path}: data chunk before the fmt chunk")
+            return np.frombuffer(body, "<i2", len(body) // 2).astype(np.float64) / 32768.0
+        pos += 8 + size + size % 2
+    raise IngestionError(f"{path}: no data chunk")
 
 
 def extract_file(path):

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+import pbn
 from pbn import (
     Dataset,
     DenseMap,
@@ -983,6 +986,19 @@ class TestSynthesize:
         assert err == "error: --count must be at least 0\n"
         assert not out_dir.exists()
 
+    def test_seeds_past_int64_stay_exact(self, tmp_path, capsys):
+        out_dir = tmp_path / "syn"
+        seed = 2**63 - 1
+        rc, out, err = run(
+            capsys,
+            "synthesize", "--model", self.linear_model(tmp_path), "--count", "2",
+            "--seed", str(seed), "--out-images", str(out_dir),
+        )
+        assert (rc, err) == (0, "")
+        assert "synthesized 2/2" in out
+        raw = [ln for ln in open(out_dir / "raw_values.csv") if not ln.startswith("#")]
+        assert [ln.split(",")[0] for ln in raw[1:]] == [f"synth_{seed}", f"synth_{seed + 1}"]
+
     def test_seed_changes_output(self, tmp_path, capsys):
         model = self.linear_model(tmp_path)
         outs = []
@@ -1266,6 +1282,32 @@ class TestParser:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("command", ["extract", "train", "synthesize", "eval"])
+    def test_negative_seed_exits_2(self, command, tmp_path, wav_tree, toy_archive, toy_model, capsys):
+        out = str(tmp_path / "out")
+        argv = {
+            "extract": ["--wav-dir", wav_tree, "--out", out],
+            "train": ["--features", toy_archive, "--out-model", out],
+            "synthesize": ["--model", toy_model, "--out-images", out],
+            "eval": ["--model", toy_model, "--features", toy_archive, "--out-scores", out],
+        }[command]
+        rc, stdout, err = run(capsys, command, "--seed", "-1", *argv)
+        assert (rc, stdout) == (2, "")
+        assert err == "error: --seed must be at least 0\n"
+        assert not os.path.exists(out)
+
+    def test_import_loads_no_scipy_io_or_sparse(self):
+        # a fresh interpreter: this test module itself imports scipy.io.wavfile
+        src = os.path.dirname(os.path.dirname(pbn.__file__))
+        code = (
+            "import sys, pbn.cli\n"
+            "print(*sorted(m for m in sys.modules if m.startswith(('scipy.io', 'scipy.sparse'))))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == []
 
     def test_config_file_with_comments(self, tmp_path):
         cfg = tmp_path / "c.cfg"

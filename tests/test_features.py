@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.io import wavfile
 import oracle
 from helpers import examples, write_non_finite_archive
 from pbn import Dataset, IngestionError
+from pbn.cli import main
 from pbn.features import (
     ENERGY_FLOOR,
     FEATURE_DIM,
@@ -153,6 +155,36 @@ class TestFilterbank:
         np.testing.assert_allclose(mel_to_hz(hz_to_mel(freqs)), freqs, atol=1e-9)
 
 
+# tmp_path is shared by the examples of one test; each example overwrites its file
+FUNCTION_SCOPED = HealthCheck.function_scoped_fixture
+
+
+def wav_chunk(chunk_id, body):
+    """One RIFF chunk, with the pad byte an odd-sized body takes."""
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) % 2)
+
+
+def fmt_chunk(tag=1, bits=16, channels=1, rate=16000, extensible=False):
+    """A ``fmt `` chunk; an ``extensible`` one is WAVE_FORMAT_EXTENSIBLE with ``tag`` as its sub-format."""
+    align = channels * bits // 8
+    body = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate, rate * align, align, bits)
+    if extensible:
+        # cbSize, valid bits, channel mask, then the sub-format GUID
+        # {tag-0000-0010-8000-00AA00389B71} in its on-disk byte order
+        guid = struct.pack("<IHH", tag, 0, 0x10) + bytes.fromhex("800000aa00389b71")
+        body += struct.pack("<HHI", 22, bits, 4) + guid
+    return wav_chunk(b"fmt ", body)
+
+
+def riff_wave(*chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def pcm16_bytes(samples):
+    return np.asarray(samples, dtype="<i2").tobytes()
+
+
 class TestWavLoading:
     def write(self, path, rate, data):
         wavfile.write(path, rate, data)
@@ -162,8 +194,31 @@ class TestWavLoading:
         samples = (np.sin(np.linspace(0, 20, 16000)) * 20000).astype(np.int16)
         path = self.write(tmp_path / "ok.wav", 16000, samples)
         wave = load_wav(path)
-        np.testing.assert_allclose(wave, samples / 32768.0)
+        np.testing.assert_array_equal(wave, wavfile.read(path)[1] / 32768.0)
+        np.testing.assert_array_equal(wave, samples / 32768.0)
         assert extract_file(path).shape == (FEATURE_DIM,)
+
+    @settings(max_examples=examples(40), deadline=None, suppress_health_check=[FUNCTION_SCOPED])
+    @given(
+        samples=st.lists(st.integers(-(2**15), 2**15 - 1), max_size=300),
+        list_size=st.integers(2, 9).map(lambda n: 2 * n + 1),
+        list_first=st.booleans(),
+    )
+    def test_extensible_file_with_odd_list_chunk_loads_as_its_plain_twin(
+        self, tmp_path, samples, list_size, list_first
+    ):
+        plain = self.write(tmp_path / "plain.wav", 16000, np.array(samples, dtype=np.int16))
+        chunks = [fmt_chunk(extensible=True), wav_chunk(b"LIST", b"INFO" + b"x" * (list_size - 4))]
+        if list_first:
+            chunks.reverse()
+        ext = tmp_path / "ext.wav"
+        ext.write_bytes(riff_wave(*chunks, wav_chunk(b"data", pcm16_bytes(samples))))
+        want = wavfile.read(plain)[1] / 32768.0
+        np.testing.assert_array_equal(wavfile.read(ext)[1] / 32768.0, want)
+        for path in (plain, str(ext)):
+            got = load_wav(path)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_wrong_rate(self, tmp_path):
         path = self.write(tmp_path / "slow.wav", 8000, np.zeros(8000, dtype=np.int16))
@@ -180,11 +235,114 @@ class TestWavLoading:
         with pytest.raises(IngestionError, match="PCM16"):
             load_wav(path)
 
+    @pytest.mark.parametrize(
+        "fmt",
+        [
+            fmt_chunk(bits=8),
+            fmt_chunk(bits=24),
+            fmt_chunk(tag=3, bits=32, extensible=True),
+            wav_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 8)),
+        ],
+        ids=["pcm8", "pcm24", "extensible-float32", "pcm8-in-2-bytes"],
+    )
+    # scipy reads one byte per sample of "pcm8-in-2-bytes", then misreads the rest as a chunk
+    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    def test_rejects_other_sample_forms(self, tmp_path, fmt):
+        path = tmp_path / "other.wav"
+        path.write_bytes(riff_wave(fmt, wav_chunk(b"data", bytes(48))))
+        assert wavfile.read(path)[1].dtype != np.int16
+        with pytest.raises(IngestionError, match="PCM16"):
+            load_wav(str(path))
+
+    def test_rejects_extensible_format_with_a_short_extension(self, tmp_path):
+        fmt = bytearray(fmt_chunk(extensible=True))
+        fmt[24:26] = struct.pack("<H", 21)  # cbSize: too short to hold the PCM sub-format
+        path = tmp_path / "short.wav"
+        path.write_bytes(riff_wave(bytes(fmt), wav_chunk(b"data", bytes(48))))
+        with pytest.raises(IngestionError, match="PCM16"):
+            load_wav(str(path))
+
+    def test_rejects_a_byte_rate_off_the_block_rate(self, tmp_path):
+        fmt = wav_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 16000, 2, 16))
+        path = tmp_path / "rate.wav"
+        path.write_bytes(riff_wave(fmt, wav_chunk(b"data", bytes(48))))
+        with pytest.raises(IngestionError, match="byte rate"):
+            load_wav(str(path))
+
+    def test_rejects_data_cut_mid_sample(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        path.write_bytes(riff_wave(fmt_chunk(), wav_chunk(b"data", pcm16_bytes(range(400))))[:-1])
+        with pytest.raises(IngestionError, match="cut short"):
+            load_wav(str(path))
+
+    def test_rejects_file_without_data_chunk(self, tmp_path):
+        path = tmp_path / "nodata.wav"
+        path.write_bytes(riff_wave(fmt_chunk(), wav_chunk(b"LIST", b"INFO")))
+        with pytest.raises(IngestionError, match="no data chunk"):
+            load_wav(str(path))
+
+    def test_rejects_data_before_format(self, tmp_path):
+        path = tmp_path / "late.wav"
+        path.write_bytes(riff_wave(wav_chunk(b"data", pcm16_bytes(range(400))), fmt_chunk()))
+        with pytest.raises(IngestionError, match="before the fmt chunk"):
+            load_wav(str(path))
+
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "not.wav"
         path.write_bytes(b"hello")
         with pytest.raises(IngestionError):
             load_wav(str(path))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"RIFX" + riff_wave(fmt_chunk(), wav_chunk(b"data", bytes(4)))[4:],
+            riff_wave(fmt_chunk(), wav_chunk(b"data", bytes(4))).replace(b"WAVE", b"AVI ", 1),
+            b"",
+        ],
+        ids=["big-endian-rifx", "riff-avi", "empty"],
+    )
+    def test_rejects_non_riff_file(self, tmp_path, raw):
+        path = tmp_path / "not.wav"
+        path.write_bytes(raw)
+        with pytest.raises(IngestionError, match="not a RIFF WAVE file"):
+            load_wav(str(path))
+
+    def test_extract_on_a_tree_with_a_bad_clip_exits_2(self, tmp_path, capsys):
+        for cls in ("a", "b"):
+            (tmp_path / "wavs" / cls).mkdir(parents=True)
+            self.write(tmp_path / "wavs" / cls / "good.wav", 16000, np.zeros(4000, dtype=np.int16))
+        (tmp_path / "wavs" / "b" / "bad.wav").write_bytes(riff_wave(fmt_chunk()))
+        arch = tmp_path / "features.csv"
+        rc = main(["extract", "--wav-dir", str(tmp_path / "wavs"), "--out", str(arch)])
+        out = capsys.readouterr()
+        assert (rc, out.out) == (2, "")
+        assert out.err.startswith("error: ") and "no data chunk" in out.err
+        assert not arch.exists()
+
+
+VALID_WAV = riff_wave(
+    wav_chunk(b"LIST", b"INFOx"), fmt_chunk(extensible=True), wav_chunk(b"data", pcm16_bytes(range(-300, 300, 7)))
+)
+
+
+@settings(max_examples=examples(200), deadline=None, suppress_health_check=[FUNCTION_SCOPED])
+@given(
+    cut=st.integers(0, len(VALID_WAV)),
+    flips=st.lists(st.tuples(st.integers(0, len(VALID_WAV) - 1), st.integers(0, 255)), max_size=3),
+)
+def test_damaged_wav_raises_only_ingestion_error(tmp_path, cut, flips):
+    raw = bytearray(VALID_WAV[:cut])
+    for pos, value in flips:
+        if pos < len(raw):
+            raw[pos] = value
+    path = tmp_path / "damaged.wav"
+    path.write_bytes(bytes(raw))
+    try:
+        wave = load_wav(str(path))
+    except IngestionError:
+        return
+    assert wave.dtype == np.float64 and wave.ndim == 1
 
 
 class TestExtractDirectory:
@@ -412,8 +570,6 @@ def test_row_format_matches_per_cell_format():
 
 
 ARCHIVE_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-# tmp_path is shared by the examples of one test; each example overwrites its file
-FUNCTION_SCOPED = HealthCheck.function_scoped_fixture
 
 
 @st.composite
